@@ -33,22 +33,24 @@ __all__ = [
     "stream_rng",
     "load_link_config",
     "write_link_config",
-    "KAPPA_FIT_SEED",
-    "KAPPA_FIT_SAMPLES",
 ]
 
 PI2 = math.pi * math.pi
 
-# Fixed stream for the exponential-rate fit behind miso_snr_dist's
-# default mode, and the fit's sample budget (relative error ~0.2%).
-KAPPA_FIT_SEED = 20240813
-KAPPA_FIT_SAMPLES = 200_000
-
 _SISO_STREAM = "channel.sample_siso_snr"
 _MISO_STREAM = "channel.sample_miso_snr"
 
-# Slots per sampler chunk are sized so chunk arrays stay ~tens of MB.
+# Element draws per single-antenna chunk. A chunk fixes only the stream
+# layout (all first-hop draws of its rows, then all second-hop draws),
+# so changing it changes every sample; memory is set by _BLOCK_ELEMS.
 _CHUNK_ELEMS = 4_000_000
+
+# Element draws per row block inside a chunk: two cache-sized buffers
+# reused for the whole call instead of fresh chunk-sized temporaries.
+_BLOCK_ELEMS = 32_768
+
+# 64-bit outputs per Philox counter step.
+_PHILOX_BLOCK = 4
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -199,53 +201,57 @@ def siso_snr_dist(cfg: LinkConfig) -> ScaledNoncentralChiSq:
     return ScaledNoncentralChiSq(beta=beta, lam=lam)
 
 
-# Memoized oracle fits; keyed on everything the sampled law depends on.
-# Writes are idempotent, so unlocked concurrent access is benign.
-_KAPPA_FIT_CACHE: dict[tuple[float, int, int, int], float] = {}
+def _miso_mean_snr(cfg: LinkConfig) -> float:
+    """Mean beamformed SNR, 2 N p_t zeta |f|^2 / sigma2.
+
+    The surface sums N iid complex Gaussian aggregates with E|z|^2 = 2,
+    which is again complex Gaussian with power 2N, so the SNR is exactly
+    exponential with this mean.
+    """
+    return (2.0 * cfg.n_elems * cfg.p_t * pathloss(cfg) * cfg.precoder_power
+            / cfg.sigma2)
 
 
-def miso_snr_dist(
-    cfg: LinkConfig,
-    mode: str = "oracle",
-    fit_seed: int = KAPPA_FIT_SEED,
-    fit_samples: int = KAPPA_FIT_SAMPLES,
-) -> Exponential:
+def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:
     """Exponential SNR law of the beamformed link.
 
-    mode="oracle" (default) fits kappa by maximum likelihood
-    (1/sample mean) on a fixed documented stream; mode="closed" evaluates
-    the closed-form constant sigma^4 / (2 N^2 (p_t zeta sum|f_j|^2)^2),
-    kept selectable for side-by-side reporting because the two disagree.
+    mode="exact" (default) is the sampled law's rate
+    sigma^2 / (2 N p_t zeta sum|f_j|^2); mode="closed" evaluates the
+    paper's constant sigma^4 / (2 N^2 (p_t zeta sum|f_j|^2)^2), kept
+    selectable for side-by-side reporting because the two disagree.
     """
     if mode == "closed":
         s = cfg.p_t * pathloss(cfg) * cfg.precoder_power
         kappa = cfg.sigma2 ** 2 / (2.0 * cfg.n_elems ** 2 * s * s)
         return Exponential(kappa=kappa)
-    if mode != "oracle":
+    if mode != "exact":
         raise ValueError(f"unknown kappa mode {mode!r}")
-    scale = cfg.p_t * pathloss(cfg) * cfg.precoder_power / cfg.sigma2
-    key = (scale, cfg.n_elems, int(fit_seed), int(fit_samples))
-    kappa = _KAPPA_FIT_CACHE.get(key)
-    if kappa is None:
-        batch = sample_miso_snr(cfg, fit_seed, fit_samples)
-        kappa = 1.0 / float(np.mean(batch.values))
-        _KAPPA_FIT_CACHE[key] = kappa
-    return Exponential(kappa=kappa)
+    return Exponential(kappa=1.0 / _miso_mean_snr(cfg))
 
 
-def _rayleigh(rng: np.random.Generator, shape) -> np.ndarray:
-    # inverse-CDF transform of uniform draws, amplitude scale 1
-    u = rng.random(shape)
-    return np.sqrt(-2.0 * np.log1p(-u))
+def _skipped(bitgen: np.random.Philox, k: int) -> np.random.Philox:
+    """A copy of bitgen positioned k 64-bit outputs further on."""
+    out = np.random.Philox()
+    out.state = bitgen.state
+    buffered = _PHILOX_BLOCK - out.state["buffer_pos"]
+    if k <= buffered:
+        out.random_raw(k)
+        return out
+    out.random_raw(buffered)
+    k -= buffered
+    out.advance(k // _PHILOX_BLOCK)
+    out.random_raw(k % _PHILOX_BLOCK)
+    return out
 
 
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    # Box-Muller; E|z|^2 = 2 (each component standard normal)
-    u1 = rng.random(shape)
-    u2 = rng.random(shape)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    ang = (2.0 * math.pi) * u2
-    return r * np.cos(ang) + 1j * (r * np.sin(ang))
+def _rayleigh_inplace(rng: np.random.Generator, buf: np.ndarray) -> None:
+    # inverse-CDF transform of uniform draws, amplitude scale 1:
+    # sqrt(-2 log1p(-u)), rounded exactly as the out-of-place expression
+    rng.random(out=buf)
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
+    buf *= -2.0
+    np.sqrt(buf, out=buf)
 
 
 def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
@@ -258,17 +264,31 @@ def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
         raise ValueError("sample_siso_snr requires n_tx == 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = stream_rng(seed, _SISO_STREAM)
+    n_el = cfg.n_elems
+    rng_a = stream_rng(seed, _SISO_STREAM)
     scale = cfg.p_t * pathloss(cfg) / cfg.sigma2
     out = np.empty(n, dtype=float)
-    chunk = max(1, _CHUNK_ELEMS // cfg.n_elems)
+    chunk = max(1, _CHUNK_ELEMS // n_el)
+    rows = min(n, chunk, max(1, _BLOCK_ELEMS // n_el))
+    buf_a = np.empty(rows * n_el)
+    buf_b = np.empty(rows * n_el)
+    sums = np.empty(rows)
     pos = 0
     while pos < n:
         m = min(chunk, n - pos)
-        a = _rayleigh(rng, (m, cfg.n_elems))
-        b = _rayleigh(rng, (m, cfg.n_elems))
-        s = np.sum(a * b, axis=1)
-        out[pos:pos + m] = scale * s * s
+        # the chunk's second-hop draws follow its m * N first-hop draws
+        rng_b = np.random.Generator(_skipped(rng_a.bit_generator, m * n_el))
+        for start in range(pos, pos + m, rows):
+            r = min(rows, pos + m - start)
+            a, b, s = buf_a[:r * n_el], buf_b[:r * n_el], sums[:r]
+            _rayleigh_inplace(rng_a, a)
+            _rayleigh_inplace(rng_b, b)
+            a *= b
+            np.sum(a.reshape(r, n_el), axis=1, out=s)
+            o = out[start:start + r]
+            np.multiply(scale, s, out=o)
+            o *= s
+        rng_a = rng_b
         pos += m
     return SampleBatch(values=out, seed=seed, kind="snr")
 
@@ -277,24 +297,18 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     """Per-slot SNR of the beamformed link after second-hop inversion.
 
     The surface inverts the second hop, so the received amplitude is the
-    sum over elements of the per-element precoded first-hop aggregates;
-    each aggregate is drawn exactly as the complex Gaussian the precoded
-    row combination produces. Bit-reproducible per seed.
+    sum over elements of the per-element precoded first-hop aggregates.
+    That sum is complex Gaussian, so its squared magnitude is drawn
+    directly: one exponential per slot, by inverse CDF on one uniform.
+    Bit-reproducible per seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = stream_rng(seed, _MISO_STREAM)
-    amp = math.sqrt(cfg.precoder_power)
-    scale = cfg.p_t * pathloss(cfg) / cfg.sigma2
-    out = np.empty(n, dtype=float)
-    chunk = max(1, _CHUNK_ELEMS // cfg.n_elems)
-    pos = 0
-    while pos < n:
-        m = min(chunk, n - pos)
-        z = _standard_complex(rng, (m, cfg.n_elems)).sum(axis=1)
-        mag2 = (amp * z.real) ** 2 + (amp * z.imag) ** 2
-        out[pos:pos + m] = scale * mag2
-        pos += m
+    out = stream_rng(seed, _MISO_STREAM).random(n)
+    # -mean * log1p(-u), in place
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out *= -_miso_mean_snr(cfg)
     return SampleBatch(values=out, seed=seed, kind="snr")
 
 

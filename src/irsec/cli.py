@@ -113,7 +113,7 @@ def _cmd_ec(args) -> int:
     cfg = _build_config(args, args.scenario)
     rate = args.rate
     if args.scenario.endswith("_nocsi") and rate is None:
-        rate = auto_rate(cfg, args.scenario, args.alpha)
+        rate = auto_rate(cfg, args.scenario, args.alpha, kappa_mode=args.kappa_mode)
     if args.scenario == "siso_csi":
         res = ec_siso_csi(cfg, args.alpha, method=args.method)
     elif args.scenario == "miso_csi":
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fixed rate; optimized automatically if omitted")
     p_ec.add_argument("--method", choices=("exact", "relaxed"), default="exact",
                       help="siso_csi evaluation route")
-    p_ec.add_argument("--kappa-mode", choices=("oracle", "closed"),
-                      default="oracle")
+    p_ec.add_argument("--kappa-mode", choices=("exact", "closed"),
+                      default="exact")
     _add_config_flags(p_ec)
     p_ec.set_defaults(func=_cmd_ec)
 
@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--max-iters", type=int, default=100_000)
     p_or.add_argument("--r-max", type=float, default=None)
     p_or.add_argument("--points", type=int, default=1000)
-    p_or.add_argument("--kappa-mode", choices=("oracle", "closed"),
-                      default="oracle")
+    p_or.add_argument("--kappa-mode", choices=("exact", "closed"),
+                      default="exact")
     _add_config_flags(p_or)
     p_or.set_defaults(func=_cmd_optimize_rate)
 

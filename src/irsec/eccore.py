@@ -284,7 +284,7 @@ def miso_csi_moments(
 def ec_miso_csi(
     cfg: LinkConfig,
     alpha: Union[QosExponent, float],
-    kappa_mode: str = "oracle",
+    kappa_mode: str = "exact",
     ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES,
 ) -> EcResult:
     """EC of the rate-adaptive beamformed link (Gaussian service model).
@@ -382,7 +382,7 @@ def ec_miso_nocsi(
     cfg: LinkConfig,
     alpha: Union[QosExponent, float],
     rate: float,
-    kappa_mode: str = "oracle",
+    kappa_mode: str = "exact",
 ) -> EcResult:
     """EC of fixed-rate transmission over the beamformed link."""
     dist = miso_snr_dist(cfg, mode=kappa_mode)
@@ -398,7 +398,7 @@ def mean_service(
     cfg: LinkConfig,
     scenario: str,
     rate: float | None = None,
-    kappa_mode: str = "oracle",
+    kappa_mode: str = "exact",
 ) -> float:
     """Expected per-slot service in bits; the alpha -> 0 limit of EC."""
     if scenario not in SCENARIOS:

@@ -176,7 +176,7 @@ def _miso_rhs(kappa: float, a: float, bandwidth: float, slot: float) -> float:
 def optimize_rate_miso_closed(
     cfg: LinkConfig,
     alpha: Union[QosExponent, float],
-    kappa_mode: str = "oracle",
+    kappa_mode: str = "exact",
 ) -> RateSolution:
     """Closed-form approximate optimal rate for the beamformed link.
 
@@ -204,7 +204,7 @@ def optimize_rate_miso_closed(
 def solve_rate_miso_exact(
     cfg: LinkConfig,
     alpha: Union[QosExponent, float],
-    kappa_mode: str = "oracle",
+    kappa_mode: str = "exact",
 ) -> RateSolution:
     """Bisection on the beamformed stationarity equation.
 

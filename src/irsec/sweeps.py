@@ -119,15 +119,16 @@ def _apply_value(fixed: LinkConfig, var: str, value: float) -> LinkConfig:
     return fixed
 
 
-def auto_rate(cfg: LinkConfig, scenario: str, alpha: float) -> float:
+def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
+              kappa_mode: str = "exact") -> float:
     """Optimal fixed rate for a no-CSI scenario, by the robust route.
 
-    The beamformed link uses its stationarity root; the single-antenna
-    link uses the grid oracle, whose span covers every regime the
-    descent's fixed step handles unevenly.
+    The beamformed link uses its stationarity root under the kappa_mode
+    law; the single-antenna link uses the grid oracle, whose span covers
+    every regime the descent's fixed step handles unevenly.
     """
     if scenario == "miso_nocsi":
-        return solve_rate_miso_exact(cfg, alpha).r_star
+        return solve_rate_miso_exact(cfg, alpha, kappa_mode=kappa_mode).r_star
     dist = siso_snr_dist(cfg)
     mean_snr = dist.beta * (1.0 + dist.lam)
     r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2

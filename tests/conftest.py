@@ -26,10 +26,9 @@ def cfg_miso():
 
 
 def miso_cfg_for_kappa(kappa: float, n_tx: int = 10) -> LinkConfig:
-    """Scale p_t so the sampled exponential SNR has rate ~kappa.
+    """Scale p_t so the exponential SNR law has rate kappa (to rounding).
 
-    The sampled law's true rate is sigma2/(2 N p_t zeta |f|^2); the
-    fitted rate lands within the fit's ~0.4% of that.
+    The law's rate is sigma2/(2 N p_t zeta |f|^2), so p_t solves for it.
     """
     base = LinkConfig(n_tx=n_tx)
     p_t = base.sigma2 / (2.0 * base.n_elems * pathloss(base)

@@ -97,7 +97,7 @@ def test_criterion_01_siso_distribution(capsys):
 
 
 def test_criterion_01_miso_distribution(capsys):
-    """Beamformed SNR samples against the fitted exponential law."""
+    """Beamformed SNR samples against the exact exponential law."""
     cfg = LinkConfig(n_tx=10)
     start = time.perf_counter()
     batch = sample_miso_snr(cfg, 1234, DRAWS)

@@ -6,6 +6,7 @@ measured values, not flaky statistical gambles.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsec import channel
 from irsec.channel import (
     Exponential,
     LinkConfig,
@@ -29,6 +31,7 @@ from irsec.channel import (
     write_link_config,
 )
 from irsec.mcoracle import ks_distance
+from reference_samplers import miso_reference, siso_reference
 
 PI2 = math.pi * math.pi
 
@@ -129,25 +132,19 @@ def test_miso_closed_mode_constant(cfg_miso):
     assert d.kappa == pytest.approx(want, rel=1e-14)
 
 
-def test_miso_oracle_fit_close_to_sampled_mean(cfg_miso):
-    """The fitted rate sits within 1% of the sampled law's exact rate."""
+def test_miso_exact_kappa(cfg_miso):
+    """The default rate is the sampled law's own, sigma2/(2 N p_t zeta |f|^2)."""
     d = miso_snr_dist(cfg_miso)
-    analytic = cfg_miso.sigma2 / (
+    want = cfg_miso.sigma2 / (
         2.0 * cfg_miso.n_elems * cfg_miso.p_t * pathloss(cfg_miso)
         * cfg_miso.precoder_power)
-    assert d.kappa == pytest.approx(analytic, rel=0.01)
-
-
-def test_miso_oracle_fit_memoized(cfg_miso):
-    k1 = miso_snr_dist(cfg_miso).kappa
-    k2 = miso_snr_dist(replace(cfg_miso, d1=cfg_miso.d1)).kappa
-    assert k1 == k2
+    assert d.kappa == pytest.approx(want, rel=1e-15)
 
 
 def test_miso_kappa_power_scaling(cfg_miso):
     """Quadrupling p_t scales mean SNR (1/kappa) by 4 in both modes."""
     hot = replace(cfg_miso, p_t=4.0 * cfg_miso.p_t)
-    for mode in ("oracle", "closed"):
+    for mode in ("exact", "closed"):
         k1 = miso_snr_dist(cfg_miso, mode=mode).kappa
         k4 = miso_snr_dist(hot, mode=mode).kappa
         scale = 16.0 if mode == "closed" else 4.0
@@ -285,6 +282,58 @@ def test_miso_ks_exponential(cfg_miso):
     batch = sample_miso_snr(cfg_miso, 1234, 1_000_000)
     fit = Exponential(kappa=1.0 / float(batch.values.mean()))
     assert ks_distance(batch, fit) <= 0.002
+
+
+@pytest.mark.parametrize("n_elems", [1, 4, 16])
+def test_miso_element_sum_follows_exact_law(n_elems):
+    """The reduction behind the one-draw sampler: |sum of N complex
+    Gaussians|^2, drawn element by element, is the exact exponential.
+    KS within its 1% critical value, mean within 4 stderr of 1/kappa."""
+    cfg = LinkConfig(n_elems=n_elems, n_tx=10)
+    n = 200_000
+    values = miso_reference(cfg, 1234, n)
+    dist = miso_snr_dist(cfg)
+    batch = SampleBatch(values=values, seed=1234, kind="snr")
+    assert ks_distance(batch, dist) <= 1.63 / math.sqrt(n)
+    mean = 1.0 / dist.kappa
+    assert abs(values.mean() - mean) <= 4.0 * mean / math.sqrt(n)
+
+
+@pytest.mark.parametrize("n_elems", [1, 3, 16, 100, 257])
+def test_siso_sampler_matches_reference(n_elems):
+    """Row blocks and the skipped-ahead second-hop stream reproduce the
+    whole-chunk draw bit for bit."""
+    cfg = LinkConfig(n_elems=n_elems)
+    for n in (1, 7, 333, 10_000, 40_001, 200_000):
+        for seed in (1234, 98765):
+            got = sample_siso_snr(cfg, seed, n).values
+            assert np.array_equal(got, siso_reference(cfg, seed, n)), (n, seed)
+
+
+@pytest.mark.parametrize("chunk_elems, block_elems", [(1001, 64), (999, 7), (4096, 4096)])
+def test_siso_sampler_matches_reference_across_chunks(monkeypatch, chunk_elems, block_elems):
+    """Many small chunks: chunk starts that fall inside a Philox output
+    block, partial row blocks and single-row blocks."""
+    monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
+    monkeypatch.setattr(channel, "_BLOCK_ELEMS", block_elems)
+    for n_elems in (1, 3, 16):
+        cfg = LinkConfig(n_elems=n_elems)
+        for seed in (5, 6):
+            got = sample_siso_snr(cfg, seed, 1013).values
+            want = siso_reference(cfg, seed, 1013, chunk_elems=chunk_elems)
+            assert np.array_equal(got, want), (n_elems, seed)
+
+
+def test_siso_sampler_memory():
+    """Working memory is two row-block buffers, not chunk-sized temporaries."""
+    n = 10_000
+    tracemalloc.start()
+    try:
+        sample_siso_snr(LinkConfig(), 1234, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * 8 + 2 * 2 ** 20
 
 
 def test_config_roundtrip(tmp_path, cfg_miso):

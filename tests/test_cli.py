@@ -128,6 +128,33 @@ def test_sweep_env_seed(monkeypatch, capsys):
     assert out_env != out_other
 
 
+def test_ec_kappa_mode_closed(capsys):
+    """The paper's closed-form constant stays selectable beside the exact one."""
+    argv = ["ec", "--scenario", "miso_csi", "--alpha", "0.1"]
+    code, out, _ = _run(capsys, argv + ["--kappa-mode", "closed"])
+    assert code == 0
+    kv = _kv(out)
+    assert kv["diag.kappa_mode"] == "'closed'"
+    assert float(kv["diag.kappa"]) == pytest.approx(8658.6, rel=1e-4)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _kv(out)["diag.kappa_mode"] == "'exact'"
+
+
+def test_ec_closed_mode_optimizes_rate_under_closed_law(capsys):
+    """An omitted rate is optimized under the same kappa the EC uses."""
+    mode = ["--scenario", "miso_nocsi", "--alpha", "0.1", "--kappa-mode", "closed"]
+    code, out, _ = _run(capsys, ["ec"] + mode)
+    assert code == 0
+    kv = _kv(out)
+    code, out, _ = _run(capsys, ["optimize-rate"] + mode)
+    assert code == 0
+    opt = _kv(out)
+    assert kv["rate"] == opt["r_star"]
+    assert kv["ec_bits_per_slot"] == opt["ec_at_r_star"]
+    assert float(kv["ec_bits_per_slot"]) > 0.0
+
+
 def test_validate_smoke(capsys):
     code, out, _ = _run(capsys, ["validate", "--mc-slots", "2000"])
     assert code == 0
@@ -149,4 +176,4 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "ec_bits_per_slot = " in proc.stdout
-    assert "diag.kappa = 66." in proc.stdout  # ten-antenna default budget
+    assert "diag.kappa = 65.79" in proc.stdout  # ten-antenna default budget

@@ -173,12 +173,12 @@ def test_miso_csi_reference_point():
 
 
 def test_miso_csi_through_config(cfg_miso):
-    """End-to-end with the fitted rate: within the fit's ~0.4%."""
+    """End-to-end with the exact rate of the reference budget."""
     res = ec_miso_csi(cfg_miso, 0.1)
     d = res.diagnostics
-    assert d["kappa_mode"] == "oracle"
-    assert d["kappa"] == pytest.approx(65.797362673929057, rel=0.01)
-    assert res.ec_bits_per_slot == pytest.approx(0.021580123880094397, rel=0.01)
+    assert d["kappa_mode"] == "exact"
+    assert d["kappa"] == pytest.approx(65.797362673929057, rel=1e-12)
+    assert res.ec_bits_per_slot == pytest.approx(0.021580123880094397, rel=1e-5)
     assert res.ec_bits_per_slot == d["mu"] - 0.05 * d["sigma2"]
 
 
@@ -270,7 +270,7 @@ def test_nocsi_wrappers_compose(cfg_siso, cfg_miso):
 
     res_m = ec_miso_nocsi(cfg_miso, 0.1, rate=1.0)
     assert res_m.scenario == "miso_nocsi"
-    assert res_m.diagnostics["kappa_mode"] == "oracle"
+    assert res_m.diagnostics["kappa_mode"] == "exact"
     # reproduce through the parts it claims to compose
     p_on, p_off = on_off_probs(
         Exponential(res_m.diagnostics["kappa"]), 1.0, cfg_miso.bandwidth)

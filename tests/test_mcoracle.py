@@ -157,7 +157,7 @@ def test_empirical_moments_exponential_mean():
 
 def test_miso_service_moments_match_series():
     """Sampled adaptive-rate service reproduces the series first and
-    second moments at the link's fitted rate."""
+    second moments at the link's exponential rate."""
     cfg = miso_cfg_for_kappa(0.5)
     batch = simulate_service(cfg, "miso_csi", None, 778, 1_000_000)
     kappa = miso_snr_dist(cfg).kappa

@@ -9,6 +9,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from scipy.optimize import brentq
 
 from conftest import miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
@@ -150,21 +151,20 @@ def test_grid_optimum_decreases_with_qos(cfg_siso):
 
 
 def test_miso_root_reference_points():
-    """Frozen roots at rates 0.5 and 0.005; the configured link's
-    fitted rate sits ~0.4% off the nominal one, hence the 2% band."""
+    """Frozen roots at rates 0.5 and 0.005."""
     mk = miso_cfg_for_kappa(0.5)
     lo = solve_rate_miso_exact(mk, 0.1)
     assert lo.method == "root_find"
-    assert lo.r_star == pytest.approx(1.19048707671, rel=0.02)
-    assert lo.ec_at_r_star == pytest.approx(0.6093217078, rel=0.02)
+    assert lo.r_star == pytest.approx(1.19048707671, rel=1e-8)
+    assert lo.ec_at_r_star == pytest.approx(0.6093217078, rel=1e-8)
     hi = solve_rate_miso_exact(mk, 10.0)
-    assert hi.r_star == pytest.approx(0.318386428868, rel=0.02)
-    assert hi.ec_at_r_star == pytest.approx(0.1878864752, rel=0.02)
+    assert hi.r_star == pytest.approx(0.318386428868, rel=1e-8)
+    assert hi.ec_at_r_star == pytest.approx(0.1878864752, rel=1e-8)
     assert lo.r_star > hi.r_star
 
     wide = solve_rate_miso_exact(miso_cfg_for_kappa(0.005), 0.1)
-    assert wide.r_star == pytest.approx(5.349998487, rel=0.02)
-    assert wide.ec_at_r_star == pytest.approx(4.14892246, rel=0.02)
+    assert wide.r_star == pytest.approx(5.349998487, rel=1e-8)
+    assert wide.ec_at_r_star == pytest.approx(4.14892246, rel=1e-8)
 
 
 def test_miso_root_satisfies_stationarity():
@@ -201,7 +201,9 @@ def test_miso_root_small_alpha_hits_ergodic_argmax():
     root = solve_rate_miso_exact(mk, 1e-6)
     grid = grid_argmax_rate(mk, 1e-6, "miso_nocsi", 4.0, 4000)
     assert abs(root.r_star - grid.r_star) <= 4.0 / 4000
-    assert root.r_star == pytest.approx(1.2274, abs=2e-3)
+    # argmax of rate * exp(-kappa (2^r - 1)): r 2^r = 1/(kappa ln2)
+    want = brentq(lambda r: r * 2.0 ** r - 1.0 / (0.5 * LN2), 0.0, 4.0, xtol=1e-14)
+    assert root.r_star == pytest.approx(want, abs=2e-3)
 
 
 def test_miso_closed_form_inside_regime():

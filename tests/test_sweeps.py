@@ -192,9 +192,9 @@ def test_tx_antenna_sweep_is_flat():
                                alpha_list=alphas))
     assert all(r.error is None for r in rows)
     for alpha in alphas:
-        oracle = {r.ec_analytical for r in rows if r.alpha == alpha}
+        exact = {r.ec_analytical for r in rows if r.alpha == alpha}
         closed = {ec_miso_csi(LinkConfig(n_tx=int(n)), alpha,
                               kappa_mode="closed").ec_bits_per_slot
                   for n in n_tx}
-        assert len(oracle) == 1
+        assert len(exact) == 1
         assert len(closed) == 1
