@@ -141,6 +141,22 @@ def test_miso_exact_kappa(cfg_miso):
     assert d.kappa == pytest.approx(want, rel=1e-15)
 
 
+def test_miso_oracle_fit_close_to_sampled_mean(cfg_miso):
+    """The default rate sits within 1% of the mean of the element-by-element
+    Box-Muller N-sum, with no fit in between."""
+    values = miso_reference(cfg_miso, 1234, 200_000)
+    assert miso_snr_dist(cfg_miso).kappa == pytest.approx(
+        1.0 / float(values.mean()), rel=0.01)
+
+
+def test_miso_oracle_fit_memoized(cfg_miso):
+    """Equal configs give the identical rate: kappa is a pure function of
+    the config, with no fit or cache behind it."""
+    k1 = miso_snr_dist(cfg_miso).kappa
+    k2 = miso_snr_dist(replace(cfg_miso, d1=cfg_miso.d1)).kappa
+    assert k1 == k2
+
+
 def test_miso_kappa_power_scaling(cfg_miso):
     """Quadrupling p_t scales mean SNR (1/kappa) by 4 in both modes."""
     hot = replace(cfg_miso, p_t=4.0 * cfg_miso.p_t)
