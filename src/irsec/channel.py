@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import erfc
 
 from irsec import specfun
 
@@ -29,13 +30,13 @@ __all__ = [
     "miso_snr_dist",
     "sample_siso_snr",
     "sample_miso_snr",
-    "snr_cdf",
     "stream_rng",
     "load_link_config",
     "write_link_config",
 ]
 
 PI2 = math.pi * math.pi
+_SQRT_2 = math.sqrt(2.0)
 
 _SISO_STREAM = "channel.sample_siso_snr"
 _MISO_STREAM = "channel.sample_miso_snr"
@@ -129,21 +130,35 @@ class LinkConfig:
         return math.fsum(abs(v) ** 2 for v in self.precoder)
 
 
+# Each SNR law evaluates its own CDF, P(SNR <= x), by two routes that
+# agree to a few 1e-16: an ndarray x is evaluated elementwise by numpy,
+# any other x by math. Scalar calls are the fixed-rate optimizers' hot
+# path, so a float is let through before the (slower) ndarray test.
+
+
 @dataclass(frozen=True)
 class ScaledNoncentralChiSq:
     """SNR law beta * X with X noncentral chi-square, one degree of freedom."""
 
     beta: float
     lam: float
-    dof: int = 1
 
     def __post_init__(self) -> None:
         if not self.beta > 0.0:
             raise ValueError("beta must be positive")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if self.dof != 1:
-            raise ValueError("only one degree of freedom is modeled")
+
+    def cdf(self, x):
+        """P(SNR <= x), elementwise for an ndarray x."""
+        if not isinstance(x, float) and isinstance(x, np.ndarray):
+            a = math.sqrt(self.lam)
+            b = np.sqrt(x / self.beta)
+            tail = 0.5 * (erfc((b - a) / _SQRT_2) + erfc((b + a) / _SQRT_2))
+            return 1.0 - np.clip(tail, 0.0, 1.0)
+        if x < 0.0:
+            raise ValueError("cdf requires x >= 0")
+        return 1.0 - specfun.marcum_q_half(math.sqrt(self.lam), math.sqrt(x / self.beta))
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,14 @@ class Exponential:
     def __post_init__(self) -> None:
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
+
+    def cdf(self, x):
+        """P(SNR <= x), elementwise for an ndarray x."""
+        if not isinstance(x, float) and isinstance(x, np.ndarray):
+            return -np.expm1(-self.kappa * x)
+        if x < 0.0:
+            raise ValueError("cdf requires x >= 0")
+        return -math.expm1(-self.kappa * x)
 
 
 SnrDistribution = Union[ScaledNoncentralChiSq, Exponential]
@@ -310,17 +333,6 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     np.log1p(out, out=out)
     out *= -_miso_mean_snr(cfg)
     return SampleBatch(values=out, seed=seed, kind="snr")
-
-
-def snr_cdf(dist: SnrDistribution, x: float) -> float:
-    """P(SNR <= x) under either analytical law."""
-    if x < 0.0:
-        raise ValueError("snr_cdf requires x >= 0")
-    if isinstance(dist, ScaledNoncentralChiSq):
-        return 1.0 - specfun.marcum_q_half(math.sqrt(dist.lam), math.sqrt(x / dist.beta))
-    if isinstance(dist, Exponential):
-        return -math.expm1(-dist.kappa * x)
-    raise TypeError(f"unsupported distribution {type(dist).__name__}")
 
 
 _INT_FIELDS = ("n_elems", "n_tx")

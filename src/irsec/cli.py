@@ -15,13 +15,7 @@ import sys
 from dataclasses import replace
 
 from irsec.channel import LinkConfig, load_link_config
-from irsec.eccore import (
-    SCENARIOS,
-    ec_miso_csi,
-    ec_miso_nocsi,
-    ec_siso_csi,
-    ec_siso_nocsi,
-)
+from irsec.eccore import SCENARIOS, ec_siso_csi
 from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.rateopt import (
     DescentSettings,
@@ -51,6 +45,9 @@ _FLOAT_FLAGS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
                 "g_t_db", "g_r_db", "p_t", "sigma2", "bandwidth", "slot")
 _INT_FLAGS = ("n_elems", "n_tx")
 
+# optimize-rate methods bound to one link: True for the beamformed one
+_METHOD_BEAMFORMED = {"descent": False, "closed": True, "root": True}
+
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, metavar="FILE",
@@ -79,7 +76,7 @@ def _build_config(args, scenario: str | None = None) -> LinkConfig:
     if args.precoder is not None:
         overrides["precoder"] = tuple(
             complex(tok.strip()) for tok in args.precoder.split(","))
-    if (scenario is not None and scenario.startswith("miso")
+    if (scenario is not None and SCENARIOS[scenario].beamformed
             and "n_tx" not in overrides and args.config is None):
         overrides["n_tx"] = MISO_DEFAULT_N_TX
     if "n_tx" in overrides and "precoder" not in overrides:
@@ -111,17 +108,12 @@ def _print_diag(diag: dict) -> None:
 
 def _cmd_ec(args) -> int:
     cfg = _build_config(args, args.scenario)
+    entry = SCENARIOS[args.scenario]
     rate = args.rate
-    if args.scenario.endswith("_nocsi") and rate is None:
+    if not entry.adaptive and rate is None:
         rate = auto_rate(cfg, args.scenario, args.alpha, kappa_mode=args.kappa_mode)
-    if args.scenario == "siso_csi":
-        res = ec_siso_csi(cfg, args.alpha, method=args.method)
-    elif args.scenario == "miso_csi":
-        res = ec_miso_csi(cfg, args.alpha, kappa_mode=args.kappa_mode)
-    elif args.scenario == "siso_nocsi":
-        res = ec_siso_nocsi(cfg, args.alpha, rate)
-    else:
-        res = ec_miso_nocsi(cfg, args.alpha, rate, kappa_mode=args.kappa_mode)
+    res = entry.ec(cfg, args.alpha, rate, kappa_mode=args.kappa_mode,
+                   method=args.method)
     print(f"scenario = {args.scenario}")
     print(f"alpha = {args.alpha!r}")
     if rate is not None:
@@ -158,30 +150,28 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize_rate(args) -> int:
     cfg = _build_config(args, args.scenario)
+    beamformed = SCENARIOS[args.scenario].beamformed
     method = args.method
     if method == "auto":
-        method = "descent" if args.scenario == "siso_nocsi" else "root"
+        method = "root" if beamformed else "descent"
+    if _METHOD_BEAMFORMED.get(method, beamformed) != beamformed:
+        raise ValueError(f"--method {method} does not apply to {args.scenario}")
     if method == "descent":
-        if args.scenario != "siso_nocsi":
-            raise ValueError("descent applies to the siso_nocsi scenario")
         settings = DescentSettings(r0=args.r0, step=args.step,
                                    conv_tol=args.conv_tol,
                                    max_iters=args.max_iters)
         sol = optimize_rate_siso(cfg, args.alpha, settings)
     elif method == "closed":
-        if args.scenario != "miso_nocsi":
-            raise ValueError("the closed form applies to the miso_nocsi scenario")
         sol = optimize_rate_miso_closed(cfg, args.alpha, kappa_mode=args.kappa_mode)
     elif method == "root":
-        if args.scenario != "miso_nocsi":
-            raise ValueError("root finding applies to the miso_nocsi scenario")
         sol = solve_rate_miso_exact(cfg, args.alpha, kappa_mode=args.kappa_mode)
     else:
         r_max = args.r_max
         if r_max is None:
-            r_max = 2.0 * auto_rate(cfg, args.scenario, args.alpha) + cfg.bandwidth
-        sol = grid_argmax_rate(cfg, args.alpha, args.scenario,
-                               r_max=r_max, points=args.points)
+            r_max = 2.0 * auto_rate(cfg, args.scenario, args.alpha,
+                                    kappa_mode=args.kappa_mode) + cfg.bandwidth
+        sol = grid_argmax_rate(cfg, args.alpha, args.scenario, r_max=r_max,
+                               points=args.points, kappa_mode=args.kappa_mode)
     print(f"scenario = {args.scenario}")
     print(f"alpha = {args.alpha!r}")
     print(f"method = {sol.method}")
@@ -198,19 +188,10 @@ def _cmd_validate(args) -> int:
     alpha = args.alpha
     print(f"alpha = {alpha!r}")
     print(f"mc_slots = {args.mc_slots}")
-    for offset, scenario in enumerate(SCENARIOS):
+    for offset, (scenario, entry) in enumerate(SCENARIOS.items()):
         cfg = _build_config(args, scenario)
-        rate = None
-        if scenario.endswith("_nocsi"):
-            rate = auto_rate(cfg, scenario, alpha)
-        if scenario == "siso_csi":
-            ec = ec_siso_csi(cfg, alpha).ec_bits_per_slot
-        elif scenario == "miso_csi":
-            ec = ec_miso_csi(cfg, alpha).ec_bits_per_slot
-        elif scenario == "siso_nocsi":
-            ec = ec_siso_nocsi(cfg, alpha, rate).ec_bits_per_slot
-        else:
-            ec = ec_miso_nocsi(cfg, alpha, rate).ec_bits_per_slot
+        rate = None if entry.adaptive else auto_rate(cfg, scenario, alpha)
+        ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
         service = simulate_service(cfg, scenario, rate, seed + offset, args.mc_slots)
         est = empirical_ec(service, alpha)
         rel = abs(ec - est.value) / max(abs(est.value), 1e-300)
@@ -270,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("optimize-rate", help="find the optimal fixed rate")
     p_or.add_argument("--scenario", required=True,
-                      choices=("siso_nocsi", "miso_nocsi"))
+                      choices=[n for n, s in SCENARIOS.items() if not s.adaptive])
     p_or.add_argument("--alpha", required=True, type=float)
     p_or.add_argument("--method", default="auto",
                       choices=("auto", "descent", "closed", "root", "grid"))

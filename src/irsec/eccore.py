@@ -19,17 +19,19 @@ from scipy.integrate import quad
 
 from irsec import specfun
 from irsec.channel import (
-    Exponential,
     LinkConfig,
-    ScaledNoncentralChiSq,
+    SampleBatch,
     SnrDistribution,
     miso_snr_dist,
+    sample_miso_snr,
+    sample_siso_snr,
     siso_snr_dist,
-    snr_cdf,
 )
 
 __all__ = [
     "SCENARIOS",
+    "Scenario",
+    "get_scenario",
     "QosExponent",
     "OnOffChannel",
     "EcResult",
@@ -48,8 +50,6 @@ __all__ = [
     "RELAX_SNR_FLOOR",
     "RELAX_PROB_LIMIT",
 ]
-
-SCENARIOS = ("siso_csi", "siso_nocsi", "miso_csi", "miso_nocsi")
 
 LN2 = math.log(2.0)
 PI2_OVER_6 = math.pi * math.pi / 6.0
@@ -73,6 +73,73 @@ _QUAD_EPSREL = 1e-11
 # Below this decay exponent the direct MGF quadrature loses the signal
 # (M is 1 - O(u)); integrate the complement instead.
 _SMALL_U = 1e-3
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One branch of the 2x2 design: the single-antenna or the beamformed
+    link, with the rate adapted to the channel (CSI) or fixed (no CSI).
+
+    The methods call the module-level law, EC and sampler functions by
+    name at call time, so a caller that replaces one of them (a tracer,
+    a profiler) sees every call made through the table.
+    """
+
+    name: str
+    beamformed: bool
+    adaptive: bool
+
+    def law(self, cfg: LinkConfig, kappa_mode: str = "exact") -> SnrDistribution:
+        """The link's SNR law; kappa_mode applies to the beamformed link."""
+        if self.beamformed:
+            return miso_snr_dist(cfg, mode=kappa_mode)
+        return siso_snr_dist(cfg)
+
+    def sample(self, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+        """n seeded per-slot SNR draws from the link's physical sampler."""
+        if self.beamformed:
+            return sample_miso_snr(cfg, seed, n)
+        return sample_siso_snr(cfg, seed, n)
+
+    def ec(
+        self,
+        cfg: LinkConfig,
+        alpha: Union[QosExponent, float],
+        rate: float | None = None,
+        kappa_mode: str = "exact",
+        method: str = "exact",
+    ) -> EcResult:
+        """EC of this branch; fixed-rate branches need the rate.
+
+        kappa_mode applies to the beamformed link, method to siso_csi.
+        """
+        if self.adaptive:
+            if self.beamformed:
+                return ec_miso_csi(cfg, alpha, kappa_mode=kappa_mode)
+            return ec_siso_csi(cfg, alpha, method=method)
+        if rate is None:
+            raise ValueError(f"{self.name} needs a rate")
+        if self.beamformed:
+            return ec_miso_nocsi(cfg, alpha, rate, kappa_mode=kappa_mode)
+        return ec_siso_nocsi(cfg, alpha, rate)
+
+
+# The one place that says what each scenario name means. The order is
+# part of the interface: validate seeds branch k with seed + k.
+SCENARIOS = {s.name: s for s in (
+    Scenario("siso_csi", beamformed=False, adaptive=True),
+    Scenario("siso_nocsi", beamformed=False, adaptive=False),
+    Scenario("miso_csi", beamformed=True, adaptive=True),
+    Scenario("miso_nocsi", beamformed=True, adaptive=False),
+)}
+
+
+def get_scenario(name: str) -> Scenario:
+    """The table entry for a scenario name; ValueError if there is none."""
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise ValueError(f"unknown scenario {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -201,7 +268,7 @@ def ec_siso_csi(
     a = alpha_value(alpha)
     u = a * cfg.bandwidth * cfg.slot / LN2
     diag: dict = {"beta": dist.beta, "lam": dist.lam, "u": u, "method": method}
-    diag["low_snr_prob"] = snr_cdf(dist, RELAX_SNR_FLOOR)
+    diag["low_snr_prob"] = dist.cdf(RELAX_SNR_FLOOR)
 
     if u < 0.5:
         ln_mgf_relaxed, addends = _ln_mgf_siso_relaxed(dist.beta, dist.lam, u, ctl)
@@ -323,7 +390,7 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
         # threshold would overflow exp and exceeds any double support
         return 0.0, 1.0
     threshold = math.expm1(x)
-    p_off = snr_cdf(dist, threshold)
+    p_off = dist.cdf(threshold)
     return 1.0 - p_off, p_off
 
 
@@ -363,19 +430,25 @@ def ec_on_off_spectral(chain: OnOffChannel, alpha: Union[QosExponent, float]) ->
     return -math.log(radius) / a
 
 
+def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
+                   alpha: Union[QosExponent, float], rate: float,
+                   **extra) -> EcResult:
+    """On/off EC at a fixed rate over the law dist; diagnostics carry
+    the chain, the law's parameters and extra."""
+    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
+    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
+    res = ec_on_off(chain, alpha, scenario=scenario)
+    res.diagnostics.update(vars(dist), **extra)
+    return res
+
+
 def ec_siso_nocsi(
     cfg: LinkConfig,
     alpha: Union[QosExponent, float],
     rate: float,
 ) -> EcResult:
     """EC of fixed-rate transmission over the single-antenna link."""
-    dist = siso_snr_dist(cfg)
-    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-    res = ec_on_off(chain, alpha, scenario="siso_nocsi")
-    diag = dict(res.diagnostics)
-    diag.update({"beta": dist.beta, "lam": dist.lam})
-    return EcResult(res.ec_bits_per_slot, "siso_nocsi", diag)
+    return _ec_fixed_rate("siso_nocsi", siso_snr_dist(cfg), cfg, alpha, rate)
 
 
 def ec_miso_nocsi(
@@ -385,13 +458,8 @@ def ec_miso_nocsi(
     kappa_mode: str = "exact",
 ) -> EcResult:
     """EC of fixed-rate transmission over the beamformed link."""
-    dist = miso_snr_dist(cfg, mode=kappa_mode)
-    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-    res = ec_on_off(chain, alpha, scenario="miso_nocsi")
-    diag = dict(res.diagnostics)
-    diag.update({"kappa": dist.kappa, "kappa_mode": kappa_mode})
-    return EcResult(res.ec_bits_per_slot, "miso_nocsi", diag)
+    return _ec_fixed_rate("miso_nocsi", miso_snr_dist(cfg, mode=kappa_mode),
+                          cfg, alpha, rate, kappa_mode=kappa_mode)
 
 
 def mean_service(
@@ -401,29 +469,23 @@ def mean_service(
     kappa_mode: str = "exact",
 ) -> float:
     """Expected per-slot service in bits; the alpha -> 0 limit of EC."""
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    tb = cfg.slot * cfg.bandwidth
-    if scenario == "siso_csi":
-        dist = siso_snr_dist(cfg)
-        root_lam = math.sqrt(dist.lam)
-        hi, pts = _quad_grid(root_lam)
-
-        def integrand(t: float) -> float:
-            return math.log1p(dist.beta * t * t) * _fold_density(t, root_lam)
-
-        m, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
-                    epsabs=0.0, epsrel=_QUAD_EPSREL)
-        return tb * m / LN2
-    if scenario == "miso_csi":
-        dist = miso_snr_dist(cfg, mode=kappa_mode)
-        mu, _, _ = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
+    entry = get_scenario(scenario)
+    if not entry.adaptive:
+        if rate is None:
+            raise ValueError("fixed-rate scenarios need a rate")
+        p_on, _ = on_off_probs(entry.law(cfg, kappa_mode), rate, cfg.bandwidth)
+        return p_on * rate * cfg.slot
+    if entry.beamformed:
+        mu, _, _ = miso_csi_moments(entry.law(cfg, kappa_mode).kappa,
+                                    cfg.bandwidth, cfg.slot)
         return mu
-    if rate is None:
-        raise ValueError("fixed-rate scenarios need a rate")
-    if scenario == "siso_nocsi":
-        dist: SnrDistribution = siso_snr_dist(cfg)
-    else:
-        dist = miso_snr_dist(cfg, mode=kappa_mode)
-    p_on, _ = on_off_probs(dist, rate, cfg.bandwidth)
-    return p_on * rate * cfg.slot
+    dist = siso_snr_dist(cfg)
+    root_lam = math.sqrt(dist.lam)
+    hi, pts = _quad_grid(root_lam)
+
+    def integrand(t: float) -> float:
+        return math.log1p(dist.beta * t * t) * _fold_density(t, root_lam)
+
+    m, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
+                epsabs=0.0, epsrel=_QUAD_EPSREL)
+    return cfg.slot * cfg.bandwidth * m / LN2

@@ -14,19 +14,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc
 
-from irsec.channel import (
-    Exponential,
-    LinkConfig,
-    SampleBatch,
-    ScaledNoncentralChiSq,
-    SnrDistribution,
-    sample_miso_snr,
-    sample_siso_snr,
-    stream_rng,
-)
-from irsec.eccore import LN2, SCENARIOS, QosExponent, alpha_value
+from irsec.channel import LinkConfig, SampleBatch, SnrDistribution, stream_rng
+from irsec.eccore import LN2, QosExponent, alpha_value, get_scenario
 
 __all__ = [
     "EcEstimate",
@@ -126,24 +116,19 @@ def simulate_service(
     scenarios deliver rate*slot bits exactly when the channel supports
     the rate and nothing otherwise.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    nocsi = scenario.endswith("_nocsi")
-    if nocsi and rate is None:
-        raise ValueError(f"{scenario} requires a rate")
-    if not nocsi and rate is not None:
+    entry = get_scenario(scenario)
+    if entry.adaptive and rate is not None:
         raise ValueError(f"{scenario} adapts its rate; rate must be None")
+    if not entry.adaptive and rate is None:
+        raise ValueError(f"{scenario} requires a rate")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    if scenario.startswith("siso"):
-        snr = sample_siso_snr(cfg, seed, slots).values
+    snr = entry.sample(cfg, seed, slots).values
+    if entry.adaptive:
+        service = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2
     else:
-        snr = sample_miso_snr(cfg, seed, slots).values
-    if nocsi:
         threshold = math.expm1(LN2 * rate / cfg.bandwidth)
         service = np.where(snr >= threshold, rate * cfg.slot, 0.0)
-    else:
-        service = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2
     return SampleBatch(values=service, seed=seed, kind="service_bits")
 
 
@@ -156,24 +141,13 @@ def empirical_moments(samples: SampleBatch) -> tuple[float, float, float]:
     return mean, second, var
 
 
-def _cdf_values(dist: SnrDistribution, x: np.ndarray) -> np.ndarray:
-    if isinstance(dist, ScaledNoncentralChiSq):
-        b = np.sqrt(x / dist.beta)
-        a = math.sqrt(dist.lam)
-        tail = 0.5 * (erfc((b - a) / math.sqrt(2.0)) + erfc((b + a) / math.sqrt(2.0)))
-        return 1.0 - np.clip(tail, 0.0, 1.0)
-    if isinstance(dist, Exponential):
-        return -np.expm1(-dist.kappa * x)
-    raise TypeError(f"unsupported distribution {type(dist).__name__}")
-
-
 def ks_distance(samples: SampleBatch, dist: SnrDistribution) -> float:
     """Sup distance between the empirical CDF and the analytical law."""
     if samples.kind != "snr":
         raise ValueError("ks_distance needs an snr batch")
     v = np.sort(samples.values)
     n = v.size
-    f = _cdf_values(dist, v)
+    f = dist.cdf(v)
     i = np.arange(1, n + 1, dtype=float)
     upper = np.max(i / n - f)
     lower = np.max(f - (i - 1.0) / n)

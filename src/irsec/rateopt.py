@@ -27,6 +27,7 @@ from irsec.eccore import (
     ec_miso_nocsi,
     ec_on_off,
     ec_siso_nocsi,
+    get_scenario,
     on_off_probs,
 )
 
@@ -264,24 +265,24 @@ def grid_argmax_rate(
     scenario: str,
     r_max: float,
     points: int = 1000,
+    kappa_mode: str = "exact",
 ) -> RateSolution:
     """Brute-force EC maximizer on a uniform rate grid.
 
     Independent oracle for the analytic optimizers: evaluates the exact
-    no-CSI EC at `points` rates in (0, r_max] and parabolically refines
-    the best interior point.
+    no-CSI EC under the scenario's law (kappa_mode for the beamformed
+    link) at `points` rates in (0, r_max] and parabolically refines the
+    best interior point.
     """
     if points < 3:
         raise ValueError("points must be >= 3")
     if not r_max > 0.0:
         raise ValueError("r_max must be positive")
     a = alpha_value(alpha)
-    if scenario == "siso_nocsi":
-        dist = siso_snr_dist(cfg)
-    elif scenario == "miso_nocsi":
-        dist = miso_snr_dist(cfg)
-    else:
+    entry = get_scenario(scenario)
+    if entry.adaptive:
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
+    dist = entry.law(cfg, kappa_mode)
 
     def ec_at(rate: float) -> float:
         p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)

@@ -1,9 +1,9 @@
 """Scalar special-function kernel for the capacity closed forms.
 
 Everything here is a pure function of its float arguments, safe to call
-from any thread. Infinite series honor a SeriesControl budget; the two
-fixed branch thresholds are module constants with the rationale noted
-next to them.
+from any thread. Infinite series honor a SeriesControl budget; the 1F1
+branch threshold is a module constant with its rationale noted next to
+it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ __all__ = [
     "gaussian_tail",
     "marcum_q_half",
     "marcum_q_half_ddb",
-    "bessel_i_minus_half",
-    "ln_bessel_i_minus_half",
-    "hyp0f1",
     "ln_hyp1f1",
     "hyp3f3_unit",
     "expint_e1_scaled",
@@ -33,9 +30,6 @@ EULER_GAMMA = 0.57721566490153286061
 # 1F1 switches from the plain series to the large-x asymptotic here.
 # Both branches were overlap-tested on x in [25, 35]; see the tests.
 HYP1F1_ASYMPTOTIC_SWITCH = 30.0
-
-# cosh(z) overflows float64 past z ~ 709; go through the log form early.
-BESSEL_LOG_SWITCH = 700.0
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -86,11 +80,6 @@ def marcum_q_half(a: float, b: float) -> float:
     return min(1.0, max(0.0, q))
 
 
-def _ln_cosh(z: float) -> float:
-    z = abs(z)
-    return z + math.log1p(math.exp(-2.0 * z)) - LN2
-
-
 def marcum_q_half_ddb(a: float, b: float) -> float:
     """Derivative of marcum_q_half with respect to its second argument.
 
@@ -103,22 +92,6 @@ def marcum_q_half_ddb(a: float, b: float) -> float:
     return -_SQRT_2_OVER_PI * math.exp(
         -0.5 * (a - b) ** 2 + math.log1p(math.exp(-2.0 * a * b)) - LN2
     )
-
-
-def ln_bessel_i_minus_half(z: float) -> float:
-    """ln I_{-1/2}(z), stable for arbitrarily large z."""
-    if z <= 0.0:
-        raise ValueError(f"ln_bessel_i_minus_half requires z > 0, got {z}")
-    return 0.5 * math.log(2.0 / (math.pi * z)) + _ln_cosh(z)
-
-
-def bessel_i_minus_half(z: float) -> float:
-    """Modified Bessel function I_{-1/2}(z) = sqrt(2/(pi z)) cosh(z)."""
-    if z <= 0.0:
-        raise ValueError(f"bessel_i_minus_half requires z > 0, got {z}")
-    if z > BESSEL_LOG_SWITCH:
-        return math.exp(ln_bessel_i_minus_half(z))
-    return math.sqrt(2.0 / (math.pi * z)) * math.cosh(z)
 
 
 def _kahan_sum(first_term: float, next_ratio, ctl: SeriesControl) -> float:
@@ -137,15 +110,6 @@ def _kahan_sum(first_term: float, next_ratio, ctl: SeriesControl) -> float:
     raise ConvergenceError(
         f"series did not reach rel_tol={ctl.rel_tol} within {ctl.max_terms} terms"
     )
-
-
-def hyp0f1(c: float, x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
-    """Confluent limit function 0F1(; c; x) by direct series."""
-    if c <= 0.0:
-        raise ValueError(f"hyp0f1 requires c > 0, got {c}")
-    if x == 0.0:
-        return 1.0
-    return _kahan_sum(1.0, lambda n: x / ((c + n) * (n + 1.0)), ctl)
 
 
 def _hyp1f1_series(a: float, b: float, x: float, ctl: SeriesControl) -> float:

@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from irsec.channel import LinkConfig, siso_snr_dist
-from irsec.eccore import (
-    LN2,
-    SCENARIOS,
-    ec_miso_csi,
-    ec_miso_nocsi,
-    ec_siso_csi,
-    ec_siso_nocsi,
-)
+from irsec.eccore import LN2, SCENARIOS, get_scenario
 from irsec.mcoracle import BLOCK_LENGTH, empirical_ec, simulate_service
 from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
 
@@ -69,8 +62,7 @@ class SweepSpec:
     mc_slots: int = 0
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+        entry = get_scenario(self.scenario)
         if self.sweep_var not in SWEEP_VARS:
             raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -78,9 +70,12 @@ class SweepSpec:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        if self.sweep_var == "N_t" and not self.scenario.startswith("miso"):
+        if self.sweep_var in ("N", "N_t") and not all(
+                v.is_integer() for v in self.values):
+            raise ValueError(f"{self.sweep_var} values must be integers")
+        if self.sweep_var == "N_t" and not entry.beamformed:
             raise ValueError("N_t sweeps require a MISO scenario")
-        if self.sweep_var == "rate" and not self.scenario.endswith("_nocsi"):
+        if self.sweep_var == "rate" and entry.adaptive:
             raise ValueError("rate sweeps require a no-CSI scenario")
         object.__setattr__(self, "alpha_list",
                            tuple(float(a) for a in self.alpha_list))
@@ -127,24 +122,16 @@ def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
     law; the single-antenna link uses the grid oracle, whose span covers
     every regime the descent's fixed step handles unevenly.
     """
-    if scenario == "miso_nocsi":
+    entry = get_scenario(scenario)
+    if entry.adaptive:
+        raise ValueError(f"{scenario} adapts its rate; there is none to optimize")
+    if entry.beamformed:
         return solve_rate_miso_exact(cfg, alpha, kappa_mode=kappa_mode).r_star
     dist = siso_snr_dist(cfg)
     mean_snr = dist.beta * (1.0 + dist.lam)
     r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2
     return grid_argmax_rate(cfg, alpha, scenario, r_max=r_max,
                             points=_AUTO_GRID_POINTS).r_star
-
-
-def _analytic_ec(cfg: LinkConfig, scenario: str, alpha: float,
-                 rate: float | None) -> float:
-    if scenario == "siso_csi":
-        return ec_siso_csi(cfg, alpha).ec_bits_per_slot
-    if scenario == "miso_csi":
-        return ec_miso_csi(cfg, alpha).ec_bits_per_slot
-    if scenario == "siso_nocsi":
-        return ec_siso_nocsi(cfg, alpha, rate).ec_bits_per_slot
-    return ec_miso_nocsi(cfg, alpha, rate).ec_bits_per_slot
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -171,10 +158,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 def _run_row(spec: SweepSpec, value: float, alpha: float, index: int) -> SweepRow:
     cfg = _apply_value(spec.fixed, spec.sweep_var, value)
+    entry = SCENARIOS[spec.scenario]
     rate: float | None = None
-    if spec.scenario.endswith("_nocsi"):
+    if not entry.adaptive:
         rate = value if spec.sweep_var == "rate" else auto_rate(cfg, spec.scenario, alpha)
-    ec = _analytic_ec(cfg, spec.scenario, alpha, rate)
+    ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
     ec_oracle = stderr = None
     if spec.mc_slots:
         row_seed = (spec.seed * 1_000_003 + index) % (1 << 63)

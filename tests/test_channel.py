@@ -26,7 +26,6 @@ from irsec.channel import (
     sample_miso_snr,
     sample_siso_snr,
     siso_snr_dist,
-    snr_cdf,
     stream_rng,
     write_link_config,
 )
@@ -252,18 +251,34 @@ def test_sample_batch_validation():
 
 def test_snr_cdf_reference(cfg_siso):
     d = siso_snr_dist(cfg_siso)
-    assert snr_cdf(d, 0.0) == 0.0
-    assert snr_cdf(Exponential(0.5), 0.0) == 0.0
-    assert snr_cdf(Exponential(0.5), 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    assert d.cdf(0.0) == 0.0
+    assert Exponential(0.5).cdf(0.0) == 0.0
+    assert Exponential(0.5).cdf(2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
     with pytest.raises(ValueError):
-        snr_cdf(d, -1.0)
+        d.cdf(-1.0)
 
 
 @given(st.floats(0.0, 30.0), st.floats(0.0, 10.0))
 def test_snr_cdf_monotone(x, dx):
     d = ScaledNoncentralChiSq(beta=0.011646355092701331, lam=160.99457599185225)
-    assert snr_cdf(d, x + dx) >= snr_cdf(d, x) - 1e-15
-    assert snr_cdf(d, 1e6) == pytest.approx(1.0, abs=1e-9)
+    assert d.cdf(x + dx) >= d.cdf(x) - 1e-15
+    assert d.cdf(1e6) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cdf_scalar_and_array_routes_agree(cfg_siso):
+    """A float takes the math route and an ndarray the vectorized one;
+    they agree over the sample quantiles, at 0 and in the far tail."""
+    cfg_miso = LinkConfig(n_tx=10)
+    siso = sample_siso_snr(cfg_siso, 4242, 10_000).values
+    q = np.linspace(0.0, 1.0, 101)
+    for d, draws in ((siso_snr_dist(cfg_siso), siso),
+                     (miso_snr_dist(cfg_miso), sample_miso_snr(cfg_miso, 4242, 10_000).values)):
+        xs = np.concatenate((np.quantile(siso, q), np.quantile(draws, q),
+                             [0.0, 1e3 * draws.max()]))
+        vectorized = d.cdf(xs)
+        assert vectorized.shape == xs.shape
+        for x, f in zip(xs, vectorized):
+            assert abs(d.cdf(float(x)) - f) <= 4.5e-16
 
 
 def test_siso_cdf_matches_empirical_quantiles(cfg_siso):
@@ -275,7 +290,7 @@ def test_siso_cdf_matches_empirical_quantiles(cfg_siso):
     for q in np.linspace(0.05, 0.95, 19):
         x = float(np.quantile(values, q))
         band = 3.0 * math.sqrt(q * (1.0 - q) / n)
-        assert abs(snr_cdf(d, x) - q) <= band
+        assert abs(d.cdf(x) - q) <= band
 
 
 def test_siso_ks_tracks_element_count():

@@ -87,6 +87,19 @@ def test_optimize_rate_grid_default_span(capsys):
     assert float(kv["r_star"]) == pytest.approx(1.2783, abs=5e-3)
 
 
+def test_optimize_rate_grid_honours_kappa_mode(capsys):
+    """The grid route and its default span use the --kappa-mode law, so
+    the grid optimum lies within one grid step of the root-find one."""
+    argv = ["optimize-rate", "--scenario", "miso_nocsi", "--alpha", "0.1",
+            "--kappa-mode", "closed", "--points", "1000"]
+    _, out, _ = _run(capsys, argv + ["--method", "root"])
+    root = float(_kv(out)["r_star"])
+    code, out, _ = _run(capsys, argv + ["--method", "grid"])
+    assert code == 0
+    r_max = 2.0 * root + LinkConfig().bandwidth
+    assert abs(float(_kv(out)["r_star"]) - root) <= r_max / 1000
+
+
 def test_optimize_rate_scenario_gate(capsys):
     code, out, err = _run(capsys, ["optimize-rate", "--scenario", "miso_nocsi",
                                    "--alpha", "0.1", "--method", "descent"])

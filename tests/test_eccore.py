@@ -18,6 +18,7 @@ from conftest import miso_cfg_for_kappa
 from irsec import eccore
 from irsec.channel import Exponential, LinkConfig
 from irsec.eccore import (
+    SCENARIOS,
     EcResult,
     OnOffChannel,
     QosExponent,
@@ -33,6 +34,8 @@ from irsec.eccore import (
     on_off_probs,
     shannon_rate,
 )
+from irsec.mcoracle import simulate_service
+from irsec.sweeps import auto_rate
 
 LN2 = math.log(2.0)
 
@@ -296,3 +299,34 @@ def test_mean_service_validation(cfg_siso):
         mean_service(cfg_siso, "siso_nocsi")
     with pytest.raises(ValueError):
         mean_service(cfg_siso, "duplex")
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_table_matches_named_branches(name):
+    """Each table entry reproduces its named EC function bit for bit at
+    the reference budget, and the oracle draws its service from the
+    entry's own sampler."""
+    entry = SCENARIOS[name]
+    cfg = LinkConfig(n_tx=10) if entry.beamformed else LinkConfig()
+    alpha = 0.1
+    named = {"siso_csi": ec_siso_csi, "miso_csi": ec_miso_csi,
+             "siso_nocsi": ec_siso_nocsi, "miso_nocsi": ec_miso_nocsi}[name]
+    if entry.adaptive:
+        rate = None
+        want = named(cfg, alpha)
+    else:
+        rate = auto_rate(cfg, name, alpha)
+        want = named(cfg, alpha, rate)
+    got = entry.ec(cfg, alpha, rate)
+    assert got.scenario == want.scenario == name
+    assert got.ec_bits_per_slot == want.ec_bits_per_slot
+    assert got.diagnostics == want.diagnostics
+
+    snr = entry.sample(cfg, 31, 2000).values
+    service = simulate_service(cfg, name, rate, 31, 2000).values
+    if entry.adaptive:
+        expect = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2
+    else:
+        expect = np.where(snr >= math.expm1(LN2 * rate / cfg.bandwidth),
+                          rate * cfg.slot, 0.0)
+    assert np.array_equal(service, expect)

@@ -195,6 +195,17 @@ def test_miso_root_matches_grid():
     assert root.ec_at_r_star == pytest.approx(grid.ec_at_r_star, rel=1e-9)
 
 
+def test_miso_grid_honours_kappa_mode():
+    # the paper's closed-form kappa puts the optimum far below the exact one's
+    cfg = LinkConfig(n_tx=10)
+    root = solve_rate_miso_exact(cfg, 0.1, kappa_mode="closed")
+    r_max = 4.0 * root.r_star
+    grid = grid_argmax_rate(cfg, 0.1, "miso_nocsi", r_max, 1000, kappa_mode="closed")
+    assert abs(grid.r_star - root.r_star) <= r_max / 1000
+    assert grid.ec_at_r_star == pytest.approx(root.ec_at_r_star, rel=1e-6)
+    assert solve_rate_miso_exact(cfg, 0.1).r_star > r_max
+
+
 def test_miso_root_small_alpha_hits_ergodic_argmax():
     # alpha -> 0 turns the problem into maximizing p_on * rate
     mk = miso_cfg_for_kappa(0.5)

@@ -40,6 +40,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(scenario="siso_csi", sweep_var="rate", values=(1.0,),
                   fixed=LinkConfig())
+    with pytest.raises(ValueError, match="integers"):
+        SweepSpec(scenario="siso_csi", sweep_var="N", values=(16, 16.5),
+                  fixed=LinkConfig())
+    with pytest.raises(ValueError, match="integers"):
+        SweepSpec(scenario="miso_csi", sweep_var="N_t", values=(1, 2.5),
+                  fixed=LinkConfig())
     with pytest.raises(ValueError):
         _rate_spec(alpha_list=())
     with pytest.raises(ValueError):
