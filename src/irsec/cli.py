@@ -168,8 +168,9 @@ def _cmd_optimize_rate(args) -> int:
     else:
         r_max = args.r_max
         if r_max is None:
+            # twice the optimum, so the grid step scales with the answer
             r_max = 2.0 * auto_rate(cfg, args.scenario, args.alpha,
-                                    kappa_mode=args.kappa_mode) + cfg.bandwidth
+                                    kappa_mode=args.kappa_mode)
         sol = grid_argmax_rate(cfg, args.alpha, args.scenario, r_max=r_max,
                                points=args.points, kappa_mode=args.kappa_mode)
     print(f"scenario = {args.scenario}")
@@ -243,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated QoS exponents")
     p_sw.add_argument("--mc-slots", type=int, default=0,
                       help="Monte Carlo slots per row (0 = analytic only)")
-    p_sw.add_argument("--seed", type=int, default=None)
+    p_sw.add_argument("--seed", type=int, default=None,
+                      help="oracle seed: one seed per sweep; rows with the "
+                           "same link config share one draw")
     p_sw.add_argument("--csv", default=None, metavar="FILE")
     p_sw.add_argument("--svg", default=None, metavar="FILE")
     _add_config_flags(p_sw)

@@ -112,8 +112,14 @@ class Scenario:
         """EC of this branch; fixed-rate branches need the rate.
 
         kappa_mode applies to the beamformed link, method to siso_csi.
+        A rate given to an adaptive branch, or a method other than
+        "exact" outside siso_csi, is a ValueError rather than ignored.
         """
+        if method != "exact" and (self.beamformed or not self.adaptive):
+            raise ValueError(f"method {method!r} applies only to siso_csi")
         if self.adaptive:
+            if rate is not None:
+                raise ValueError(f"{self.name} adapts its rate; rate must be None")
             if self.beamformed:
                 return ec_miso_csi(cfg, alpha, kappa_mode=kappa_mode)
             return ec_siso_csi(cfg, alpha, method=method)

@@ -22,6 +22,7 @@ __all__ = [
     "EcEstimate",
     "empirical_ec",
     "simulate_service",
+    "service_from_snr",
     "empirical_moments",
     "ks_distance",
     "BLOCK_LENGTH",
@@ -112,24 +113,46 @@ def simulate_service(
 ) -> SampleBatch:
     """Draw per-slot service bits from the physical channel samplers.
 
+    One seeded SNR draw from the scenario's sampler, mapped to service
+    bits by service_from_snr.
+    """
+    entry = _checked_scenario(scenario, rate)
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    return service_from_snr(entry.sample(cfg, seed, slots), cfg, scenario, rate)
+
+
+def service_from_snr(
+    snr: SampleBatch,
+    cfg: LinkConfig,
+    scenario: str,
+    rate: float | None,
+) -> SampleBatch:
+    """Per-slot service bits of an SNR batch; the seed carries over.
+
     CSI scenarios log the adaptive rate slot*B*log2(1+SNR); no-CSI
     scenarios deliver rate*slot bits exactly when the channel supports
-    the rate and nothing otherwise.
+    the rate and nothing otherwise. One SNR batch can thus serve every
+    rate and exponent evaluated on the same link.
     """
+    entry = _checked_scenario(scenario, rate)
+    if snr.kind != "snr":
+        raise ValueError("service_from_snr needs an snr batch")
+    if entry.adaptive:
+        service = cfg.slot * cfg.bandwidth * np.log1p(snr.values) / LN2
+    else:
+        threshold = math.expm1(LN2 * rate / cfg.bandwidth)
+        service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)
+    return SampleBatch(values=service, seed=snr.seed, kind="service_bits")
+
+
+def _checked_scenario(scenario: str, rate: float | None):
     entry = get_scenario(scenario)
     if entry.adaptive and rate is not None:
         raise ValueError(f"{scenario} adapts its rate; rate must be None")
     if not entry.adaptive and rate is None:
         raise ValueError(f"{scenario} requires a rate")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    snr = entry.sample(cfg, seed, slots).values
-    if entry.adaptive:
-        service = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2
-    else:
-        threshold = math.expm1(LN2 * rate / cfg.bandwidth)
-        service = np.where(snr >= threshold, rate * cfg.slot, 0.0)
-    return SampleBatch(values=service, seed=seed, kind="service_bits")
+    return entry
 
 
 def empirical_moments(samples: SampleBatch) -> tuple[float, float, float]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from irsec.channel import LinkConfig, siso_snr_dist
+from irsec.channel import LinkConfig, SampleBatch, siso_snr_dist
 from irsec.eccore import LN2, SCENARIOS, get_scenario
-from irsec.mcoracle import BLOCK_LENGTH, empirical_ec, simulate_service
+from irsec.mcoracle import BLOCK_LENGTH, empirical_ec, service_from_snr
 from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
 
 __all__ = [
@@ -138,17 +139,29 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, one row per (value, alpha), never aborting.
 
     Fixed-rate scenarios optimize the rate per row unless the rate is
-    the sweep variable itself. Oracle rows draw their seeds
-    deterministically from spec.seed and the row index, so reruns are
-    bit-identical.
+    the sweep variable itself. The oracle uses one seed per sweep,
+    spec.seed: rows with the same link config share one SNR draw and
+    map it to service at their own rate and exponent (common random
+    numbers), so a rate or alpha sweep samples the channel once and a
+    p_t, N or N_t sweep once per value. Reruns are bit-identical.
     """
+    entry = SCENARIOS[spec.scenario]
+    last_draw: tuple[LinkConfig, SampleBatch] | None = None
+
+    def draw(cfg: LinkConfig) -> SampleBatch:
+        # rows are value-major, so rows sharing a config are consecutive
+        # and the last draw is the only one worth keeping
+        nonlocal last_draw
+        if last_draw is None or last_draw[0] != cfg:
+            last_draw = (cfg, entry.sample(cfg, spec.seed, spec.mc_slots))
+        return last_draw[1]
+
     rows: list[SweepRow] = []
     for value in spec.values:
         alphas = (value,) if spec.sweep_var == "alpha" else spec.alpha_list
         for alpha in alphas:
-            index = len(rows)
             try:
-                rows.append(_run_row(spec, value, alpha, index))
+                rows.append(_run_row(spec, value, alpha, draw))
             except Exception as exc:
                 rows.append(SweepRow(
                     sweep_var=spec.sweep_var, value=value, alpha=alpha,
@@ -156,7 +169,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _run_row(spec: SweepSpec, value: float, alpha: float, index: int) -> SweepRow:
+def _run_row(spec: SweepSpec, value: float, alpha: float,
+             draw: Callable[[LinkConfig], SampleBatch]) -> SweepRow:
     cfg = _apply_value(spec.fixed, spec.sweep_var, value)
     entry = SCENARIOS[spec.scenario]
     rate: float | None = None
@@ -165,8 +179,7 @@ def _run_row(spec: SweepSpec, value: float, alpha: float, index: int) -> SweepRo
     ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
     ec_oracle = stderr = None
     if spec.mc_slots:
-        row_seed = (spec.seed * 1_000_003 + index) % (1 << 63)
-        service = simulate_service(cfg, spec.scenario, rate, row_seed, spec.mc_slots)
+        service = service_from_snr(draw(cfg), cfg, spec.scenario, rate)
         estimate = empirical_ec(service, alpha)
         ec_oracle, stderr = estimate.value, estimate.stderr
     return SweepRow(sweep_var=spec.sweep_var, value=value, alpha=alpha,

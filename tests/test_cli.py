@@ -88,16 +88,20 @@ def test_optimize_rate_grid_default_span(capsys):
 
 
 def test_optimize_rate_grid_honours_kappa_mode(capsys):
-    """The grid route and its default span use the --kappa-mode law, so
-    the grid optimum lies within one grid step of the root-find one."""
+    """The grid route and its default span, twice the optimum, use the
+    --kappa-mode law, so the grid optimum lies within one grid step of
+    the root-find one and its EC is no worse."""
     argv = ["optimize-rate", "--scenario", "miso_nocsi", "--alpha", "0.1",
             "--kappa-mode", "closed", "--points", "1000"]
     _, out, _ = _run(capsys, argv + ["--method", "root"])
-    root = float(_kv(out)["r_star"])
+    root = _kv(out)
     code, out, _ = _run(capsys, argv + ["--method", "grid"])
     assert code == 0
-    r_max = 2.0 * root + LinkConfig().bandwidth
-    assert abs(float(_kv(out)["r_star"]) - root) <= r_max / 1000
+    grid = _kv(out)
+    r_root = float(root["r_star"])
+    assert abs(float(grid["r_star"]) - r_root) <= 2.0 * r_root / 1000
+    assert (float(grid["ec_at_r_star"])
+            >= float(root["ec_at_r_star"]) * (1.0 - 1e-9))
 
 
 def test_optimize_rate_scenario_gate(capsys):
@@ -179,6 +183,22 @@ def test_bad_input_exit_code(capsys):
     code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "-0.5"])
     assert code == 2
     assert err.startswith("error: ValueError:")
+    assert "ec_bits_per_slot" not in out
+
+
+def test_ec_rejects_rate_for_adaptive_scenario(capsys):
+    code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi",
+                                   "--alpha", "1", "--rate", "5"])
+    assert code == 2
+    assert err.startswith("error: ValueError:") and "rate" in err
+    assert "ec_bits_per_slot" not in out
+
+
+def test_ec_rejects_method_outside_siso_csi(capsys):
+    code, out, err = _run(capsys, ["ec", "--scenario", "miso_csi",
+                                   "--alpha", "1", "--method", "relaxed"])
+    assert code == 2
+    assert err.startswith("error: ValueError:") and "relaxed" in err
     assert "ec_bits_per_slot" not in out
 
 

@@ -330,3 +330,22 @@ def test_scenario_table_matches_named_branches(name):
         expect = np.where(snr >= math.expm1(LN2 * rate / cfg.bandwidth),
                           rate * cfg.slot, 0.0)
     assert np.array_equal(service, expect)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_table_rejects_inapplicable_flags(name):
+    """A rate for an adaptive branch and a non-exact method outside
+    siso_csi raise instead of being dropped."""
+    entry = SCENARIOS[name]
+    cfg = LinkConfig(n_tx=10) if entry.beamformed else LinkConfig()
+    rate = None if entry.adaptive else 0.5
+    if entry.adaptive:
+        with pytest.raises(ValueError, match="rate must be None"):
+            entry.ec(cfg, 0.1, 0.5)
+    if name == "siso_csi":
+        hot = replace(cfg, p_t=1.0)  # where the relaxed form is accurate
+        got = entry.ec(hot, 0.1, method="relaxed").ec_bits_per_slot
+        assert got == ec_siso_csi(hot, 0.1, method="relaxed").ec_bits_per_slot
+    else:
+        with pytest.raises(ValueError, match="applies only to siso_csi"):
+            entry.ec(cfg, 0.1, rate, method="relaxed")

@@ -19,6 +19,7 @@ from irsec.mcoracle import (
     empirical_ec,
     empirical_moments,
     ks_distance,
+    service_from_snr,
     simulate_service,
 )
 
@@ -137,6 +138,9 @@ def test_simulate_service_argument_gates(cfg_siso):
         simulate_service(cfg_siso, "mimo_csi", None, 1, 100)
     with pytest.raises(ValueError):
         simulate_service(cfg_siso, "siso_csi", None, 1, 0)
+    service = simulate_service(cfg_siso, "siso_csi", None, 1, 100)
+    with pytest.raises(ValueError, match="snr batch"):
+        service_from_snr(service, cfg_siso, "siso_csi", None)
 
 
 def test_empirical_moments_constant():

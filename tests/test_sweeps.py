@@ -2,11 +2,16 @@
 
 import csv
 import io
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from irsec import eccore
 from irsec.channel import LinkConfig
 from irsec.eccore import ec_miso_csi
+from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.sweeps import (
     CSV_HEADER,
     SweepSpec,
@@ -107,6 +112,56 @@ def test_oracle_rows_reproducible():
     a = run_sweep(_rate_spec(values=(1.0, 1.5), mc_slots=10_000))
     b = run_sweep(_rate_spec(values=(1.0, 1.5), mc_slots=10_000))
     assert a == b
+
+
+def test_oracle_draws_once_per_config(monkeypatch):
+    """Rows with the same link config share one SNR draw at spec.seed:
+    a rate sweep samples once, a p_t sweep once per value, and every
+    row's oracle equals a fresh simulate_service draw at that seed."""
+    calls = []
+    sampler = eccore.sample_siso_snr
+
+    def counted(cfg, seed, n):
+        calls.append(cfg)
+        return sampler(cfg, seed, n)
+
+    monkeypatch.setattr(eccore, "sample_siso_snr", counted)
+    rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), alpha_list=(0.1, 1.0),
+                           mc_slots=2000, seed=7)
+    power_spec = SweepSpec(scenario="siso_csi", sweep_var="p_t",
+                           values=(1e-4, 1e-3, 1e-2), fixed=LinkConfig(),
+                           alpha_list=(0.1,), seed=7, mc_slots=2000)
+    for spec, draws in ((rate_spec, 1), (power_spec, 3)):
+        calls.clear()
+        rows = run_sweep(spec)
+        assert len(calls) == draws
+        for row in rows:
+            assert row.error is None
+            cfg = (replace(spec.fixed, p_t=row.value)
+                   if spec.sweep_var == "p_t" else spec.fixed)
+            want = empirical_ec(simulate_service(
+                cfg, spec.scenario, row.r_star, spec.seed, spec.mc_slots),
+                row.alpha)
+            assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr)
+
+
+def test_oracle_keeps_one_draw_at_a_time():
+    """A p_t sweep holds only the current config's SNR batch: the traced
+    peak stays a few batches wide, not one batch per value."""
+    slots = 20_000
+    spec = SweepSpec(scenario="miso_csi", sweep_var="p_t",
+                     values=tuple(np.logspace(-5, -1, 20)),
+                     fixed=LinkConfig(n_tx=10), alpha_list=(0.1,),
+                     mc_slots=slots)
+    run_sweep(spec)  # warm caches and lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        rows = run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in rows)
+    assert peak < 5 * slots * 8 + 1_000_000
 
 
 def test_error_rows_do_not_abort():
