@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc
 
 from irsec import specfun
 
@@ -32,11 +31,9 @@ __all__ = [
     "sample_miso_snr",
     "stream_rng",
     "load_link_config",
-    "write_link_config",
 ]
 
 PI2 = math.pi * math.pi
-_SQRT_2 = math.sqrt(2.0)
 
 _SISO_STREAM = "channel.sample_siso_snr"
 _MISO_STREAM = "channel.sample_miso_snr"
@@ -130,10 +127,9 @@ class LinkConfig:
         return math.fsum(abs(v) ** 2 for v in self.precoder)
 
 
-# Each SNR law evaluates its own CDF, P(SNR <= x), by two routes that
-# agree to a few 1e-16: an ndarray x is evaluated elementwise by numpy,
-# any other x by math. Scalar calls are the fixed-rate optimizers' hot
-# path, so a float is let through before the (slower) ndarray test.
+# Each SNR law evaluates its CDF by math, one scalar at a time. numpy's
+# SIMD log1p/expm1 and scipy's erfc round differently in the last bits
+# and by CPU, so an array route would move every fixed-rate EC with it.
 
 
 @dataclass(frozen=True)
@@ -149,13 +145,9 @@ class ScaledNoncentralChiSq:
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
 
-    def cdf(self, x):
-        """P(SNR <= x), elementwise for an ndarray x."""
-        if not isinstance(x, float) and isinstance(x, np.ndarray):
-            a = math.sqrt(self.lam)
-            b = np.sqrt(x / self.beta)
-            tail = 0.5 * (erfc((b - a) / _SQRT_2) + erfc((b + a) / _SQRT_2))
-            return 1.0 - np.clip(tail, 0.0, 1.0)
+    def cdf(self, x: float) -> float:
+        """P(SNR <= x) for a scalar x."""
+        x = float(x)
         if x < 0.0:
             raise ValueError("cdf requires x >= 0")
         return 1.0 - specfun.marcum_q_half(math.sqrt(self.lam), math.sqrt(x / self.beta))
@@ -171,10 +163,9 @@ class Exponential:
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
 
-    def cdf(self, x):
-        """P(SNR <= x), elementwise for an ndarray x."""
-        if not isinstance(x, float) and isinstance(x, np.ndarray):
-            return -np.expm1(-self.kappa * x)
+    def cdf(self, x: float) -> float:
+        """P(SNR <= x) for a scalar x."""
+        x = float(x)
         if x < 0.0:
             raise ValueError("cdf requires x >= 0")
         return -math.expm1(-self.kappa * x)
@@ -369,15 +360,3 @@ def load_link_config(path) -> LinkConfig:
             else:
                 raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
     return LinkConfig(**kwargs)
-
-
-def write_link_config(cfg: LinkConfig, path) -> None:
-    """Write a config file that load_link_config reads back exactly."""
-    lines = []
-    for name in _FLOAT_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)!r}")
-    for name in _INT_FIELDS:
-        lines.append(f"{name} = {getattr(cfg, name)!r}")
-    lines.append("precoder = " + ", ".join(repr(v) for v in cfg.precoder))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
-import numpy as np
 from scipy.integrate import quad
 
 from irsec import specfun
@@ -32,17 +30,14 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "get_scenario",
-    "QosExponent",
     "OnOffChannel",
     "EcResult",
     "alpha_value",
-    "shannon_rate",
     "ec_siso_csi",
     "ec_miso_csi",
     "ec_siso_nocsi",
     "ec_miso_nocsi",
     "ec_on_off",
-    "ec_on_off_spectral",
     "on_off_probs",
     "miso_csi_moments",
     "mean_service",
@@ -101,10 +96,17 @@ class Scenario:
             return sample_miso_snr(cfg, seed, n)
         return sample_siso_snr(cfg, seed, n)
 
+    def check_rate(self, rate: float | None) -> None:
+        """ValueError unless a rate comes exactly with a fixed-rate branch."""
+        if self.adaptive and rate is not None:
+            raise ValueError(f"{self.name} adapts its rate; rate must be None")
+        if not self.adaptive and rate is None:
+            raise ValueError(f"{self.name} needs a rate")
+
     def ec(
         self,
         cfg: LinkConfig,
-        alpha: Union[QosExponent, float],
+        alpha: float,
         rate: float | None = None,
         kappa_mode: str = "exact",
         method: str = "exact",
@@ -117,14 +119,11 @@ class Scenario:
         """
         if method != "exact" and (self.beamformed or not self.adaptive):
             raise ValueError(f"method {method!r} applies only to siso_csi")
+        self.check_rate(rate)
         if self.adaptive:
-            if rate is not None:
-                raise ValueError(f"{self.name} adapts its rate; rate must be None")
             if self.beamformed:
                 return ec_miso_csi(cfg, alpha, kappa_mode=kappa_mode)
             return ec_siso_csi(cfg, alpha, method=method)
-        if rate is None:
-            raise ValueError(f"{self.name} needs a rate")
         if self.beamformed:
             return ec_miso_nocsi(cfg, alpha, rate, kappa_mode=kappa_mode)
         return ec_siso_nocsi(cfg, alpha, rate)
@@ -148,20 +147,9 @@ def get_scenario(name: str) -> Scenario:
         raise ValueError(f"unknown scenario {name!r}") from None
 
 
-@dataclass(frozen=True)
-class QosExponent:
-    """Decay rate targeted by the queue-tail guarantee, per bit."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be strictly positive")
-
-
-def alpha_value(alpha: Union[QosExponent, float]) -> float:
-    """Accept a QosExponent or a bare positive float."""
-    a = alpha.alpha if isinstance(alpha, QosExponent) else float(alpha)
+def alpha_value(alpha: float) -> float:
+    """The QoS exponent as a float; ValueError unless strictly positive."""
+    a = float(alpha)
     if not a > 0.0:
         raise ValueError("alpha must be strictly positive")
     return a
@@ -200,15 +188,6 @@ class EcResult:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
 
-def shannon_rate(snr: float, bandwidth: float) -> float:
-    """Instantaneous log2 capacity, bits per second."""
-    if snr < 0.0:
-        raise ValueError("snr must be nonnegative")
-    if not bandwidth > 0.0:
-        raise ValueError("bandwidth must be positive")
-    return bandwidth * math.log1p(snr) / LN2
-
-
 def _fold_density(t: float, root_lam: float) -> float:
     # density of |Z| with Z ~ N(sqrt(lam), 1), damped form of both tails
     d = t - root_lam
@@ -243,8 +222,7 @@ def _ln_mgf_siso_exact(beta: float, lam: float, u: float) -> float:
     return math.log(m)
 
 
-def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float,
-                         ctl: specfun.SeriesControl) -> tuple[float, dict]:
+def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float) -> tuple[float, dict]:
     """High-SNR form: ln E[(beta X)^{-u}], finite only for u < 1/2."""
     addends = {
         "neg_u_ln_beta": -u * math.log(beta),
@@ -252,16 +230,15 @@ def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float,
         "neg_half_lam": -0.5 * lam,
         "ln_gamma_half_minus_u": specfun.ln_gamma(0.5 - u),
         "neg_half_ln_pi": -0.5 * math.log(math.pi),
-        "ln_hyp1f1": specfun.ln_hyp1f1(0.5 - u, 0.5, 0.5 * lam, ctl),
+        "ln_hyp1f1": specfun.ln_hyp1f1(0.5 - u, 0.5, 0.5 * lam),
     }
     return math.fsum(addends.values()), addends
 
 
 def ec_siso_csi(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     method: str = "exact",
-    ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES,
 ) -> EcResult:
     """EC of the rate-adaptive single-antenna link.
 
@@ -277,7 +254,7 @@ def ec_siso_csi(
     diag["low_snr_prob"] = dist.cdf(RELAX_SNR_FLOOR)
 
     if u < 0.5:
-        ln_mgf_relaxed, addends = _ln_mgf_siso_relaxed(dist.beta, dist.lam, u, ctl)
+        ln_mgf_relaxed, addends = _ln_mgf_siso_relaxed(dist.beta, dist.lam, u)
         diag["ln_mgf_relaxed"] = ln_mgf_relaxed
         diag["ec_relaxed"] = -ln_mgf_relaxed / a
         diag["relaxed_addends"] = addends
@@ -308,13 +285,13 @@ def ec_siso_csi(
     return EcResult(ec_bits_per_slot=ec, scenario="siso_csi", diagnostics=diag)
 
 
-def _sq_log_moment(kappa: float, ctl: specfun.SeriesControl) -> float:
+def _sq_log_moment(kappa: float) -> float:
     """E[ln^2(1 + X)] for X exponential with rate kappa."""
     if kappa <= KAPPA_WATSON:
         g = specfun.EULER_GAMMA
         lk = math.log(kappa)
         bracket = PI2_OVER_6 + g * g + 2.0 * g * lk + lk * lk
-        return math.exp(kappa) * (bracket - 2.0 * kappa * specfun.hyp3f3_unit(-kappa, ctl))
+        return math.exp(kappa) * (bracket - 2.0 * kappa * specfun.hyp3f3_unit(-kappa))
     # alternating tail expansion in 1/kappa, truncated at its smallest term
     total = 0.0
     sign = 1.0
@@ -322,11 +299,11 @@ def _sq_log_moment(kappa: float, ctl: specfun.SeriesControl) -> float:
     mag = 2.0 / (kappa * kappa)
     prev = math.inf
     j = 2
-    while j < ctl.max_terms:
+    while j < specfun.SERIES_MAX_TERMS:
         if mag >= prev:
             break
         total += sign * mag
-        if mag <= ctl.rel_tol * abs(total):
+        if mag <= specfun.SERIES_REL_TOL * abs(total):
             break
         prev = mag
         new_harmonic = harmonic + 1.0 / j
@@ -341,7 +318,6 @@ def miso_csi_moments(
     kappa: float,
     bandwidth: float = 1.0,
     slot: float = 1.0,
-    ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES,
 ) -> tuple[float, float, float]:
     """(mean, second moment, variance) of per-slot beamformed service."""
     if not kappa > 0.0:
@@ -350,15 +326,14 @@ def miso_csi_moments(
         raise ValueError("bandwidth and slot must be positive")
     scale = slot * bandwidth / LN2
     mu = scale * specfun.expint_e1_scaled(kappa)
-    eta = scale * scale * _sq_log_moment(kappa, ctl)
+    eta = scale * scale * _sq_log_moment(kappa)
     return mu, eta, eta - mu * mu
 
 
 def ec_miso_csi(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     kappa_mode: str = "exact",
-    ctl: specfun.SeriesControl = specfun.DEFAULT_SERIES,
 ) -> EcResult:
     """EC of the rate-adaptive beamformed link (Gaussian service model).
 
@@ -367,7 +342,7 @@ def ec_miso_csi(
     """
     a = alpha_value(alpha)
     dist = miso_snr_dist(cfg, mode=kappa_mode)
-    mu, eta, var = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot, ctl)
+    mu, eta, var = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
     raw = mu - 0.5 * a * var
     ec = raw
     if raw < 0.0:
@@ -402,7 +377,7 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
 
 def ec_on_off(
     chain: OnOffChannel,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     scenario: str = "siso_nocsi",
 ) -> EcResult:
     """EC of a two-state service chain, scalar route.
@@ -422,22 +397,8 @@ def ec_on_off(
     return EcResult(ec_bits_per_slot=ec, scenario=scenario, diagnostics=diag)
 
 
-def ec_on_off_spectral(chain: OnOffChannel, alpha: Union[QosExponent, float]) -> float:
-    """Same quantity via the spectral radius of the weighted 2x2 chain.
-
-    Kept as an independent route: rows are the iid state distribution,
-    columns weighted by per-state service decay.
-    """
-    a = alpha_value(alpha)
-    on = chain.p_on * math.exp(-a * chain.rate * chain.slot)
-    m = np.array([[chain.p_off, on],
-                  [chain.p_off, on]])
-    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
-    return -math.log(radius) / a
-
-
 def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
-                   alpha: Union[QosExponent, float], rate: float,
+                   alpha: float, rate: float,
                    **extra) -> EcResult:
     """On/off EC at a fixed rate over the law dist; diagnostics carry
     the chain, the law's parameters and extra."""
@@ -450,7 +411,7 @@ def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
 
 def ec_siso_nocsi(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     rate: float,
 ) -> EcResult:
     """EC of fixed-rate transmission over the single-antenna link."""
@@ -459,7 +420,7 @@ def ec_siso_nocsi(
 
 def ec_miso_nocsi(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     rate: float,
     kappa_mode: str = "exact",
 ) -> EcResult:
@@ -476,9 +437,8 @@ def mean_service(
 ) -> float:
     """Expected per-slot service in bits; the alpha -> 0 limit of EC."""
     entry = get_scenario(scenario)
+    entry.check_rate(rate)
     if not entry.adaptive:
-        if rate is None:
-            raise ValueError("fixed-rate scenarios need a rate")
         p_on, _ = on_off_probs(entry.law(cfg, kappa_mode), rate, cfg.bandwidth)
         return p_on * rate * cfg.slot
     if entry.beamformed:

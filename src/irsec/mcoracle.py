@@ -1,9 +1,8 @@
 """Monte Carlo ground truth for the analytical results.
 
 Everything here deliberately avoids the closed forms: service samples
-come straight from the physical channel samplers, the EC estimator
-realizes the defining log-MGF limit on finite blocks, and the
-distribution check is a plain empirical-CDF sup distance.
+come straight from the physical channel samplers, and the EC estimator
+realizes the defining log-MGF limit on finite blocks.
 """
 
 from __future__ import annotations
@@ -11,20 +10,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from irsec.channel import LinkConfig, SampleBatch, SnrDistribution, stream_rng
-from irsec.eccore import LN2, QosExponent, alpha_value, get_scenario
+from irsec.channel import LinkConfig, SampleBatch, stream_rng
+from irsec.eccore import LN2, alpha_value, get_scenario
 
 __all__ = [
     "EcEstimate",
     "empirical_ec",
     "simulate_service",
     "service_from_snr",
-    "empirical_moments",
-    "ks_distance",
     "BLOCK_LENGTH",
     "BOOTSTRAP_RESAMPLES",
 ]
@@ -65,7 +61,7 @@ def _log_mean_exp(x: np.ndarray, axis=None) -> np.ndarray:
 
 def empirical_ec(
     service: SampleBatch,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     block_length: int = BLOCK_LENGTH,
 ) -> EcEstimate:
     """Estimate EC from service samples via the block log-MGF.
@@ -116,7 +112,8 @@ def simulate_service(
     One seeded SNR draw from the scenario's sampler, mapped to service
     bits by service_from_snr.
     """
-    entry = _checked_scenario(scenario, rate)
+    entry = get_scenario(scenario)
+    entry.check_rate(rate)
     if slots < 1:
         raise ValueError("slots must be >= 1")
     return service_from_snr(entry.sample(cfg, seed, slots), cfg, scenario, rate)
@@ -135,7 +132,8 @@ def service_from_snr(
     the rate and nothing otherwise. One SNR batch can thus serve every
     rate and exponent evaluated on the same link.
     """
-    entry = _checked_scenario(scenario, rate)
+    entry = get_scenario(scenario)
+    entry.check_rate(rate)
     if snr.kind != "snr":
         raise ValueError("service_from_snr needs an snr batch")
     if entry.adaptive:
@@ -144,34 +142,3 @@ def service_from_snr(
         threshold = math.expm1(LN2 * rate / cfg.bandwidth)
         service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)
     return SampleBatch(values=service, seed=snr.seed, kind="service_bits")
-
-
-def _checked_scenario(scenario: str, rate: float | None):
-    entry = get_scenario(scenario)
-    if entry.adaptive and rate is not None:
-        raise ValueError(f"{scenario} adapts its rate; rate must be None")
-    if not entry.adaptive and rate is None:
-        raise ValueError(f"{scenario} requires a rate")
-    return entry
-
-
-def empirical_moments(samples: SampleBatch) -> tuple[float, float, float]:
-    """(mean, second moment, unbiased variance) of a batch."""
-    v = samples.values
-    mean = float(np.mean(v))
-    second = float(np.mean(v * v))
-    var = float(np.var(v, ddof=1)) if v.size > 1 else 0.0
-    return mean, second, var
-
-
-def ks_distance(samples: SampleBatch, dist: SnrDistribution) -> float:
-    """Sup distance between the empirical CDF and the analytical law."""
-    if samples.kind != "snr":
-        raise ValueError("ks_distance needs an snr batch")
-    v = np.sort(samples.values)
-    n = v.size
-    f = dist.cdf(v)
-    i = np.arange(1, n + 1, dtype=float)
-    upper = np.max(i / n - f)
-    lower = np.max(f - (i - 1.0) / n)
-    return float(max(upper, lower))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
     OnOffChannel,
-    QosExponent,
     alpha_value,
     ec_miso_nocsi,
     ec_on_off,
@@ -111,7 +109,7 @@ class NonConvergenceError(RuntimeError):
 
 def siso_ec_gradient(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     rate: float,
 ) -> float:
     """d rho / d rate for the single-antenna on/off service MGF.
@@ -140,7 +138,7 @@ def siso_ec_gradient(
 
 def optimize_rate_siso(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     settings: DescentSettings | None = None,
 ) -> RateSolution:
     """Fixed-step gradient descent on rho(r), the verbatim control law.
@@ -176,7 +174,7 @@ def _miso_rhs(kappa: float, a: float, bandwidth: float, slot: float) -> float:
 
 def optimize_rate_miso_closed(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     kappa_mode: str = "exact",
 ) -> RateSolution:
     """Closed-form approximate optimal rate for the beamformed link.
@@ -204,7 +202,7 @@ def optimize_rate_miso_closed(
 
 def solve_rate_miso_exact(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     kappa_mode: str = "exact",
 ) -> RateSolution:
     """Bisection on the beamformed stationarity equation.
@@ -261,7 +259,7 @@ def solve_rate_miso_exact(
 
 def grid_argmax_rate(
     cfg: LinkConfig,
-    alpha: Union[QosExponent, float],
+    alpha: float,
     scenario: str,
     r_max: float,
     points: int = 1000,

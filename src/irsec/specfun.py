@@ -1,20 +1,17 @@
 """Scalar special-function kernel for the capacity closed forms.
 
 Everything here is a pure function of its float arguments, safe to call
-from any thread. Infinite series honor a SeriesControl budget; the 1F1
-branch threshold is a module constant with its rationale noted next to
-it.
+from any thread. Infinite series stop at SERIES_REL_TOL within a fixed
+term budget, SERIES_MAX_TERMS; the 1F1 branch threshold is a module
+constant with its rationale noted next to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "ConvergenceError",
-    "SeriesControl",
-    "DEFAULT_SERIES",
     "ln_gamma",
     "gaussian_tail",
     "marcum_q_half",
@@ -31,29 +28,17 @@ EULER_GAMMA = 0.57721566490153286061
 # Both branches were overlap-tested on x in [25, 35]; see the tests.
 HYP1F1_ASYMPTOTIC_SWITCH = 30.0
 
+# Truncation budget for every infinite series here: stop once a term
+# falls below SERIES_REL_TOL of the running sum, fail past the budget.
+SERIES_MAX_TERMS = 10000
+SERIES_REL_TOL = 1e-12
+
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class ConvergenceError(ArithmeticError):
-    """A truncated series hit max_terms before reaching rel_tol."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation budget for the infinite series in this module."""
-
-    max_terms: int = 10000
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if int(self.max_terms) != self.max_terms or self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
-
-
-DEFAULT_SERIES = SeriesControl()
+    """A truncated series hit SERIES_MAX_TERMS before SERIES_REL_TOL."""
 
 
 def ln_gamma(x: float) -> float:
@@ -94,52 +79,52 @@ def marcum_q_half_ddb(a: float, b: float) -> float:
     )
 
 
-def _kahan_sum(first_term: float, next_ratio, ctl: SeriesControl) -> float:
+def _kahan_sum(first_term: float, next_ratio) -> float:
     """Kahan-compensated sum of term_0=first_term, term_{n+1}=term_n*ratio(n)."""
     total = first_term
     comp = 0.0
     term = first_term
-    for n in range(ctl.max_terms):
+    for n in range(SERIES_MAX_TERMS):
         term = term * next_ratio(n)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= SERIES_REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"series did not reach rel_tol={ctl.rel_tol} within {ctl.max_terms} terms"
+        f"series did not reach rel_tol={SERIES_REL_TOL} within {SERIES_MAX_TERMS} terms"
     )
 
 
-def _hyp1f1_series(a: float, b: float, x: float, ctl: SeriesControl) -> float:
-    return _kahan_sum(1.0, lambda n: (a + n) * x / ((b + n) * (n + 1.0)), ctl)
+def _hyp1f1_series(a: float, b: float, x: float) -> float:
+    return _kahan_sum(1.0, lambda n: (a + n) * x / ((b + n) * (n + 1.0)))
 
 
-def _ln_hyp1f1_posx(a: float, b: float, x: float, ctl: SeriesControl) -> float:
+def _ln_hyp1f1_posx(a: float, b: float, x: float) -> float:
     # x > 0 and a >= 0 here; a == 0 collapses every term past the first.
     if a == 0.0:
         return 0.0
     if x <= HYP1F1_ASYMPTOTIC_SWITCH:
-        return math.log(_hyp1f1_series(a, b, x, ctl))
+        return math.log(_hyp1f1_series(a, b, x))
     # Large-x asymptotic: 1F1(a;b;x) ~ Gamma(b)/Gamma(a) e^x x^(a-b) * S,
     # S = sum_k (b-a)_k (1-a)_k / (k! x^k), truncated at its smallest term.
     corr = 1.0
     term = 1.0
-    for k in range(ctl.max_terms):
+    for k in range(SERIES_MAX_TERMS):
         nxt = term * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
         if abs(nxt) >= abs(term):
             break
         corr += nxt
         term = nxt
-        if abs(term) <= ctl.rel_tol * abs(corr):
+        if abs(term) <= SERIES_REL_TOL * abs(corr):
             break
     if corr <= 0.0:
         raise ConvergenceError("1F1 asymptotic correction lost positivity")
     return ln_gamma(b) - ln_gamma(a) + x + (a - b) * math.log(x) + math.log(corr)
 
 
-def ln_hyp1f1(a: float, b: float, x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def ln_hyp1f1(a: float, b: float, x: float) -> float:
     """ln 1F1(a; b; x) for a > 0, b > 0 and real x.
 
     Stays in the log domain so callers can combine it with large gamma
@@ -154,15 +139,15 @@ def ln_hyp1f1(a: float, b: float, x: float, ctl: SeriesControl = DEFAULT_SERIES)
     if x < 0.0:
         # reflect to positive argument: 1F1(a;b;x) = e^x 1F1(b-a;b;-x)
         if b - a >= 0.0:
-            return x + _ln_hyp1f1_posx(b - a, b, -x, ctl)
-        value = _hyp1f1_series(a, b, x, ctl)
+            return x + _ln_hyp1f1_posx(b - a, b, -x)
+        value = _hyp1f1_series(a, b, x)
         if value <= 0.0:
             raise ValueError(f"1F1({a};{b};{x}) is not positive; no log form")
         return math.log(value)
-    return _ln_hyp1f1_posx(a, b, x, ctl)
+    return _ln_hyp1f1_posx(a, b, x)
 
 
-def hyp3f3_unit(x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def hyp3f3_unit(x: float) -> float:
     """3F3([1,1,1]; [2,2,2]; x) = sum_n x^n / ((n+1)^3 n!).
 
     Converges for every real x; for x < 0 the series alternates, so the
@@ -170,7 +155,7 @@ def hyp3f3_unit(x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
     """
     if x == 0.0:
         return 1.0
-    return _kahan_sum(1.0, lambda n: x * (n + 1.0) ** 2 / (n + 2.0) ** 3, ctl)
+    return _kahan_sum(1.0, lambda n: x * (n + 1.0) ** 2 / (n + 2.0) ** 3)
 
 
 def expint_e1_scaled(x: float) -> float:

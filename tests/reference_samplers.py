@@ -1,17 +1,36 @@
-"""Element-by-element reference samplers, kept for the tests only.
+"""Reference implementations that the tests compare the library against.
 
 `siso_reference` is the single-antenna sampler as it drew with fresh
 chunk-sized temporaries; the library's blocked version must reproduce
 it bit for bit. `miso_reference` draws the beamformed SNR the long way,
 as the squared magnitude of a sum of N complex Gaussians, so the
 library's one-draw-per-slot reduction stays checked against it.
+
+`cdf_array` evaluates an SNR law's CDF elementwise with numpy, a second
+route beside the library's scalar `math` one; `ks_distance` builds the
+sup-CDF distance of a batch on it. `ec_on_off_spectral` computes the
+on/off EC from the spectral radius of the weighted 2x2 chain, an
+independent route to `ec_on_off`. `write_link_config` writes the
+config-file format that `load_link_config` reads.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+from scipy.special import erfc
 
-from irsec.channel import LinkConfig, pathloss, stream_rng
+from irsec.channel import (
+    Exponential,
+    LinkConfig,
+    SampleBatch,
+    ScaledNoncentralChiSq,
+    pathloss,
+    stream_rng,
+)
+from irsec.eccore import OnOffChannel
+
+_SQRT_2 = math.sqrt(2.0)
 
 CHUNK_ELEMS = 4_000_000
 
@@ -62,3 +81,48 @@ def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
         out[pos:pos + m] = scale * mag2
         pos += m
     return out
+
+
+def cdf_array(law, x: np.ndarray) -> np.ndarray:
+    """P(SNR <= x) elementwise for an ndarray x, by numpy."""
+    if isinstance(law, ScaledNoncentralChiSq):
+        a = math.sqrt(law.lam)
+        b = np.sqrt(x / law.beta)
+        tail = 0.5 * (erfc((b - a) / _SQRT_2) + erfc((b + a) / _SQRT_2))
+        return 1.0 - np.clip(tail, 0.0, 1.0)
+    if isinstance(law, Exponential):
+        return -np.expm1(-law.kappa * x)
+    raise TypeError(f"no array CDF for {type(law).__name__}")
+
+
+def ks_distance(samples: SampleBatch, law) -> float:
+    """Sup distance between the empirical CDF and the analytical law."""
+    if samples.kind != "snr":
+        raise ValueError("ks_distance needs an snr batch")
+    v = np.sort(samples.values)
+    n = v.size
+    f = cdf_array(law, v)
+    i = np.arange(1, n + 1, dtype=float)
+    upper = np.max(i / n - f)
+    lower = np.max(f - (i - 1.0) / n)
+    return float(max(upper, lower))
+
+
+def ec_on_off_spectral(chain: OnOffChannel, alpha: float) -> float:
+    """On/off EC via the spectral radius of the weighted 2x2 chain:
+    rows are the iid state distribution, columns weighted by per-state
+    service decay."""
+    on = chain.p_on * math.exp(-alpha * chain.rate * chain.slot)
+    m = np.array([[chain.p_off, on],
+                  [chain.p_off, on]])
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
+    return -math.log(radius) / alpha
+
+
+def write_link_config(cfg: LinkConfig, path) -> None:
+    """Write a config file that load_link_config reads back exactly."""
+    lines = [f"{f.name} = {getattr(cfg, f.name)!r}"
+             for f in dataclasses.fields(cfg) if f.name != "precoder"]
+    lines.append("precoder = " + ", ".join(repr(v) for v in cfg.precoder))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -41,14 +41,13 @@ from irsec.eccore import (
     ec_miso_csi,
     ec_miso_nocsi,
     ec_on_off,
-    ec_on_off_spectral,
     ec_siso_csi,
     ec_siso_nocsi,
     mean_service,
     miso_csi_moments,
     on_off_probs,
 )
-from irsec.mcoracle import empirical_ec, ks_distance, simulate_service
+from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.rateopt import (
     DescentSettings,
     grid_argmax_rate,
@@ -58,6 +57,7 @@ from irsec.rateopt import (
 )
 from irsec.specfun import LN2
 from irsec.sweeps import SweepSpec, auto_rate, run_sweep
+from reference_samplers import ec_on_off_spectral, ks_distance
 
 DRAWS = 1_000_000
 

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from irsec.channel import LinkConfig, write_link_config
+from irsec.channel import LinkConfig
 from irsec.cli import main
 from irsec.sweeps import CSV_HEADER
+from reference_samplers import write_link_config
 
 
 def _run(capsys, argv):

@@ -21,21 +21,19 @@ from irsec.eccore import (
     SCENARIOS,
     EcResult,
     OnOffChannel,
-    QosExponent,
     alpha_value,
     ec_miso_csi,
     ec_miso_nocsi,
     ec_on_off,
-    ec_on_off_spectral,
     ec_siso_csi,
     ec_siso_nocsi,
     mean_service,
     miso_csi_moments,
     on_off_probs,
-    shannon_rate,
 )
 from irsec.mcoracle import simulate_service
 from irsec.sweeps import auto_rate
+from reference_samplers import ec_on_off_spectral
 
 LN2 = math.log(2.0)
 
@@ -53,21 +51,8 @@ SQLOG_ANCHORS = (
 )
 
 
-def test_shannon_rate():
-    assert shannon_rate(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert shannon_rate(3.0, 2.0) == pytest.approx(4.0, rel=1e-15)
-    assert shannon_rate(0.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        shannon_rate(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        shannon_rate(1.0, 0.0)
-
-
 def test_qos_exponent():
-    assert alpha_value(QosExponent(0.3)) == 0.3
     assert alpha_value(2.0) == 2.0
-    with pytest.raises(ValueError):
-        QosExponent(0.0)
     with pytest.raises(ValueError):
         alpha_value(-1.0)
 
@@ -97,12 +82,6 @@ def test_siso_csi_exact_anchors(cfg_siso):
     assert lo.ec_bits_per_slot > hi.ec_bits_per_slot
     assert lo.scenario == "siso_csi"
     assert lo.diagnostics["u"] == pytest.approx(0.1 / LN2, rel=1e-15)
-
-
-def test_siso_csi_accepts_qos_wrapper(cfg_siso):
-    a = ec_siso_csi(cfg_siso, QosExponent(0.1)).ec_bits_per_slot
-    b = ec_siso_csi(cfg_siso, 0.1).ec_bits_per_slot
-    assert a == b
 
 
 def test_siso_csi_relaxed_diagnostics(cfg_siso):
@@ -297,6 +276,8 @@ def test_mean_service_is_small_alpha_ec(cfg_siso, cfg_miso):
 def test_mean_service_validation(cfg_siso):
     with pytest.raises(ValueError):
         mean_service(cfg_siso, "siso_nocsi")
+    with pytest.raises(ValueError, match="rate must be None"):
+        mean_service(cfg_siso, "siso_csi", rate=5.0)
     with pytest.raises(ValueError):
         mean_service(cfg_siso, "duplex")
 
