@@ -146,11 +146,19 @@ class ScaledNoncentralChiSq:
             raise ValueError("lam must be positive")
 
     def cdf(self, x: float) -> float:
-        """P(SNR <= x) for a scalar x."""
+        """P(SNR <= x) for a scalar x.
+
+        Below the ridge (b < a) the CDF is the difference of two normal
+        tails, P(Z > a - b) - P(Z > a + b), which keeps its digits down to
+        the smallest doubles; 1 - Q_{1/2}(a, b) would cancel to 0 there.
+        """
         x = float(x)
         if x < 0.0:
             raise ValueError("cdf requires x >= 0")
-        return 1.0 - specfun.marcum_q_half(math.sqrt(self.lam), math.sqrt(x / self.beta))
+        a, b = math.sqrt(self.lam), math.sqrt(x / self.beta)
+        if b < a:
+            return specfun.gaussian_tail(a - b) - specfun.gaussian_tail(a + b)
+        return 1.0 - specfun.marcum_q_half(a, b)
 
 
 @dataclass(frozen=True)

@@ -382,15 +382,24 @@ def ec_on_off(
 ) -> EcResult:
     """EC of a two-state service chain, scalar route.
 
-    With iid states the MGF is p_off + p_on exp(-alpha rate slot); the
-    complement form below stays exact when the off mass is tiny.
+    With iid states the MGF is 1 - k, k = p_on (1 - exp(-alpha rate slot)).
+    log1p(-k) is exact while k < 1/2; above, 1 - k keeps only the last
+    bits of k, so p_off and p_on exp(-alpha rate slot) are added in the
+    log domain instead.
     """
     a = alpha_value(alpha)
     x = a * chain.rate * chain.slot
     k = chain.p_on * (-math.expm1(-x))
-    # k reaches 1.0 only when p_off is exactly 0 and exp(-x) has no
-    # double below it; the MGF is then exactly p_on*exp(-x)
-    ln_mgf = math.log1p(-k) if k < 1.0 else math.log(chain.p_on) - x
+    if k < 0.5:
+        ln_mgf = math.log1p(-k)
+    else:
+        ln_on = math.log(chain.p_on) - x
+        if chain.p_off == 0.0:
+            ln_mgf = ln_on
+        else:
+            ln_off = math.log(chain.p_off)
+            hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
+            ln_mgf = hi + math.log1p(math.exp(lo - hi))
     ec = -ln_mgf / a
     diag = {"p_on": chain.p_on, "p_off": chain.p_off, "rate": chain.rate,
             "slot": chain.slot, "ln_mgf": ln_mgf}

@@ -1,11 +1,13 @@
 """Optimal fixed-rate search for the no-CSI scenarios.
 
 Maximizing EC(r) is the same as minimizing the one-slot service MGF
-rho(r) = p_off(r) + p_on(r) exp(-alpha r slot), so the single-antenna
-optimizer runs fixed-step gradient descent on rho. The beamformed link
-admits a transcendental stationarity equation with a unique root (both
-sides monotone) plus an interpretable closed-form approximation of it;
-a grid search over EC backs both up as an independent oracle.
+rho(r) = p_off(r) + p_on(r) exp(-alpha r slot). For the single-antenna
+link the paper runs fixed-step gradient descent on rho; the program
+brackets the peak of EC on a coarse grid and refines it with Brent's
+bounded minimizer. The beamformed link admits a transcendental
+stationarity equation with a unique root (both sides monotone) plus an
+interpretable closed-form approximation of it. A fine grid search over
+EC backs all of them up as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from irsec import specfun
-from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
+from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
     OnOffChannel,
@@ -38,9 +41,10 @@ __all__ = [
     "optimize_rate_miso_closed",
     "solve_rate_miso_exact",
     "grid_argmax_rate",
+    "bracket_rate_siso",
 ]
 
-_METHODS = ("gradient_descent", "closed_form", "root_find", "grid")
+_METHODS = ("gradient_descent", "closed_form", "root_find", "grid", "bracket")
 
 # Beyond this rate/bandwidth ratio every gradient factor has underflowed
 # to zero; returning 0 early avoids overflowing 2^(r/B).
@@ -51,6 +55,13 @@ _RATE_TAIL = 690.0
 _CLOSED_FORM_MIN_GROWTH = 10.0
 
 _ROOT_RESIDUAL = 1e-10
+
+# Coarse grid that brackets the single-antenna EC peak before Brent's
+# refinement, and the refinement's rate tolerance as a fraction of the
+# grid's span: optimal rates run from ~1e-9 to ~40 bits per slot, so an
+# absolute tolerance would be too coarse at one end or wasted at the other.
+_BRACKET_POINTS = 24
+_BRACKET_XATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -257,6 +268,14 @@ def solve_rate_miso_exact(
                         method="root_find")
 
 
+def _fixed_rate_ec(dist: SnrDistribution, cfg: LinkConfig, a: float,
+                   rate: float) -> float:
+    """On/off EC in bits per slot at a fixed rate over the law dist."""
+    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
+    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
+    return ec_on_off(chain, a).ec_bits_per_slot
+
+
 def grid_argmax_rate(
     cfg: LinkConfig,
     alpha: float,
@@ -281,14 +300,8 @@ def grid_argmax_rate(
     if entry.adaptive:
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
-
-    def ec_at(rate: float) -> float:
-        p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
-        chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-        return ec_on_off(chain, a).ec_bits_per_slot
-
     rates = np.linspace(r_max / points, r_max, points)
-    values = np.array([ec_at(r) for r in rates])
+    values = np.array([_fixed_rate_ec(dist, cfg, a, r) for r in rates])
     k = int(np.argmax(values))
     r_best, ec_best = float(rates[k]), float(values[k])
     if 0 < k < points - 1:
@@ -300,8 +313,40 @@ def grid_argmax_rate(
             offset = 0.5 * h * (y0 - y2) / curvature
             offset = min(max(offset, -h), h)
             r_ref = r_best + offset
-            ec_ref = ec_at(r_ref)
+            ec_ref = _fixed_rate_ec(dist, cfg, a, r_ref)
             if ec_ref >= ec_best:
                 r_best, ec_best = r_ref, ec_ref
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
                         iterations=points, method="grid")
+
+
+def bracket_rate_siso(
+    cfg: LinkConfig,
+    alpha: float,
+    r_max: float,
+) -> RateSolution:
+    """Single-antenna optimal fixed rate by bracket and Brent refinement.
+
+    Evaluates the exact EC at _BRACKET_POINTS uniform rates in (0, r_max],
+    then runs Brent's bounded minimizer on -EC over the two grid cells
+    around the best point ([0, r_1] or [r_{n-2}, r_max] at an edge).
+    Returns the better of the refined and the best grid point;
+    iterations counts the EC evaluations.
+    """
+    if not r_max > 0.0:
+        raise ValueError("r_max must be positive")
+    a = alpha_value(alpha)
+    dist = siso_snr_dist(cfg)
+    rates = np.linspace(r_max / _BRACKET_POINTS, r_max, _BRACKET_POINTS)
+    values = [_fixed_rate_ec(dist, cfg, a, float(r)) for r in rates]
+    k = int(np.argmax(values))
+    r_best, ec_best = float(rates[k]), values[k]
+    lo = float(rates[k - 1]) if k > 0 else 0.0
+    hi = float(rates[min(k + 1, _BRACKET_POINTS - 1)])
+    res = minimize_scalar(lambda r: -_fixed_rate_ec(dist, cfg, a, r),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": _BRACKET_XATOL * r_max})
+    if -res.fun > ec_best:
+        r_best, ec_best = float(res.x), -float(res.fun)
+    return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
+                        iterations=_BRACKET_POINTS + res.nfev, method="bracket")

@@ -9,6 +9,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,18 @@ def test_snr_cdf_monotone(x, dx):
     d = ScaledNoncentralChiSq(beta=0.011646355092701331, lam=160.99457599185225)
     assert d.cdf(x + dx) >= d.cdf(x) - 1e-15
     assert d.cdf(1e6) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [7.0, 15.0, 30.0, 60.0, 140.0])
+def test_siso_cdf_lower_tail_matches_mpmath(x):
+    """Down to p_off ~ 1e-25 the CDF keeps its relative digits; 50-digit
+    mpmath evaluates P(|Z + a| <= b) = Phi(b - a) - Phi(-b - a)."""
+    d = siso_snr_dist(LinkConfig(p_t=0.1))
+    with mpmath.workdps(50):
+        a, b = mpmath.sqrt(d.lam), mpmath.sqrt(mpmath.mpf(x) / d.beta)
+        want = float(mpmath.ncdf(b - a) - mpmath.ncdf(-b - a))
+    assert 1e-25 < want < 1e-1
+    assert d.cdf(x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_cdf_scalar_and_array_routes_agree(cfg_siso):

@@ -244,6 +244,44 @@ def test_spectral_route_matches_scalar(p_on, rate, slot, alpha):
     assert spectral == pytest.approx(scalar, rel=1e-9, abs=1e-10)
 
 
+def test_on_off_ec_has_no_staircase_near_zero_outage():
+    """Where p_off is (nearly) 0 and alpha r T is large, 1 - k sits a few
+    ulps above 0; EC must follow r instead of stepping above the mean."""
+    cfg = LinkConfig(n_elems=20000, p_t=1e3)
+    for rate in np.linspace(35.3, 35.95, 131):
+        rate = float(rate)
+        ec = ec_siso_nocsi(cfg, 1.0, rate).ec_bits_per_slot
+        assert ec <= mean_service(cfg, "siso_nocsi", rate) * (1.0 + 1e-12)
+
+
+def _mean_snr(dist):
+    if isinstance(dist, Exponential):
+        return 1.0 / dist.kappa
+    return dist.beta * (1.0 + dist.lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 20000),
+    log_p_t=st.floats(-9.0, 3.0),
+    log_alpha=st.floats(-6.0, 3.0),
+    rate_frac=st.floats(1e-6, 4.0),
+    name=st.sampled_from(["siso_nocsi", "miso_nocsi"]),
+)
+def test_fixed_rate_ec_is_bounded_by_mean_service(n, log_p_t, log_alpha,
+                                                  rate_frac, name):
+    """Both no-CSI branches give a finite 0 <= EC <= mean service for
+    rates up to 4x the mean-SNR Shannon rate. (Rates are kept off the
+    subnormal range, where EC and the mean round ~4e-12 apart.)"""
+    entry = SCENARIOS[name]
+    cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
+                     n_tx=10 if entry.beamformed else 1)
+    rate = rate_frac * cfg.bandwidth * math.log1p(_mean_snr(entry.law(cfg))) / LN2
+    ec = entry.ec(cfg, 10.0 ** log_alpha, rate).ec_bits_per_slot
+    assert math.isfinite(ec)
+    assert 0.0 <= ec <= mean_service(cfg, name, rate) * (1.0 + 1e-12)
+
+
 def test_nocsi_wrappers_compose(cfg_siso, cfg_miso):
     res_s = ec_siso_nocsi(cfg_siso, 0.1, rate=1.2782898)
     assert res_s.scenario == "siso_nocsi"

@@ -18,6 +18,7 @@ from irsec.rateopt import (
     DescentSettings,
     NonConvergenceError,
     RateSolution,
+    bracket_rate_siso,
     grid_argmax_rate,
     optimize_rate_miso_closed,
     optimize_rate_siso,
@@ -142,6 +143,23 @@ def test_grid_flat_budget_returns_smallest_rate(cfg_siso):
     sol = grid_argmax_rate(dead, 0.1, "siso_nocsi", 2.0, points=10)
     assert sol.r_star == pytest.approx(0.2, rel=1e-12)
     assert sol.ec_at_r_star == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 10.0])
+def test_bracket_matches_grid_oracle(cfg_siso, alpha):
+    sol = bracket_rate_siso(cfg_siso, alpha, 2.5)
+    oracle = grid_argmax_rate(cfg_siso, alpha, "siso_nocsi", 2.5, 1000)
+    assert sol.method == "bracket"
+    assert 24 < sol.iterations <= 100
+    assert sol.r_star == pytest.approx(oracle.r_star, abs=2.5 / 1000)
+    assert sol.ec_at_r_star >= oracle.ec_at_r_star * (1.0 - 1e-12)
+
+
+def test_bracket_validation_and_dead_budget(cfg_siso):
+    with pytest.raises(ValueError):
+        bracket_rate_siso(cfg_siso, 0.1, 0.0)
+    dead = replace(cfg_siso, p_t=1e-300)
+    assert bracket_rate_siso(dead, 0.1, 2.0).ec_at_r_star == 0.0
 
 
 def test_grid_optimum_decreases_with_qos(cfg_siso):

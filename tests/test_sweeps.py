@@ -2,15 +2,17 @@
 
 import csv
 import io
+import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irsec import eccore
-from irsec.channel import LinkConfig
-from irsec.eccore import ec_miso_csi
+from irsec import eccore, rateopt
+from irsec.channel import LinkConfig, siso_snr_dist
+from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, mean_service
 from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.sweeps import (
     CSV_HEADER,
@@ -178,6 +180,45 @@ def test_auto_rate_routes():
     cfg = LinkConfig()
     assert auto_rate(cfg, "siso_nocsi", 0.1) == pytest.approx(1.2783, abs=5e-3)
     assert auto_rate(LinkConfig(n_tx=10), "miso_nocsi", 10.0) > 0.0
+
+
+# The closed-form design grid: surface sizes, transmit powers and QoS
+# exponents wide enough to reach every regime of the single-antenna link.
+GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
+GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
+GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def test_auto_rate_reaches_the_fine_grid_peak():
+    """Over all 343 single-antenna design cells the bracketed search
+    achieves at least the EC of the 800-point grid over the same span,
+    and never more than the mean service."""
+    for n, p_t, alpha in itertools.product(GRID_N, GRID_P_T, GRID_ALPHA):
+        cfg = LinkConfig(n_elems=n, p_t=p_t)
+        dist = siso_snr_dist(cfg)
+        r_max = 2.0 * cfg.bandwidth * math.log1p(dist.beta * (1.0 + dist.lam)) / LN2
+        rate = auto_rate(cfg, "siso_nocsi", alpha)
+        ec = ec_siso_nocsi(cfg, alpha, rate).ec_bits_per_slot
+        grid = rateopt.grid_argmax_rate(cfg, alpha, "siso_nocsi", r_max=r_max,
+                                        points=800)
+        cell = (n, p_t, alpha)
+        assert ec >= grid.ec_at_r_star * (1.0 - 1e-9), cell
+        assert ec <= mean_service(cfg, "siso_nocsi", rate) * (1.0 + 1e-12), cell
+
+
+@pytest.mark.parametrize("alpha", [0.1, 10.0])
+def test_auto_rate_evaluation_budget(monkeypatch, alpha):
+    """The single-antenna optimum costs at most 100 EC evaluations."""
+    calls = []
+    on_off_probs = rateopt.on_off_probs
+
+    def counted(*args):
+        calls.append(args)
+        return on_off_probs(*args)
+
+    monkeypatch.setattr(rateopt, "on_off_probs", counted)
+    auto_rate(LinkConfig(), "siso_nocsi", alpha)
+    assert 0 < len(calls) <= 100
 
 
 def test_write_csv_header_only():
