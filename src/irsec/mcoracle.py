@@ -36,6 +36,9 @@ _UNDERFLOW_LOG = math.log(1e-300)
 
 _BOOTSTRAP_STREAM = "mcoracle.bootstrap"
 
+# Bootstrap indices drawn and reduced at a time, which bounds its memory.
+_BOOTSTRAP_ELEMS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class EcEstimate:
@@ -92,9 +95,16 @@ def empirical_ec(
     scale = -1.0 / (a * block_length)
     value = scale * _log_mean_exp(x)
 
+    # resample rows in chunks of about _BOOTSTRAP_ELEMS indices; the
+    # chunks read the stream in the order one 2-D draw would
     rng = stream_rng(service.seed, _BOOTSTRAP_STREAM)
-    idx = rng.integers(0, blocks, size=(BOOTSTRAP_RESAMPLES, blocks))
-    resampled = scale * _log_mean_exp(x[idx], axis=1)
+    resampled = np.empty(BOOTSTRAP_RESAMPLES)
+    step = max(1, _BOOTSTRAP_ELEMS // blocks)
+    for i in range(0, BOOTSTRAP_RESAMPLES, step):
+        part = resampled[i:i + step]
+        idx = rng.integers(0, blocks, size=(part.size, blocks))
+        part[:] = _log_mean_exp(x[idx], axis=1)
+    resampled *= scale
     stderr = float(np.std(resampled, ddof=1))
     return EcEstimate(value=float(value), stderr=stderr,
                       slots=n, blocks=blocks)

@@ -6,6 +6,10 @@ it bit for bit. `miso_reference` draws the beamformed SNR the long way,
 as the squared magnitude of a sum of N complex Gaussians, so the
 library's one-draw-per-slot reduction stays checked against it.
 
+`bootstrap_stderr_reference` is `empirical_ec`'s bootstrap stderr drawn
+as one 200 x blocks index array; the library draws and reduces it in
+bounded chunks and must give the same bits.
+
 `cdf_array` evaluates an SNR law's CDF elementwise with numpy, a second
 route beside the library's scalar `math` one; `ks_distance` builds the
 sup-CDF distance of a batch on it. `ec_on_off_spectral` computes the
@@ -81,6 +85,20 @@ def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
         out[pos:pos + m] = scale * mag2
         pos += m
     return out
+
+
+def bootstrap_stderr_reference(service: SampleBatch, alpha: float,
+                               block_length: int = 100,
+                               resamples: int = 200) -> float:
+    blocks = service.values.size // block_length
+    x = -alpha * service.values.reshape(blocks, block_length).sum(axis=1)
+    rng = stream_rng(service.seed, "mcoracle.bootstrap")
+    idx = rng.integers(0, blocks, size=(resamples, blocks))
+    xs = x[idx]
+    m = np.max(xs, axis=1, keepdims=True)
+    lme = m + np.log(np.mean(np.exp(xs - m), axis=1, keepdims=True))
+    resampled = -1.0 / (alpha * block_length) * np.squeeze(lme, axis=1)
+    return float(np.std(resampled, ddof=1))
 
 
 def cdf_array(law, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ measured values, not flaky statistical gambles.
 """
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -363,27 +364,59 @@ def test_siso_sampler_matches_reference(n_elems):
 @pytest.mark.parametrize("chunk_elems, block_elems", [(1001, 64), (999, 7), (4096, 4096)])
 def test_siso_sampler_matches_reference_across_chunks(monkeypatch, chunk_elems, block_elems):
     """Many small chunks: chunk starts that fall inside a Philox output
-    block, partial row blocks and single-row blocks."""
+    block, partial row blocks and single-row blocks, each chunk split
+    over 1, 2 or 3 workers."""
     monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
     monkeypatch.setattr(channel, "_BLOCK_ELEMS", block_elems)
-    for n_elems in (1, 3, 16):
-        cfg = LinkConfig(n_elems=n_elems)
-        for seed in (5, 6):
-            got = sample_siso_snr(cfg, seed, 1013).values
-            want = siso_reference(cfg, seed, 1013, chunk_elems=chunk_elems)
-            assert np.array_equal(got, want), (n_elems, seed)
+    monkeypatch.setattr(channel, "_MIN_RUN_BLOCKS", 1)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        for n_elems in (1, 3, 16):
+            cfg = LinkConfig(n_elems=n_elems)
+            for seed in (5, 6):
+                got = sample_siso_snr(cfg, seed, 1013).values
+                want = siso_reference(cfg, seed, 1013, chunk_elems=chunk_elems)
+                assert np.array_equal(got, want), (workers, n_elems, seed)
 
 
-def test_siso_sampler_memory():
-    """Working memory is two row-block buffers, not chunk-sized temporaries."""
-    n = 10_000
+def test_siso_sampler_independent_of_worker_count(monkeypatch):
+    """2e5 slots at N=100 span five default-size chunks; every worker
+    count gives the reference's bits."""
+    cfg = LinkConfig()
+    want = siso_reference(cfg, 801, 200_000)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        assert np.array_equal(sample_siso_snr(cfg, 801, 200_000).values, want), workers
+
+
+def test_siso_sampler_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(channel, "_workers", lambda: 3)
+    before = threading.active_count()
+    sample_siso_snr(LinkConfig(), 1234, 10_000)
+    assert threading.active_count() == before
+
+
+def _sampler_peak_bytes(n: int) -> int:
     tracemalloc.start()
     try:
         sample_siso_snr(LinkConfig(), 1234, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= n * 8 + 2 * 2 ** 20
+    return peak
+
+
+def test_siso_sampler_memory():
+    """Working memory is two row-block buffers, not chunk-sized temporaries."""
+    n = 10_000
+    assert _sampler_peak_bytes(n) <= n * 8 + 2 * 2 ** 20
+
+
+def test_siso_sampler_memory_independent_of_workers(monkeypatch):
+    """Eight workers share the two row blocks instead of holding two each."""
+    monkeypatch.setattr(channel, "_workers", lambda: 8)
+    n = 100_000
+    assert _sampler_peak_bytes(n) <= n * 8 + 2 * 2 ** 20
 
 
 def test_config_roundtrip(tmp_path, cfg_miso):

@@ -6,6 +6,7 @@ replay fixed seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from irsec.mcoracle import (
     service_from_snr,
     simulate_service,
 )
-from reference_samplers import ks_distance
+from reference_samplers import bootstrap_stderr_reference, ks_distance
 
 
 def _two_point_batch(seed: int, slots: int, p_on: float = 0.7, rate: float = 1.5):
@@ -96,6 +97,31 @@ def test_underflow_warning():
         est = empirical_ec(batch, 50.0)
     # constant blocks keep the degenerate estimate exact regardless
     assert est.value == pytest.approx(15.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("blocks", [7, 100, 2000, 20000, 21845])
+def test_chunked_bootstrap_matches_one_draw(blocks):
+    """Chunks of bootstrap rows (one chunk at 7 and 100 blocks, several
+    above; 21845 blocks leaves each chunk an odd index count) read the
+    stream as one 200 x blocks draw and give its stderr bit for bit."""
+    block_length = 10
+    batch = _two_point_batch(blocks, blocks * block_length)
+    est = empirical_ec(batch, 0.5, block_length=block_length)
+    assert est.stderr > 0.0
+    assert est.stderr == bootstrap_stderr_reference(batch, 0.5, block_length)
+
+
+def test_empirical_ec_memory():
+    """At 2e5 slots the bootstrap works in bounded chunks, not in four
+    200 x 2000 arrays (12.8 MB)."""
+    batch = _two_point_batch(7, 200_000)
+    tracemalloc.start()
+    try:
+        empirical_ec(batch, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
 
 
 def test_empirical_ec_input_gates():
