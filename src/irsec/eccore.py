@@ -10,6 +10,7 @@ for one slot, since slots are independent and identically distributed.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "ec_miso_nocsi",
     "ec_on_off",
     "on_off_probs",
+    "snr_threshold",
     "miso_csi_moments",
     "mean_service",
     "KAPPA_WATSON",
@@ -355,10 +357,22 @@ def ec_miso_csi(
     return EcResult(ec_bits_per_slot=ec, scenario="miso_csi", diagnostics=diag)
 
 
+def snr_threshold(rate: float, bandwidth: float) -> float:
+    """Least SNR that supports the rate: 2^(rate/bandwidth) - 1.
+
+    inf past _EXP_TAIL, where 2^(rate/bandwidth) would overflow and
+    exceeds any SNR a double can hold anyway.
+    """
+    x = LN2 * rate / bandwidth
+    if x > _EXP_TAIL:
+        return math.inf
+    return math.expm1(x)
+
+
 def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[float, float]:
     """(p_on, p_off) for fixed-rate transmission over the given SNR law.
 
-    On means the channel supports the rate: SNR >= 2^(rate/bandwidth)-1.
+    On means the channel supports the rate: SNR >= snr_threshold(rate).
     """
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
@@ -366,12 +380,7 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
         raise ValueError("bandwidth must be positive")
     if rate == 0.0:
         return 1.0, 0.0
-    x = LN2 * rate / bandwidth
-    if x > _EXP_TAIL:
-        # threshold would overflow exp and exceeds any double support
-        return 0.0, 1.0
-    threshold = math.expm1(x)
-    p_off = dist.cdf(threshold)
+    p_off = dist.cdf(snr_threshold(rate, bandwidth))
     return 1.0 - p_off, p_off
 
 
@@ -385,7 +394,9 @@ def ec_on_off(
     With iid states the MGF is 1 - k, k = p_on (1 - exp(-alpha rate slot)).
     log1p(-k) is exact while k < 1/2; above, 1 - k keeps only the last
     bits of k, so p_off and p_on exp(-alpha rate slot) are added in the
-    log domain instead.
+    log domain instead. Once x = alpha rate slot is subnormal it has lost
+    bits that dividing by alpha cannot restore, so EC takes its
+    first-order value p_on rate slot, the mean service.
     """
     a = alpha_value(alpha)
     x = a * chain.rate * chain.slot
@@ -400,7 +411,10 @@ def ec_on_off(
             ln_off = math.log(chain.p_off)
             hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
             ln_mgf = hi + math.log1p(math.exp(lo - hi))
-    ec = -ln_mgf / a
+    if x < sys.float_info.min:
+        ec = chain.p_on * chain.rate * chain.slot
+    else:
+        ec = -ln_mgf / a
     diag = {"p_on": chain.p_on, "p_off": chain.p_off, "rate": chain.rate,
             "slot": chain.slot, "ln_mgf": ln_mgf}
     return EcResult(ec_bits_per_slot=ec, scenario=scenario, diagnostics=diag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsec.channel import LinkConfig, SampleBatch, stream_rng
-from irsec.eccore import LN2, alpha_value, get_scenario
+from irsec.eccore import LN2, alpha_value, get_scenario, snr_threshold
 
 __all__ = [
     "EcEstimate",
@@ -149,6 +149,6 @@ def service_from_snr(
     if entry.adaptive:
         service = cfg.slot * cfg.bandwidth * np.log1p(snr.values) / LN2
     else:
-        threshold = math.expm1(LN2 * rate / cfg.bandwidth)
+        threshold = snr_threshold(rate, cfg.bandwidth)
         service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)
     return SampleBatch(values=service, seed=snr.seed, kind="service_bits")

@@ -2,12 +2,11 @@
 
 Maximizing EC(r) is the same as minimizing the one-slot service MGF
 rho(r) = p_off(r) + p_on(r) exp(-alpha r slot). For the single-antenna
-link the paper runs fixed-step gradient descent on rho; the program
-brackets the peak of EC on a coarse grid and refines it with Brent's
-bounded minimizer. The beamformed link admits a transcendental
-stationarity equation with a unique root (both sides monotone) plus an
-interpretable closed-form approximation of it. A fine grid search over
-EC backs all of them up as an independent oracle.
+link the paper runs fixed-step gradient descent on rho. The beamformed
+link admits a transcendental stationarity equation with a unique root
+(both sides monotone) plus an interpretable closed-form approximation
+of it. One grid search serves both links: it brackets the peak of EC on
+a uniform grid and refines it with Brent's bounded minimizer.
 """
 
 from __future__ import annotations
@@ -41,10 +40,9 @@ __all__ = [
     "optimize_rate_miso_closed",
     "solve_rate_miso_exact",
     "grid_argmax_rate",
-    "bracket_rate_siso",
 ]
 
-_METHODS = ("gradient_descent", "closed_form", "root_find", "grid", "bracket")
+_METHODS = ("gradient_descent", "closed_form", "root_find", "grid")
 
 # Beyond this rate/bandwidth ratio every gradient factor has underflowed
 # to zero; returning 0 early avoids overflowing 2^(r/B).
@@ -56,12 +54,10 @@ _CLOSED_FORM_MIN_GROWTH = 10.0
 
 _ROOT_RESIDUAL = 1e-10
 
-# Coarse grid that brackets the single-antenna EC peak before Brent's
-# refinement, and the refinement's rate tolerance as a fraction of the
-# grid's span: optimal rates run from ~1e-9 to ~40 bits per slot, so an
-# absolute tolerance would be too coarse at one end or wasted at the other.
-_BRACKET_POINTS = 24
-_BRACKET_XATOL = 1e-9
+# Brent's rate tolerance as a fraction of the grid's span: optimal rates
+# run from ~1e-9 to ~40 bits per slot, so an absolute tolerance would be
+# too coarse at one end or wasted at the other.
+_GRID_XATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -284,12 +280,14 @@ def grid_argmax_rate(
     points: int = 1000,
     kappa_mode: str = "exact",
 ) -> RateSolution:
-    """Brute-force EC maximizer on a uniform rate grid.
+    """EC maximizer by a uniform rate grid and Brent refinement.
 
-    Independent oracle for the analytic optimizers: evaluates the exact
-    no-CSI EC under the scenario's law (kappa_mode for the beamformed
-    link) at `points` rates in (0, r_max] and parabolically refines the
-    best interior point.
+    Evaluates the exact no-CSI EC under the scenario's law (kappa_mode
+    for the beamformed link) at `points` rates in (0, r_max], then runs
+    Brent's bounded minimizer on -EC over the two grid cells around the
+    best point ([0, r_1] or [r_{n-2}, r_max] at an edge). Returns the
+    better of the refined and the best grid point; iterations counts
+    the EC evaluations.
     """
     if points < 3:
         raise ValueError("points must be >= 3")
@@ -301,52 +299,15 @@ def grid_argmax_rate(
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
     rates = np.linspace(r_max / points, r_max, points)
-    values = np.array([_fixed_rate_ec(dist, cfg, a, r) for r in rates])
-    k = int(np.argmax(values))
-    r_best, ec_best = float(rates[k]), float(values[k])
-    if 0 < k < points - 1:
-        y0, y1, y2 = (float(values[k - 1]), float(values[k]),
-                      float(values[k + 1]))
-        curvature = y0 - 2.0 * y1 + y2
-        if curvature < 0.0:
-            h = float(rates[1] - rates[0])
-            offset = 0.5 * h * (y0 - y2) / curvature
-            offset = min(max(offset, -h), h)
-            r_ref = r_best + offset
-            ec_ref = _fixed_rate_ec(dist, cfg, a, r_ref)
-            if ec_ref >= ec_best:
-                r_best, ec_best = r_ref, ec_ref
-    return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
-                        iterations=points, method="grid")
-
-
-def bracket_rate_siso(
-    cfg: LinkConfig,
-    alpha: float,
-    r_max: float,
-) -> RateSolution:
-    """Single-antenna optimal fixed rate by bracket and Brent refinement.
-
-    Evaluates the exact EC at _BRACKET_POINTS uniform rates in (0, r_max],
-    then runs Brent's bounded minimizer on -EC over the two grid cells
-    around the best point ([0, r_1] or [r_{n-2}, r_max] at an edge).
-    Returns the better of the refined and the best grid point;
-    iterations counts the EC evaluations.
-    """
-    if not r_max > 0.0:
-        raise ValueError("r_max must be positive")
-    a = alpha_value(alpha)
-    dist = siso_snr_dist(cfg)
-    rates = np.linspace(r_max / _BRACKET_POINTS, r_max, _BRACKET_POINTS)
     values = [_fixed_rate_ec(dist, cfg, a, float(r)) for r in rates]
     k = int(np.argmax(values))
     r_best, ec_best = float(rates[k]), values[k]
     lo = float(rates[k - 1]) if k > 0 else 0.0
-    hi = float(rates[min(k + 1, _BRACKET_POINTS - 1)])
+    hi = float(rates[min(k + 1, points - 1)])
     res = minimize_scalar(lambda r: -_fixed_rate_ec(dist, cfg, a, r),
                           bounds=(lo, hi), method="bounded",
-                          options={"xatol": _BRACKET_XATOL * r_max})
+                          options={"xatol": _GRID_XATOL * r_max})
     if -res.fun > ec_best:
         r_best, ec_best = float(res.x), -float(res.fun)
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
-                        iterations=_BRACKET_POINTS + res.nfev, method="bracket")
+                        iterations=points + res.nfev, method="grid")

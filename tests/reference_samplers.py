@@ -16,6 +16,11 @@ sup-CDF distance of a batch on it. `ec_on_off_spectral` computes the
 on/off EC from the spectral radius of the weighted 2x2 chain, an
 independent route to `ec_on_off`. `write_link_config` writes the
 config-file format that `load_link_config` reads.
+
+`grid_argmax_reference` is the brute-force rate search as it stood
+before Brent's refinement: a uniform grid plus one parabolic step.
+It is the oracle of the analytic optimizers and of the library's own
+grid search, which must reach its peak.
 """
 
 import dataclasses
@@ -32,7 +37,8 @@ from irsec.channel import (
     pathloss,
     stream_rng,
 )
-from irsec.eccore import OnOffChannel
+from irsec.eccore import OnOffChannel, alpha_value, get_scenario
+from irsec.rateopt import RateSolution, _fixed_rate_ec
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -135,6 +141,50 @@ def ec_on_off_spectral(chain: OnOffChannel, alpha: float) -> float:
                   [chain.p_off, on]])
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     return -math.log(radius) / alpha
+
+
+def grid_argmax_reference(
+    cfg: LinkConfig,
+    alpha: float,
+    scenario: str,
+    r_max: float,
+    points: int = 1000,
+    kappa_mode: str = "exact",
+) -> RateSolution:
+    """Brute-force EC maximizer on a uniform rate grid.
+
+    Independent oracle for the analytic optimizers: evaluates the exact
+    no-CSI EC under the scenario's law (kappa_mode for the beamformed
+    link) at `points` rates in (0, r_max] and parabolically refines the
+    best interior point.
+    """
+    if points < 3:
+        raise ValueError("points must be >= 3")
+    if not r_max > 0.0:
+        raise ValueError("r_max must be positive")
+    a = alpha_value(alpha)
+    entry = get_scenario(scenario)
+    if entry.adaptive:
+        raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
+    dist = entry.law(cfg, kappa_mode)
+    rates = np.linspace(r_max / points, r_max, points)
+    values = np.array([_fixed_rate_ec(dist, cfg, a, r) for r in rates])
+    k = int(np.argmax(values))
+    r_best, ec_best = float(rates[k]), float(values[k])
+    if 0 < k < points - 1:
+        y0, y1, y2 = (float(values[k - 1]), float(values[k]),
+                      float(values[k + 1]))
+        curvature = y0 - 2.0 * y1 + y2
+        if curvature < 0.0:
+            h = float(rates[1] - rates[0])
+            offset = 0.5 * h * (y0 - y2) / curvature
+            offset = min(max(offset, -h), h)
+            r_ref = r_best + offset
+            ec_ref = _fixed_rate_ec(dist, cfg, a, r_ref)
+            if ec_ref >= ec_best:
+                r_best, ec_best = r_ref, ec_ref
+    return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
+                        iterations=points, method="grid")
 
 
 def write_link_config(cfg: LinkConfig, path) -> None:

@@ -50,14 +50,13 @@ from irsec.eccore import (
 from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.rateopt import (
     DescentSettings,
-    grid_argmax_rate,
     optimize_rate_miso_closed,
     optimize_rate_siso,
     solve_rate_miso_exact,
 )
 from irsec.specfun import LN2
 from irsec.sweeps import SweepSpec, auto_rate, run_sweep
-from reference_samplers import ec_on_off_spectral, ks_distance
+from reference_samplers import ec_on_off_spectral, grid_argmax_reference, ks_distance
 
 DRAWS = 1_000_000
 
@@ -266,7 +265,7 @@ def test_criterion_07_optimizers(capsys):
     tol = 1e-3
     sol = optimize_rate_siso(
         cfg, 0.1, DescentSettings(r0=1.0, step=0.5, conv_tol=tol))
-    grid = grid_argmax_rate(cfg, 0.1, "siso_nocsi", 2.0 * _ergodic_rate(cfg))
+    grid = grid_argmax_reference(cfg, 0.1, "siso_nocsi", 2.0 * _ergodic_rate(cfg))
     descent_gap = abs(sol.ec_at_r_star - grid.ec_at_r_star)
     descent_ok = descent_gap <= 10.0 * tol
 
@@ -276,7 +275,7 @@ def test_criterion_07_optimizers(capsys):
     for alpha in (0.1, 10.0):
         root = solve_rate_miso_exact(cfg_m, alpha)
         r_max = 2.0 * root.r_star + cfg_m.bandwidth
-        ref = grid_argmax_rate(cfg_m, alpha, "miso_nocsi", r_max)
+        ref = grid_argmax_reference(cfg_m, alpha, "miso_nocsi", r_max)
         step = r_max / 1000.0
         root_gaps.append(abs(root.r_star - ref.r_star))
         root_ok = root_ok and root_gaps[-1] <= step

@@ -30,6 +30,7 @@ from irsec.eccore import (
     mean_service,
     miso_csi_moments,
     on_off_probs,
+    snr_threshold,
 )
 from irsec.mcoracle import simulate_service
 from irsec.sweeps import auto_rate
@@ -254,6 +255,22 @@ def test_on_off_ec_has_no_staircase_near_zero_outage():
         assert ec <= mean_service(cfg, "siso_nocsi", rate) * (1.0 + 1e-12)
 
 
+def test_on_off_ec_at_a_subnormal_rate_is_the_mean_service():
+    """alpha r T is subnormal here; dividing its rounded log-MGF by alpha
+    used to land ~4e-12 above the mean service."""
+    cfg = LinkConfig(n_elems=1, p_t=1.0)
+    rate = 4.259943321122834e-309
+    ec = ec_siso_nocsi(cfg, 1e-4, rate).ec_bits_per_slot
+    assert ec == mean_service(cfg, "siso_nocsi", rate)
+
+
+def test_snr_threshold_turns_infinite_past_the_exponent_tail():
+    assert snr_threshold(0.0, 1.0) == 0.0
+    assert snr_threshold(1.0, 1.0) == 1.0
+    assert snr_threshold(1100.0, 1.0) == math.inf
+    assert on_off_probs(Exponential(1.0), 1100.0, 1.0) == (0.0, 1.0)
+
+
 def _mean_snr(dist):
     if isinstance(dist, Exponential):
         return 1.0 / dist.kappa
@@ -265,18 +282,17 @@ def _mean_snr(dist):
     n=st.integers(1, 20000),
     log_p_t=st.floats(-9.0, 3.0),
     log_alpha=st.floats(-6.0, 3.0),
-    rate_frac=st.floats(1e-6, 4.0),
+    log_rate_frac=st.floats(-330.0, math.log10(4.0)),
     name=st.sampled_from(["siso_nocsi", "miso_nocsi"]),
 )
 def test_fixed_rate_ec_is_bounded_by_mean_service(n, log_p_t, log_alpha,
-                                                  rate_frac, name):
+                                                  log_rate_frac, name):
     """Both no-CSI branches give a finite 0 <= EC <= mean service for
-    rates up to 4x the mean-SNR Shannon rate. (Rates are kept off the
-    subnormal range, where EC and the mean round ~4e-12 apart.)"""
+    rates from the subnormal range up to 4x the mean-SNR Shannon rate."""
     entry = SCENARIOS[name]
     cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
                      n_tx=10 if entry.beamformed else 1)
-    rate = rate_frac * cfg.bandwidth * math.log1p(_mean_snr(entry.law(cfg))) / LN2
+    rate = 10.0 ** log_rate_frac * cfg.bandwidth * math.log1p(_mean_snr(entry.law(cfg))) / LN2
     ec = entry.ec(cfg, 10.0 ** log_alpha, rate).ec_bits_per_slot
     assert math.isfinite(ec)
     assert 0.0 <= ec <= mean_service(cfg, name, rate) * (1.0 + 1e-12)

@@ -1,8 +1,10 @@
 """Rate optimizers against the brute-force grid oracle.
 
 The gradient is checked against central finite differences of the
-service MGF it claims to differentiate; the analytic optimizers are
-checked against grid_argmax_rate, which knows nothing about either.
+service MGF it claims to differentiate; the analytic optimizers and
+grid_argmax_rate's Brent-refined grid are checked against
+grid_argmax_reference, a plain grid with one parabolic step that knows
+nothing about any of them.
 """
 
 import math
@@ -18,13 +20,13 @@ from irsec.rateopt import (
     DescentSettings,
     NonConvergenceError,
     RateSolution,
-    bracket_rate_siso,
     grid_argmax_rate,
     optimize_rate_miso_closed,
     optimize_rate_siso,
     siso_ec_gradient,
     solve_rate_miso_exact,
 )
+from reference_samplers import grid_argmax_reference
 
 CRIT = DescentSettings(r0=1.0, step=0.5, conv_tol=1e-3)
 
@@ -80,7 +82,7 @@ def test_gradient_tail_and_domain(cfg_siso):
 
 def test_descent_reference_budget(cfg_siso):
     sol = optimize_rate_siso(cfg_siso, 0.1, CRIT)
-    oracle = grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.5, 1000)
+    oracle = grid_argmax_reference(cfg_siso, 0.1, "siso_nocsi", 2.5, 1000)
     assert sol.method == "gradient_descent"
     assert sol.r_star == pytest.approx(oracle.r_star, abs=5e-3)
     assert sol.ec_at_r_star == pytest.approx(oracle.ec_at_r_star, abs=1e-2)
@@ -96,7 +98,7 @@ def test_descent_tight_qos_needs_fine_step(cfg_siso):
     coarse = optimize_rate_siso(cfg_siso, 10.0, CRIT)
     fine = optimize_rate_siso(
         cfg_siso, 10.0, DescentSettings(r0=1.0, step=0.05, conv_tol=1e-6))
-    oracle = grid_argmax_rate(cfg_siso, 10.0, "siso_nocsi", 2.5, 1000)
+    oracle = grid_argmax_reference(cfg_siso, 10.0, "siso_nocsi", 2.5, 1000)
     assert oracle.ec_at_r_star == pytest.approx(0.8857591471710352, rel=1e-7)
     assert fine.r_star == pytest.approx(oracle.r_star, abs=1e-2)
     assert fine.ec_at_r_star == pytest.approx(oracle.ec_at_r_star, rel=1e-4)
@@ -117,7 +119,7 @@ def test_descent_plateau_needs_multi_start(cfg_siso_16):
         (optimize_rate_siso(cfg_siso_16, 0.1, replace(fine, r0=r0))
          for r0 in (0.02, 0.1, 0.5, 1.0)),
         key=lambda s: s.ec_at_r_star)
-    oracle = grid_argmax_rate(cfg_siso_16, 0.1, "siso_nocsi", 0.3, 1000)
+    oracle = grid_argmax_reference(cfg_siso_16, 0.1, "siso_nocsi", 0.3, 1000)
     assert best.r_star == pytest.approx(oracle.r_star, abs=1e-4)
     assert best.ec_at_r_star == pytest.approx(oracle.ec_at_r_star, rel=1e-8)
     assert oracle.ec_at_r_star == pytest.approx(0.03835292574957367, rel=1e-8)
@@ -146,20 +148,21 @@ def test_grid_flat_budget_returns_smallest_rate(cfg_siso):
 
 
 @pytest.mark.parametrize("alpha", [0.1, 10.0])
-def test_bracket_matches_grid_oracle(cfg_siso, alpha):
-    sol = bracket_rate_siso(cfg_siso, alpha, 2.5)
-    oracle = grid_argmax_rate(cfg_siso, alpha, "siso_nocsi", 2.5, 1000)
-    assert sol.method == "bracket"
+def test_coarse_grid_reaches_reference_peak(cfg_siso, alpha):
+    sol = grid_argmax_rate(cfg_siso, alpha, "siso_nocsi", 2.5, 24)
+    oracle = grid_argmax_reference(cfg_siso, alpha, "siso_nocsi", 2.5, 1000)
+    assert sol.method == "grid"
     assert 24 < sol.iterations <= 100
     assert sol.r_star == pytest.approx(oracle.r_star, abs=2.5 / 1000)
     assert sol.ec_at_r_star >= oracle.ec_at_r_star * (1.0 - 1e-12)
 
 
 def test_bracket_validation_and_dead_budget(cfg_siso):
+    # the 24-point bracket the single-antenna optimizer runs
     with pytest.raises(ValueError):
-        bracket_rate_siso(cfg_siso, 0.1, 0.0)
+        grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 0.0, 24)
     dead = replace(cfg_siso, p_t=1e-300)
-    assert bracket_rate_siso(dead, 0.1, 2.0).ec_at_r_star == 0.0
+    assert grid_argmax_rate(dead, 0.1, "siso_nocsi", 2.0, 24).ec_at_r_star == 0.0
 
 
 def test_grid_optimum_decreases_with_qos(cfg_siso):
@@ -208,7 +211,7 @@ def test_miso_root_is_local_max():
 def test_miso_root_matches_grid():
     mk = miso_cfg_for_kappa(0.5)
     root = solve_rate_miso_exact(mk, 0.1)
-    grid = grid_argmax_rate(mk, 0.1, "miso_nocsi", 2.5, 1000)
+    grid = grid_argmax_reference(mk, 0.1, "miso_nocsi", 2.5, 1000)
     assert abs(root.r_star - grid.r_star) <= 2.5 / 1000
     assert root.ec_at_r_star == pytest.approx(grid.ec_at_r_star, rel=1e-9)
 
@@ -228,7 +231,7 @@ def test_miso_root_small_alpha_hits_ergodic_argmax():
     # alpha -> 0 turns the problem into maximizing p_on * rate
     mk = miso_cfg_for_kappa(0.5)
     root = solve_rate_miso_exact(mk, 1e-6)
-    grid = grid_argmax_rate(mk, 1e-6, "miso_nocsi", 4.0, 4000)
+    grid = grid_argmax_reference(mk, 1e-6, "miso_nocsi", 4.0, 4000)
     assert abs(root.r_star - grid.r_star) <= 4.0 / 4000
     # argmax of rate * exp(-kappa (2^r - 1)): r 2^r = 1/(kappa ln2)
     want = brentq(lambda r: r * 2.0 ** r - 1.0 / (0.5 * LN2), 0.0, 4.0, xtol=1e-14)

@@ -23,6 +23,7 @@ from irsec.sweeps import (
     run_sweep,
     write_csv,
 )
+from reference_samplers import grid_argmax_reference
 
 
 def _rate_spec(values=(0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4), **kw):
@@ -72,6 +73,15 @@ def test_rate_sweep_is_unimodal():
     assert all(a < b for a, b in zip(ecs[:peak], ecs[1:peak + 1]))
     assert all(a > b for a, b in zip(ecs[peak:], ecs[peak + 1:]))
     assert rows[peak].value == pytest.approx(1.2, abs=0.31)  # optimum near 1.28
+
+
+def test_rate_past_the_exponent_tail_is_a_dead_row():
+    """A rate whose SNR threshold overflows a double is never supported:
+    the oracle delivers no bits and the row keeps its analytic EC of 0."""
+    rows = run_sweep(_rate_spec(values=(1.0, 1100.0), mc_slots=100))
+    dead = rows[-1]
+    assert dead.error is None
+    assert (dead.ec_analytical, dead.ec_oracle, dead.r_star) == (0.0, 0.0, 1100.0)
 
 
 def test_power_sweep_is_increasing():
@@ -190,17 +200,17 @@ GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
 
 
 def test_auto_rate_reaches_the_fine_grid_peak():
-    """Over all 343 single-antenna design cells the bracketed search
-    achieves at least the EC of the 800-point grid over the same span,
-    and never more than the mean service."""
+    """Over all 343 single-antenna design cells the coarse grid and its
+    Brent refinement achieve at least the EC of the 800-point reference
+    grid over the same span, and never more than the mean service."""
     for n, p_t, alpha in itertools.product(GRID_N, GRID_P_T, GRID_ALPHA):
         cfg = LinkConfig(n_elems=n, p_t=p_t)
         dist = siso_snr_dist(cfg)
         r_max = 2.0 * cfg.bandwidth * math.log1p(dist.beta * (1.0 + dist.lam)) / LN2
         rate = auto_rate(cfg, "siso_nocsi", alpha)
         ec = ec_siso_nocsi(cfg, alpha, rate).ec_bits_per_slot
-        grid = rateopt.grid_argmax_rate(cfg, alpha, "siso_nocsi", r_max=r_max,
-                                        points=800)
+        grid = grid_argmax_reference(cfg, alpha, "siso_nocsi", r_max=r_max,
+                                     points=800)
         cell = (n, p_t, alpha)
         assert ec >= grid.ec_at_r_star * (1.0 - 1e-9), cell
         assert ec <= mean_service(cfg, "siso_nocsi", rate) * (1.0 + 1e-12), cell
