@@ -221,6 +221,9 @@ def _ln_mgf_siso_exact(beta: float, lam: float, u: float) -> float:
 
     m, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
                 epsabs=0.0, epsrel=_QUAD_EPSREL)
+    if not m > 0.0:
+        raise ArithmeticError(
+            f"service MGF E[(1+SNR)^-u] underflows double precision at u = {u!r}")
     return math.log(m)
 
 

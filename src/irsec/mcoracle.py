@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsec.channel import LinkConfig, SampleBatch, stream_rng
+from irsec.channel import LinkConfig, SampleBatch
 from irsec.eccore import LN2, alpha_value, get_scenario, snr_threshold
 
 __all__ = [
@@ -21,28 +21,15 @@ __all__ = [
     "empirical_ec",
     "simulate_service",
     "service_from_snr",
-    "BLOCK_LENGTH",
-    "BOOTSTRAP_RESAMPLES",
 ]
-
-# Block length trades MGF underflow (long blocks) against block count
-# (short blocks); with iid slots any choice is unbiased in the limit.
-BLOCK_LENGTH = 100
-
-BOOTSTRAP_RESAMPLES = 200
 
 # Exponents below this are where exp() dies in double precision.
 _UNDERFLOW_LOG = math.log(1e-300)
 
-_BOOTSTRAP_STREAM = "mcoracle.bootstrap"
-
-# Bootstrap indices drawn and reduced at a time, which bounds its memory.
-_BOOTSTRAP_ELEMS = 2 ** 16
-
 
 @dataclass(frozen=True)
 class EcEstimate:
-    """Monte Carlo EC with its bootstrap uncertainty."""
+    """Monte Carlo EC with its delta-method standard error."""
 
     value: float
     stderr: float
@@ -56,24 +43,19 @@ class EcEstimate:
             raise ValueError("slots must be a positive multiple of blocks")
 
 
-def _log_mean_exp(x: np.ndarray, axis=None) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.mean(np.exp(x - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else float(np.squeeze(out))
-
-
 def empirical_ec(
     service: SampleBatch,
     alpha: float,
-    block_length: int = BLOCK_LENGTH,
+    block_length: int = 1,
 ) -> EcEstimate:
     """Estimate EC from service samples via the block log-MGF.
 
-    Partitions the slots into blocks of block_length, forms the
-    cumulative service S per block, and returns
-    -(1/(alpha*block_length)) ln mean(exp(-alpha S)), stabilized by
-    log-sum-exp. stderr is the spread of the estimate under a
-    nonparametric bootstrap over blocks.
+    Partitions the slots into blocks of block_length (one slot each by
+    default, as the slots are iid), forms the cumulative service S per
+    block, and returns -(1/(alpha*block_length)) ln mean(exp(-alpha S)),
+    stabilized by log-sum-exp. stderr is the delta-method value on the
+    shifted weights w: std(w) / (sqrt(blocks) * mean(w) * alpha *
+    block_length), exactly 0 for constant service.
     """
     if service.kind != "service_bits":
         raise ValueError("empirical_ec needs a service_bits batch")
@@ -85,29 +67,26 @@ def empirical_ec(
             f"sample count {n} is not a multiple of block_length {block_length}")
     a = alpha_value(alpha)
     blocks = n // block_length
-    block_sums = service.values.reshape(blocks, block_length).sum(axis=1)
-    x = -a * block_sums
-    if np.max(x) < _UNDERFLOW_LOG:
+    # a fresh array, shifted and exponentiated in place into the weights
+    w = service.values.reshape(blocks, block_length).sum(axis=1)
+    w *= -a
+    peak = float(np.max(w))
+    if peak < _UNDERFLOW_LOG:
         warnings.warn(
             "every exp(-alpha S) term underflows double precision; "
             "the estimate is dominated by the single largest block",
             UserWarning, stacklevel=2)
-    scale = -1.0 / (a * block_length)
-    value = scale * _log_mean_exp(x)
-
-    # resample rows in chunks of about _BOOTSTRAP_ELEMS indices; the
-    # chunks read the stream in the order one 2-D draw would
-    rng = stream_rng(service.seed, _BOOTSTRAP_STREAM)
-    resampled = np.empty(BOOTSTRAP_RESAMPLES)
-    step = max(1, _BOOTSTRAP_ELEMS // blocks)
-    for i in range(0, BOOTSTRAP_RESAMPLES, step):
-        part = resampled[i:i + step]
-        idx = rng.integers(0, blocks, size=(part.size, blocks))
-        part[:] = _log_mean_exp(x[idx], axis=1)
-    resampled *= scale
-    stderr = float(np.std(resampled, ddof=1))
-    return EcEstimate(value=float(value), stderr=stderr,
-                      slots=n, blocks=blocks)
+    w -= peak
+    np.exp(w, out=w)
+    mean = float(np.sum(w)) / blocks
+    scale = a * block_length
+    value = -(peak + math.log(mean)) / scale
+    stderr = 0.0
+    if blocks > 1:
+        w -= mean
+        var = float(np.dot(w, w)) / (blocks - 1)
+        stderr = math.sqrt(var / blocks) / (mean * scale)
+    return EcEstimate(value=value, stderr=stderr, slots=n, blocks=blocks)
 
 
 def simulate_service(

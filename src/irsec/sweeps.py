@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from irsec.channel import LinkConfig, SampleBatch, siso_snr_dist
 from irsec.eccore import LN2, SCENARIOS, get_scenario
-from irsec.mcoracle import BLOCK_LENGTH, empirical_ec, service_from_snr
+from irsec.mcoracle import empirical_ec, service_from_snr
 from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
 
 __all__ = [
@@ -49,10 +49,9 @@ _AUTO_GRID_POINTS = 24
 class SweepSpec:
     """One sweep request: what to vary, over what, at which exponents.
 
-    mc_slots = 0 disables the oracle columns; otherwise it must be a
-    positive multiple of the oracle block length. When sweep_var is
-    "alpha" the values themselves are the exponents and alpha_list is
-    ignored.
+    mc_slots = 0 disables the oracle columns; otherwise it is the
+    oracle's slot count. When sweep_var is "alpha" the values themselves
+    are the exponents and alpha_list is ignored.
     """
 
     scenario: str
@@ -86,9 +85,8 @@ class SweepSpec:
                 raise ValueError("alpha_list must be nonempty")
             if any(a <= 0.0 for a in self.alpha_list):
                 raise ValueError("alpha_list entries must be positive")
-        if self.mc_slots < 0 or (self.mc_slots and self.mc_slots % BLOCK_LENGTH):
-            raise ValueError(
-                f"mc_slots must be 0 or a positive multiple of {BLOCK_LENGTH}")
+        if self.mc_slots < 0:
+            raise ValueError("mc_slots must be >= 0")
 
 
 @dataclass(frozen=True)

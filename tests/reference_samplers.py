@@ -6,9 +6,11 @@ it bit for bit. `miso_reference` draws the beamformed SNR the long way,
 as the squared magnitude of a sum of N complex Gaussians, so the
 library's one-draw-per-slot reduction stays checked against it.
 
-`bootstrap_stderr_reference` is `empirical_ec`'s bootstrap stderr drawn
-as one 200 x blocks index array; the library draws and reduces it in
-bounded chunks and must give the same bits.
+`bootstrap_stderr_reference` is the spread of the block log-MGF estimate
+under a 200-resample nonparametric bootstrap over blocks, drawn as one
+resamples x blocks index array. It is the oracle of `empirical_ec`'s
+one-pass delta-method stderr, which must track it within resampling
+noise, not bit for bit.
 
 `cdf_array` evaluates an SNR law's CDF elementwise with numpy, a second
 route beside the library's scalar `math` one; `ks_distance` builds the
@@ -94,7 +96,7 @@ def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
 
 
 def bootstrap_stderr_reference(service: SampleBatch, alpha: float,
-                               block_length: int = 100,
+                               block_length: int = 1,
                                resamples: int = 200) -> float:
     blocks = service.values.size // block_length
     x = -alpha * service.values.reshape(blocks, block_length).sum(axis=1)

@@ -113,10 +113,10 @@ def test_criterion_02_siso_nocsi_oracle(capsys):
     """Fixed-rate closed form vs the simulated two-state service.
 
     Rates are the per-cell grid optima, i.e. the operating points the
-    optimizer would actually pick.  At alpha=10 the default 100-slot
-    blocks push every exp(-alpha*S) below double range, so those cells
-    use 10-slot blocks; slots are iid, so any block length estimates
-    the same limit.
+    optimizer would actually pick.  The cells pin their block lengths:
+    100 slots at alpha=0.1 and 10 at alpha=10, where 100-slot blocks
+    would push every exp(-alpha*S) below double range; slots are iid,
+    so any block length estimates the same limit.
 
     The N=100/alpha=10 cell is expected to fail honestly: there the
     optimal rate probes the z=-3.95 left tail, where the surrogate's

@@ -1,10 +1,13 @@
 """Command-line verbs, driven in-process through main()."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import irsec
 from irsec.channel import LinkConfig
 from irsec.cli import main
 from irsec.sweeps import CSV_HEADER
@@ -204,10 +207,16 @@ def test_ec_rejects_method_outside_siso_csi(capsys):
 
 
 def test_module_entry_point():
+    # the child does not inherit pytest's sys.path, so point it at the
+    # package this process imported
+    src = str(Path(irsec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "irsec.cli", "ec",
          "--scenario", "miso_csi", "--alpha", "0.1"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     assert "ec_bits_per_slot = " in proc.stdout
     assert "diag.kappa = 65.79" in proc.stdout  # ten-antenna default budget

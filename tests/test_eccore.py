@@ -123,6 +123,14 @@ def test_siso_csi_unknown_method(cfg_siso):
         ec_siso_csi(cfg_siso, 0.1, method="fast")
 
 
+def test_siso_csi_mgf_underflow_is_typed():
+    """Past the exponent where the direct-route MGF underflows to 0, the
+    exact form names the underflow instead of a raw math domain error."""
+    cfg = LinkConfig(n_elems=2000, p_t=1e-3)
+    with pytest.raises(ArithmeticError, match=r"underflows .* u = "):
+        ec_siso_csi(cfg, 100.0)
+
+
 @pytest.mark.parametrize("kappa,first,second,tol", SQLOG_ANCHORS)
 def test_miso_moment_anchors(kappa, first, second, tol):
     mu, eta, var = miso_csi_moments(kappa)

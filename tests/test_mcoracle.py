@@ -1,8 +1,9 @@
 """Monte Carlo estimator behavior on known laws.
 
-The block estimator is exercised on services whose EC is available in
-closed form, so every assertion has an exact target; stochastic bounds
-replay fixed seeds.
+The estimator is exercised on services whose EC is available in closed
+form, so every assertion has an exact target; stochastic bounds replay
+fixed seeds. Its delta-method stderr is checked against a 200-resample
+bootstrap over the same slots.
 """
 
 import math
@@ -15,7 +16,6 @@ from conftest import miso_cfg_for_kappa
 from irsec.channel import Exponential, LinkConfig, SampleBatch, miso_snr_dist, stream_rng
 from irsec.eccore import OnOffChannel, ec_on_off, mean_service, miso_csi_moments
 from irsec.mcoracle import (
-    BLOCK_LENGTH,
     EcEstimate,
     empirical_ec,
     service_from_snr,
@@ -42,7 +42,7 @@ def test_constant_service_is_exact():
     est = empirical_ec(batch, 0.5)
     assert est.value == pytest.approx(0.25, rel=1e-12)
     assert est.stderr == 0.0
-    assert est.blocks == 100
+    assert est.blocks == 10_000
     assert est.slots == 10_000
 
 
@@ -78,8 +78,8 @@ def test_estimator_bounded_by_mean():
 
 
 def test_stderr_shrinks_with_more_blocks():
-    """More blocks shrink the bootstrap spread (~1/sqrt(2) per
-    doubling) where the estimator is in regime; averaged over seeds."""
+    """More blocks shrink the stderr (~1/sqrt(2) per doubling) where
+    the estimator is in regime; averaged over seeds."""
     short, full = [], []
     for seed in range(10):
         rng = stream_rng(seed, "t.halving")
@@ -99,21 +99,36 @@ def test_underflow_warning():
     assert est.value == pytest.approx(15.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("blocks", [7, 100, 2000, 20000, 21845])
-def test_chunked_bootstrap_matches_one_draw(blocks):
-    """Chunks of bootstrap rows (one chunk at 7 and 100 blocks, several
-    above; 21845 blocks leaves each chunk an odd index count) read the
-    stream as one 200 x blocks draw and give its stderr bit for bit."""
-    block_length = 10
-    batch = _two_point_batch(blocks, blocks * block_length)
-    est = empirical_ec(batch, 0.5, block_length=block_length)
-    assert est.stderr > 0.0
-    assert est.stderr == bootstrap_stderr_reference(batch, 0.5, block_length)
+def _service(kind: str, seed: int):
+    if kind == "two_point":
+        return _two_point_batch(seed, 10_000)
+    if kind == "siso_csi":
+        return simulate_service(LinkConfig(p_t=0.1), kind, None, seed, 10_000)
+    if kind == "miso_csi":
+        return simulate_service(LinkConfig(n_tx=10, p_t=0.1), kind, None, seed, 10_000)
+    return simulate_service(LinkConfig(), kind, 1.2, seed, 10_000)
+
+
+@pytest.mark.parametrize("kind,alpha,seed", [
+    ("two_point", 0.1, 11), ("two_point", 1.0, 11), ("two_point", 5.0, 11),
+    ("siso_csi", 0.1, 12), ("siso_csi", 1.0, 12), ("siso_csi", 10.0, 12),
+    ("miso_csi", 0.1, 13), ("miso_csi", 1.0, 13), ("miso_csi", 10.0, 13),
+    ("siso_nocsi", 1.0, 14),
+])
+def test_delta_stderr_matches_bootstrap(kind, alpha, seed):
+    """The one-pass delta-method stderr tracks a 200-resample bootstrap
+    over one-slot blocks within 15%; the bootstrap's own resampling
+    noise is about 5%."""
+    batch = _service(kind, seed)
+    est = empirical_ec(batch, alpha)
+    reference = bootstrap_stderr_reference(batch, alpha, block_length=1)
+    assert est.blocks == 10_000
+    assert est.stderr == pytest.approx(reference, rel=0.15)
 
 
 def test_empirical_ec_memory():
-    """At 2e5 slots the bootstrap works in bounded chunks, not in four
-    200 x 2000 arrays (12.8 MB)."""
+    """At 2e5 slots the estimator holds one slot-sized float array, not
+    a resampling matrix."""
     batch = _two_point_batch(7, 200_000)
     tracemalloc.start()
     try:
@@ -129,8 +144,8 @@ def test_empirical_ec_input_gates():
     with pytest.raises(ValueError):
         empirical_ec(snr, 0.5)
     ragged = SampleBatch(values=np.ones(150), seed=1, kind="service_bits")
-    with pytest.raises(ValueError):
-        empirical_ec(ragged, 0.5)
+    with pytest.raises(ValueError, match="block_length"):
+        empirical_ec(ragged, 0.5, block_length=100)
     good = SampleBatch(values=np.ones(150), seed=1, kind="service_bits")
     assert empirical_ec(good, 0.5, block_length=50).blocks == 3
 

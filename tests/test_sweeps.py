@@ -59,8 +59,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _rate_spec(alpha_list=(0.1, -1.0))
     with pytest.raises(ValueError):
-        _rate_spec(mc_slots=150)
-    with pytest.raises(ValueError):
         _rate_spec(mc_slots=-100)
 
 
