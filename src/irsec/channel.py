@@ -31,6 +31,10 @@ __all__ = [
     "miso_snr_dist",
     "sample_siso_snr",
     "sample_miso_snr",
+    "siso_fading",
+    "miso_fading",
+    "siso_snr_from_fading",
+    "miso_snr_from_fading",
     "stream_rng",
     "load_link_config",
 ]
@@ -193,14 +197,19 @@ SnrDistribution = Union[ScaledNoncentralChiSq, Exponential]
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Monte Carlo draws with their seed provenance."""
+    """Monte Carlo draws with their seed provenance.
+
+    kind "fading" holds a sampler's per-slot channel draw before the link
+    budget (see siso_fading and miso_fading), "snr" the per-slot SNR and
+    "service_bits" the per-slot service.
+    """
 
     values: np.ndarray
     seed: int
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("snr", "service_bits"):
+        if self.kind not in ("fading", "snr", "service_bits"):
             raise ValueError(f"unknown batch kind {self.kind!r}")
         v = np.asarray(self.values, dtype=float)
         if v.size == 0:
@@ -293,9 +302,10 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _siso_rows(runs, n_el: int, rows: int, scale: float) -> None:
+def _siso_rows(runs, n_el: int, rows: int, scale: float | None) -> None:
     """Fill each (first-hop rng, second-hop rng, out slice) run in row
-    blocks of `rows`, in two block buffers of its own.
+    blocks of `rows`, in two block buffers of its own: with the per-slot
+    sums s, or with the SNR scale * s * s unless scale is None.
 
     Runs on a worker thread: it calls nothing in __all__, whose names a
     tracer may wrap, and only numpy fills and ufuncs that drop the GIL.
@@ -311,17 +321,16 @@ def _siso_rows(runs, n_el: int, rows: int, scale: float) -> None:
             _rayleigh_inplace(rng_a, a)
             _rayleigh_inplace(rng_b, b)
             a *= b
+            if scale is None:
+                np.sum(a.reshape(r, n_el), axis=1, out=o)
+                continue
             np.sum(a.reshape(r, n_el), axis=1, out=s)
             np.multiply(scale, s, out=o)
             o *= s
 
 
-def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-    """Per-slot SNR of the phase-aligned single-antenna link.
-
-    Each slot coherently sums N independent Rayleigh-amplitude products,
-    squares, and applies the link budget. Bit-reproducible per seed, at
-    any number of worker threads.
+def _siso_fill(n_el: int, seed: int, n: int, scale: float | None) -> np.ndarray:
+    """n single-antenna rows of N elements each, filled by _siso_rows.
 
     The stream holds, chunk after chunk, all first-hop draws of a chunk's
     rows and then all its second-hop draws. Each chunk is cut into one
@@ -330,13 +339,9 @@ def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     offset 2 pos N + s0 N and its second-hop draws from 2 pos N + (m + s0) N,
     so the runs fill at the same time and give the same bits.
     """
-    if cfg.n_tx != 1:
-        raise ValueError("sample_siso_snr requires n_tx == 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    n_el = cfg.n_elems
     bitgen = stream_rng(seed, _SISO_STREAM).bit_generator
-    scale = cfg.p_t * pathloss(cfg) / cfg.sigma2
     out = np.empty(n, dtype=float)
     chunk = max(1, _CHUNK_ELEMS // n_el)
     rows = min(n, chunk, max(1, _BLOCK_ELEMS // n_el))
@@ -365,7 +370,58 @@ def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
             fills = [pool.submit(_siso_rows, r, n_el, rows, scale) for r in runs]
         for fill in fills:
             fill.result()  # re-raises a worker's error
-    return SampleBatch(values=out, seed=seed, kind="snr")
+    return out
+
+
+def _siso_scale(cfg: LinkConfig) -> float:
+    """Link budget of the single-antenna SNR, scale * s^2 for a slot sum s."""
+    if cfg.n_tx != 1:
+        raise ValueError("the single-antenna link requires n_tx == 1")
+    return cfg.p_t * pathloss(cfg) / cfg.sigma2
+
+
+def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+    """Per-slot SNR of the phase-aligned single-antenna link.
+
+    Each slot coherently sums N independent Rayleigh-amplitude products,
+    squares, and applies the link budget within each row block.
+    Bit-reproducible per seed, at any number of worker threads, and
+    equal bit for bit to siso_snr_from_fading(siso_fading(N, seed, n), cfg).
+    """
+    values = _siso_fill(cfg.n_elems, seed, n, _siso_scale(cfg))
+    return SampleBatch(values=values, seed=seed, kind="snr")
+
+
+def siso_fading(n_elems: int, seed: int, n: int) -> SampleBatch:
+    """Per-slot coherent sums s = sum_i a_i b_i of the single-antenna link.
+
+    The stream and threading of sample_siso_snr without the link budget:
+    the draw depends only on (n_elems, seed, n), so links that differ in
+    anything else share it.
+    """
+    if int(n_elems) != n_elems or n_elems < 1:
+        raise ValueError("n_elems must be a positive integer")
+    return SampleBatch(values=_siso_fill(n_elems, seed, n, None),
+                       seed=seed, kind="fading")
+
+
+def siso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
+    """SNR scale * s * s of a siso_fading batch, rounded as the sampler does."""
+    if fading.kind != "fading":
+        raise ValueError("siso_snr_from_fading needs a fading batch")
+    snr = np.multiply(_siso_scale(cfg), fading.values)
+    snr *= fading.values
+    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
+
+
+def _log_uniform(seed: int, n: int) -> np.ndarray:
+    """log1p(-u) of n uniforms u of the beamformed stream, in place."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = stream_rng(seed, _MISO_STREAM).random(n)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    return out
 
 
 def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
@@ -374,17 +430,31 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     The surface inverts the second hop, so the received amplitude is the
     sum over elements of the per-element precoded first-hop aggregates.
     That sum is complex Gaussian, so its squared magnitude is drawn
-    directly: one exponential per slot, by inverse CDF on one uniform.
-    Bit-reproducible per seed.
+    directly: one exponential per slot, -mean * log1p(-u) by inverse CDF
+    on one uniform u. Bit-reproducible per seed, and equal bit for bit to
+    miso_snr_from_fading(miso_fading(seed, n), cfg).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = stream_rng(seed, _MISO_STREAM).random(n)
-    # -mean * log1p(-u), in place
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
+    out = _log_uniform(seed, n)
     out *= -_miso_mean_snr(cfg)
     return SampleBatch(values=out, seed=seed, kind="snr")
+
+
+def miso_fading(seed: int, n: int) -> SampleBatch:
+    """Per-slot unit-mean exponential gains -log1p(-u) of the beamformed
+    link: sample_miso_snr's draw before its mean, which the draw does
+    not depend on."""
+    out = _log_uniform(seed, n)
+    np.negative(out, out=out)
+    return SampleBatch(values=out, seed=seed, kind="fading")
+
+
+def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
+    """SNR mean * g of a miso_fading batch: the sampler's log1p(-u) * -mean
+    with both signs flipped, which rounds to the same bits."""
+    if fading.kind != "fading":
+        raise ValueError("miso_snr_from_fading needs a fading batch")
+    snr = fading.values * _miso_mean_snr(cfg)
+    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
 _INT_FIELDS = ("n_elems", "n_tx")

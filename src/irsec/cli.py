@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Monte Carlo slots per row (0 = analytic only)")
     p_sw.add_argument("--seed", type=int, default=None,
                       help="oracle seed: one seed per sweep; rows with the "
-                           "same link config share one draw")
+                           "same element count share one fading draw")
     p_sw.add_argument("--csv", default=None, metavar="FILE")
     p_sw.add_argument("--svg", default=None, metavar="FILE")
     _add_config_flags(p_sw)

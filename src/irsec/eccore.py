@@ -21,10 +21,14 @@ from irsec.channel import (
     LinkConfig,
     SampleBatch,
     SnrDistribution,
+    miso_fading,
     miso_snr_dist,
+    miso_snr_from_fading,
     sample_miso_snr,
     sample_siso_snr,
+    siso_fading,
     siso_snr_dist,
+    siso_snr_from_fading,
 )
 
 __all__ = [
@@ -97,6 +101,24 @@ class Scenario:
         if self.beamformed:
             return sample_miso_snr(cfg, seed, n)
         return sample_siso_snr(cfg, seed, n)
+
+    def fading(self, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+        """The sampler's n seeded per-slot draws before the link budget.
+
+        They depend on cfg only through n_elems, so links that differ
+        in power, geometry, gains, noise or antennas share them;
+        snr_from_fading applies each link's budget.
+        """
+        if self.beamformed:
+            return miso_fading(seed, n)
+        return siso_fading(cfg.n_elems, seed, n)
+
+    def snr_from_fading(self, fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
+        """The SNR batch that sample(cfg, fading.seed, n) returns, bit for
+        bit, from the fading(cfg, fading.seed, n) draw."""
+        if self.beamformed:
+            return miso_snr_from_fading(fading, cfg)
+        return siso_snr_from_fading(fading, cfg)
 
     def check_rate(self, rate: float | None) -> None:
         """ValueError unless a rate comes exactly with a fixed-rate branch."""

@@ -80,7 +80,8 @@ def empirical_ec(
     np.exp(w, out=w)
     mean = float(np.sum(w)) / blocks
     scale = a * block_length
-    value = -(peak + math.log(mean)) / scale
+    # + 0.0 turns the -0.0 of an all-zero service into 0.0
+    value = -(peak + math.log(mean)) / scale + 0.0
     stderr = 0.0
     if blocks > 1:
         w -= mean
@@ -126,7 +127,10 @@ def service_from_snr(
     if snr.kind != "snr":
         raise ValueError("service_from_snr needs an snr batch")
     if entry.adaptive:
-        service = cfg.slot * cfg.bandwidth * np.log1p(snr.values) / LN2
+        # one fresh array, scaled in place: the rows of a sweep share snr
+        service = np.log1p(snr.values)
+        service *= cfg.slot * cfg.bandwidth
+        service /= LN2
     else:
         threshold = snr_threshold(rate, cfg.bandwidth)
         service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)

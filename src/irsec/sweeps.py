@@ -139,21 +139,28 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Fixed-rate scenarios optimize the rate per row unless the rate is
     the sweep variable itself. The oracle uses one seed per sweep,
-    spec.seed: rows with the same link config share one SNR draw and
-    map it to service at their own rate and exponent (common random
-    numbers), so a rate or alpha sweep samples the channel once and a
-    p_t, N or N_t sweep once per value. Reruns are bit-identical.
+    spec.seed, and common random numbers: rows with the same element
+    count share one fading draw, to which each link config applies its
+    own budget (Scenario.snr_from_fading), and rows with the same link
+    config share that SNR batch, mapped to service at their own rate and
+    exponent. A p_t, N_t, alpha or rate sweep thus draws the channel
+    once and an N sweep once per value. Every row's oracle equals a
+    fresh simulate_service draw at spec.seed, bit for bit.
     """
     entry = SCENARIOS[spec.scenario]
-    last_draw: tuple[LinkConfig, SampleBatch] | None = None
+    # rows are value-major, so rows sharing a draw are consecutive and
+    # the last one of each kind is the only one worth keeping
+    last_fading: tuple[int, SampleBatch] | None = None
+    last_snr: tuple[LinkConfig, SampleBatch] | None = None
 
     def draw(cfg: LinkConfig) -> SampleBatch:
-        # rows are value-major, so rows sharing a config are consecutive
-        # and the last draw is the only one worth keeping
-        nonlocal last_draw
-        if last_draw is None or last_draw[0] != cfg:
-            last_draw = (cfg, entry.sample(cfg, spec.seed, spec.mc_slots))
-        return last_draw[1]
+        nonlocal last_fading, last_snr
+        if last_snr is None or last_snr[0] != cfg:
+            if last_fading is None or last_fading[0] != cfg.n_elems:
+                last_fading = (cfg.n_elems,
+                               entry.fading(cfg, spec.seed, spec.mc_slots))
+            last_snr = (cfg, entry.snr_from_fading(last_fading[1], cfg))
+        return last_snr[1]
 
     rows: list[SweepRow] = []
     for value in spec.values:

@@ -23,11 +23,15 @@ from irsec.channel import (
     SampleBatch,
     ScaledNoncentralChiSq,
     load_link_config,
+    miso_fading,
     miso_snr_dist,
+    miso_snr_from_fading,
     pathloss,
     sample_miso_snr,
     sample_siso_snr,
+    siso_fading,
     siso_snr_dist,
+    siso_snr_from_fading,
     stream_rng,
 )
 from reference_samplers import (
@@ -387,6 +391,58 @@ def test_siso_sampler_independent_of_worker_count(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(channel, "_workers", lambda: workers)
         assert np.array_equal(sample_siso_snr(cfg, 801, 200_000).values, want), workers
+
+
+def test_siso_split_matches_sampler(monkeypatch):
+    """One fading draw, filled by 1, 2 or 3 workers, with each link's
+    budget step gives that link's sample_siso_snr bits."""
+    configs = [{"p_t": 0.37}, {"sigma2": 3.1e-9}, {"d1": 13.0}, {"g_t": 2.5},
+               {"phi_inc": 1.2}]
+    for n_elems in (1, 16, 100):
+        for n in (1, 333, 10_000, 40_001):
+            for seed in (1234, 98765):
+                links = [LinkConfig(n_elems=n_elems, **fields) for fields in configs]
+                wants = [sample_siso_snr(cfg, seed, n).values for cfg in links]
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(channel, "_workers", lambda: workers)
+                    fading = siso_fading(n_elems, seed, n)
+                    assert fading.kind == "fading" and fading.seed == seed
+                    for fields, cfg, want in zip(configs, links, wants):
+                        got = siso_snr_from_fading(fading, cfg)
+                        case = (n_elems, n, seed, workers, fields)
+                        assert got.kind == "snr" and got.seed == seed, case
+                        assert np.array_equal(got.values, want), case
+
+
+def test_miso_split_matches_sampler():
+    """One fading draw with each link's mean gives that link's
+    sample_miso_snr bits, signs of zero included."""
+    precoded = LinkConfig(n_tx=3, precoder=(0.6, 0.48j, -0.2 + 0.1j))
+    for n in (1, 333, 10_000):
+        for seed in (1234, 98765):
+            fading = miso_fading(seed, n)
+            for cfg in [LinkConfig(n_tx=n_tx) for n_tx in (1, 4, 10)] + [precoded]:
+                got = miso_snr_from_fading(fading, cfg).values
+                want = sample_miso_snr(cfg, seed, n).values
+                assert np.array_equal(got, want), (n, seed, cfg.n_tx)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_split_budget_gates():
+    fading = siso_fading(16, 5, 100)
+    with pytest.raises(ValueError, match="n_tx == 1"):
+        siso_snr_from_fading(fading, LinkConfig(n_elems=16, n_tx=3))
+    snr = sample_siso_snr(LinkConfig(n_elems=16), 5, 100)
+    with pytest.raises(ValueError, match="fading batch"):
+        siso_snr_from_fading(snr, LinkConfig(n_elems=16))
+    with pytest.raises(ValueError, match="fading batch"):
+        miso_snr_from_fading(snr, LinkConfig(n_elems=16))
+    with pytest.raises(ValueError, match="n must be"):
+        siso_fading(16, 5, 0)
+    with pytest.raises(ValueError, match="n_elems must be"):
+        siso_fading(0, 5, 100)
+    with pytest.raises(ValueError, match="n must be"):
+        miso_fading(5, 0)
 
 
 def test_siso_sampler_leaves_no_thread(monkeypatch):

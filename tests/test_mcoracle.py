@@ -46,6 +46,14 @@ def test_constant_service_is_exact():
     assert est.slots == 10_000
 
 
+def test_zero_service_is_positive_zero():
+    batch = SampleBatch(values=np.zeros(1000), seed=0, kind="service_bits")
+    for alpha in (0.1, 1.0, 10.0):
+        est = empirical_ec(batch, alpha)
+        assert est.value == 0.0 and math.copysign(1.0, est.value) == 1.0
+        assert est.stderr == 0.0
+
+
 def test_two_point_service_converges_to_closed_form():
     batch = _two_point_batch(321, 1_000_000)
     est = empirical_ec(batch, 0.5)

@@ -125,30 +125,50 @@ def test_oracle_rows_reproducible():
 
 
 def test_oracle_draws_once_per_config(monkeypatch):
-    """Rows with the same link config share one SNR draw at spec.seed:
-    a rate sweep samples once, a p_t sweep once per value, and every
-    row's oracle equals a fresh simulate_service draw at that seed."""
+    """Rows with the same element count share one fading draw at
+    spec.seed: a rate, p_t or N_t sweep draws once, an N sweep once per
+    value, and every row's oracle equals a fresh simulate_service draw
+    at that seed."""
     calls = []
-    sampler = eccore.sample_siso_snr
 
-    def counted(cfg, seed, n):
-        calls.append(cfg)
-        return sampler(cfg, seed, n)
+    def counted(name):
+        draw = getattr(eccore, name)
 
-    monkeypatch.setattr(eccore, "sample_siso_snr", counted)
-    rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), alpha_list=(0.1, 1.0),
-                           mc_slots=2000, seed=7)
+        def fading(*args):
+            calls.append(name)
+            return draw(*args)
+
+        monkeypatch.setattr(eccore, name, fading)
+
+    counted("siso_fading")
+    counted("miso_fading")
+    common = dict(alpha_list=(0.1, 1.0), seed=7, mc_slots=2000)
+    rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), **common)
     power_spec = SweepSpec(scenario="siso_csi", sweep_var="p_t",
                            values=(1e-4, 1e-3, 1e-2), fixed=LinkConfig(),
-                           alpha_list=(0.1,), seed=7, mc_slots=2000)
-    for spec, draws in ((rate_spec, 1), (power_spec, 3)):
+                           **common)
+    elements_spec = SweepSpec(scenario="siso_nocsi", sweep_var="N",
+                              values=(4.0, 16.0, 64.0), fixed=LinkConfig(),
+                              **common)
+    antennas_spec = SweepSpec(scenario="miso_csi", sweep_var="N_t",
+                              values=(1.0, 4.0, 10.0),
+                              fixed=LinkConfig(n_tx=1), **common)
+    for spec, draws in ((rate_spec, ["siso_fading"]),
+                        (power_spec, ["siso_fading"]),
+                        (elements_spec, ["siso_fading"] * 3),
+                        (antennas_spec, ["miso_fading"])):
         calls.clear()
         rows = run_sweep(spec)
-        assert len(calls) == draws
+        assert calls == draws, spec.sweep_var
         for row in rows:
             assert row.error is None
-            cfg = (replace(spec.fixed, p_t=row.value)
-                   if spec.sweep_var == "p_t" else spec.fixed)
+            cfg = spec.fixed
+            if spec.sweep_var == "p_t":
+                cfg = replace(cfg, p_t=row.value)
+            elif spec.sweep_var == "N":
+                cfg = replace(cfg, n_elems=int(row.value))
+            elif spec.sweep_var == "N_t":
+                cfg = LinkConfig(n_tx=int(row.value))
             want = empirical_ec(simulate_service(
                 cfg, spec.scenario, row.r_star, spec.seed, spec.mc_slots),
                 row.alpha)
@@ -156,22 +176,32 @@ def test_oracle_draws_once_per_config(monkeypatch):
 
 
 def test_oracle_keeps_one_draw_at_a_time():
-    """A p_t sweep holds only the current config's SNR batch: the traced
-    peak stays a few batches wide, not one batch per value."""
+    """A p_t sweep holds only one fading draw and the current config's
+    SNR batch: the traced peak stays a few batches wide, not one batch
+    per value."""
     slots = 20_000
-    spec = SweepSpec(scenario="miso_csi", sweep_var="p_t",
-                     values=tuple(np.logspace(-5, -1, 20)),
-                     fixed=LinkConfig(n_tx=10), alpha_list=(0.1,),
-                     mc_slots=slots)
-    run_sweep(spec)  # warm caches and lazy imports outside the trace
-    tracemalloc.start()
-    try:
-        rows = run_sweep(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(r.error is None for r in rows)
-    assert peak < 5 * slots * 8 + 1_000_000
+    for scenario, fixed in (("miso_csi", LinkConfig(n_tx=10)),
+                            ("siso_nocsi", LinkConfig())):
+        spec = SweepSpec(scenario=scenario, sweep_var="p_t",
+                         values=tuple(np.logspace(-5, -1, 20)),
+                         fixed=fixed, alpha_list=(0.1,), mc_slots=slots)
+        run_sweep(spec)  # warm caches and lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in rows), scenario
+        assert peak < 5 * slots * 8 + 1_000_000, (scenario, peak)
+
+
+def test_rate_zero_oracle_is_positive_zero():
+    """A rate-0 row serves no bits; its oracle reads +0.0, not -0.0."""
+    rows = run_sweep(_rate_spec(values=(0.0, 1.0), mc_slots=1000))
+    assert rows[0].error is None
+    assert rows[0].ec_oracle == 0.0
+    assert math.copysign(1.0, rows[0].ec_oracle) == 1.0
 
 
 def test_error_rows_do_not_abort():
