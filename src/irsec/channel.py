@@ -112,6 +112,7 @@ class LinkConfig:
             value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, int(value))
         if self.precoder is None:
             object.__setattr__(self, "precoder", (self._equal_power_weight(),) * self.n_tx)
         else:
@@ -200,8 +201,9 @@ class SampleBatch:
     """Monte Carlo draws with their seed provenance.
 
     kind "fading" holds a sampler's per-slot channel draw before the link
-    budget (see siso_fading and miso_fading), "snr" the per-slot SNR and
-    "service_bits" the per-slot service.
+    budget: siso_fading's sums are nonnegative, miso_fading's values
+    non-positive. "snr" holds the per-slot SNR and "service_bits" the
+    per-slot service, both nonnegative.
     """
 
     values: np.ndarray
@@ -214,8 +216,10 @@ class SampleBatch:
         v = np.asarray(self.values, dtype=float)
         if v.size == 0:
             raise ValueError("values must be nonempty")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise ValueError("values must be finite and nonnegative")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
+        if self.kind != "fading" and np.any(v < 0.0):
+            raise ValueError(f"{self.kind} values must be nonnegative")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -302,34 +306,28 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _siso_rows(runs, n_el: int, rows: int, scale: float | None) -> None:
-    """Fill each (first-hop rng, second-hop rng, out slice) run in row
-    blocks of `rows`, in two block buffers of its own: with the per-slot
-    sums s, or with the SNR scale * s * s unless scale is None.
+def _siso_rows(runs, n_el: int, rows: int) -> None:
+    """Fill each (first-hop rng, second-hop rng, out slice) run with the
+    per-slot sums s, in row blocks of `rows` and two block buffers of its
+    own.
 
     Runs on a worker thread: it calls nothing in __all__, whose names a
     tracer may wrap, and only numpy fills and ufuncs that drop the GIL.
     """
     buf_a = np.empty(rows * n_el)
     buf_b = np.empty(rows * n_el)
-    sums = np.empty(rows)
     for rng_a, rng_b, out in runs:
         for start in range(0, out.size, rows):
             o = out[start:start + rows]
             r = o.size
-            a, b, s = buf_a[:r * n_el], buf_b[:r * n_el], sums[:r]
+            a, b = buf_a[:r * n_el], buf_b[:r * n_el]
             _rayleigh_inplace(rng_a, a)
             _rayleigh_inplace(rng_b, b)
             a *= b
-            if scale is None:
-                np.sum(a.reshape(r, n_el), axis=1, out=o)
-                continue
-            np.sum(a.reshape(r, n_el), axis=1, out=s)
-            np.multiply(scale, s, out=o)
-            o *= s
+            np.sum(a.reshape(r, n_el), axis=1, out=o)
 
 
-def _siso_fill(n_el: int, seed: int, n: int, scale: float | None) -> np.ndarray:
+def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
     """n single-antenna rows of N elements each, filled by _siso_rows.
 
     The stream holds, chunk after chunk, all first-hop draws of a chunk's
@@ -364,64 +362,67 @@ def _siso_fill(n_el: int, seed: int, n: int, scale: float | None) -> np.ndarray:
                 np.random.Generator(_skipped(bitgen, (2 * pos + m + s0) * n_el)),
                 out[pos + s0:pos + s1]))
     if workers == 1:
-        _siso_rows(runs[0], n_el, rows, scale)
+        _siso_rows(runs[0], n_el, rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fills = [pool.submit(_siso_rows, r, n_el, rows, scale) for r in runs]
+            fills = [pool.submit(_siso_rows, r, n_el, rows) for r in runs]
         for fill in fills:
             fill.result()  # re-raises a worker's error
     return out
 
 
-def _siso_scale(cfg: LinkConfig) -> float:
-    """Link budget of the single-antenna SNR, scale * s^2 for a slot sum s."""
-    if cfg.n_tx != 1:
-        raise ValueError("the single-antenna link requires n_tx == 1")
-    return cfg.p_t * pathloss(cfg) / cfg.sigma2
-
-
-def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-    """Per-slot SNR of the phase-aligned single-antenna link.
-
-    Each slot coherently sums N independent Rayleigh-amplitude products,
-    squares, and applies the link budget within each row block.
-    Bit-reproducible per seed, at any number of worker threads, and
-    equal bit for bit to siso_snr_from_fading(siso_fading(N, seed, n), cfg).
-    """
-    values = _siso_fill(cfg.n_elems, seed, n, _siso_scale(cfg))
-    return SampleBatch(values=values, seed=seed, kind="snr")
-
-
 def siso_fading(n_elems: int, seed: int, n: int) -> SampleBatch:
     """Per-slot coherent sums s = sum_i a_i b_i of the single-antenna link.
 
-    The stream and threading of sample_siso_snr without the link budget:
-    the draw depends only on (n_elems, seed, n), so links that differ in
-    anything else share it.
+    Each slot sums N independent Rayleigh-amplitude products. The draw
+    depends only on (n_elems, seed, n), so links that differ in anything
+    else share it. Bit-reproducible per seed, at any number of worker
+    threads.
     """
     if int(n_elems) != n_elems or n_elems < 1:
         raise ValueError("n_elems must be a positive integer")
-    return SampleBatch(values=_siso_fill(n_elems, seed, n, None),
+    return SampleBatch(values=_siso_fill(int(n_elems), seed, n),
                        seed=seed, kind="fading")
 
 
 def siso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-    """SNR scale * s * s of a siso_fading batch, rounded as the sampler does."""
+    """SNR scale * s * s of a siso_fading batch under cfg's link budget,
+    in a new array: the fading batch may be shared."""
+    if cfg.n_tx != 1:
+        raise ValueError("the single-antenna link requires n_tx == 1")
     if fading.kind != "fading":
         raise ValueError("siso_snr_from_fading needs a fading batch")
-    snr = np.multiply(_siso_scale(cfg), fading.values)
+    snr = np.multiply(cfg.p_t * pathloss(cfg) / cfg.sigma2, fading.values)
     snr *= fading.values
     return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
-def _log_uniform(seed: int, n: int) -> np.ndarray:
-    """log1p(-u) of n uniforms u of the beamformed stream, in place."""
+def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+    """Per-slot SNR of the phase-aligned single-antenna link: each slot
+    coherently sums N independent Rayleigh-amplitude products, squares,
+    and applies the link budget. Bit-reproducible per seed."""
+    return siso_snr_from_fading(siso_fading(cfg.n_elems, seed, n), cfg)
+
+
+def miso_fading(seed: int, n: int) -> SampleBatch:
+    """Per-slot log1p(-u), u uniform, of the beamformed link: minus a
+    unit-mean exponential gain, so every value is non-positive. The draw
+    does not depend on the link."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = stream_rng(seed, _MISO_STREAM).random(n)
     np.negative(out, out=out)
     np.log1p(out, out=out)
-    return out
+    return SampleBatch(values=out, seed=seed, kind="fading")
+
+
+def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
+    """SNR -mean * log1p(-u) of a miso_fading batch under cfg's link
+    budget, in a new array: the fading batch may be shared."""
+    if fading.kind != "fading":
+        raise ValueError("miso_snr_from_fading needs a fading batch")
+    snr = np.multiply(fading.values, -_miso_mean_snr(cfg))
+    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
 def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
@@ -430,31 +431,10 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     The surface inverts the second hop, so the received amplitude is the
     sum over elements of the per-element precoded first-hop aggregates.
     That sum is complex Gaussian, so its squared magnitude is drawn
-    directly: one exponential per slot, -mean * log1p(-u) by inverse CDF
-    on one uniform u. Bit-reproducible per seed, and equal bit for bit to
-    miso_snr_from_fading(miso_fading(seed, n), cfg).
+    directly: one exponential per slot, by inverse CDF on one uniform.
+    Bit-reproducible per seed.
     """
-    out = _log_uniform(seed, n)
-    out *= -_miso_mean_snr(cfg)
-    return SampleBatch(values=out, seed=seed, kind="snr")
-
-
-def miso_fading(seed: int, n: int) -> SampleBatch:
-    """Per-slot unit-mean exponential gains -log1p(-u) of the beamformed
-    link: sample_miso_snr's draw before its mean, which the draw does
-    not depend on."""
-    out = _log_uniform(seed, n)
-    np.negative(out, out=out)
-    return SampleBatch(values=out, seed=seed, kind="fading")
-
-
-def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-    """SNR mean * g of a miso_fading batch: the sampler's log1p(-u) * -mean
-    with both signs flipped, which rounds to the same bits."""
-    if fading.kind != "fading":
-        raise ValueError("miso_snr_from_fading needs a fading batch")
-    snr = fading.values * _miso_mean_snr(cfg)
-    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
+    return miso_snr_from_fading(miso_fading(seed, n), cfg)
 
 
 _INT_FIELDS = ("n_elems", "n_tx")

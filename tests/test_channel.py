@@ -253,6 +253,9 @@ def test_sample_batch_validation():
     with pytest.raises(ValueError):
         SampleBatch(values=np.array([1.0, -2.0]), seed=1, kind="snr")
     with pytest.raises(ValueError):
+        SampleBatch(values=np.array([-1.0, np.inf]), seed=1, kind="fading")
+    SampleBatch(values=np.array([-1.0, 0.0]), seed=1, kind="fading")
+    with pytest.raises(ValueError):
         SampleBatch(values=np.array([1.0]), seed=1, kind="voltage")
     batch = SampleBatch(values=np.array([1.0, 2.0]), seed=1, kind="snr")
     with pytest.raises(ValueError):
@@ -415,17 +418,17 @@ def test_siso_split_matches_sampler(monkeypatch):
 
 
 def test_miso_split_matches_sampler():
-    """One fading draw with each link's mean gives that link's
-    sample_miso_snr bits, signs of zero included."""
+    """One non-positive fading draw, shared by several links, gives each
+    link its sample_miso_snr bits."""
     precoded = LinkConfig(n_tx=3, precoder=(0.6, 0.48j, -0.2 + 0.1j))
     for n in (1, 333, 10_000):
         for seed in (1234, 98765):
             fading = miso_fading(seed, n)
+            assert fading.kind == "fading" and np.all(fading.values <= 0.0)
             for cfg in [LinkConfig(n_tx=n_tx) for n_tx in (1, 4, 10)] + [precoded]:
                 got = miso_snr_from_fading(fading, cfg).values
                 want = sample_miso_snr(cfg, seed, n).values
                 assert np.array_equal(got, want), (n, seed, cfg.n_tx)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_split_budget_gates():
@@ -443,6 +446,11 @@ def test_split_budget_gates():
         siso_fading(0, 5, 100)
     with pytest.raises(ValueError, match="n must be"):
         miso_fading(5, 0)
+    # a whole float element count is that integer, in a config too
+    assert np.array_equal(siso_fading(16.0, 5, 100).values, fading.values)
+    cfg = LinkConfig(n_elems=16.0)
+    assert type(cfg.n_elems) is int
+    assert np.array_equal(sample_siso_snr(cfg, 5, 100).values, snr.values)
 
 
 def test_siso_sampler_leaves_no_thread(monkeypatch):
