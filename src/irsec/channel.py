@@ -1,10 +1,11 @@
 """Physical layer: geometry pathloss, the analytical SNR laws, and the
-seeded Monte Carlo samplers of the underlying fading model.
+seeded Monte Carlo draws of the underlying fading model with their
+link-budget steps.
 
 Amplitude convention: every scalar fading coefficient has E|h|^2 = 2
 (Rayleigh amplitude scale 1 per hop, complex Gaussian variance 2 on the
 first MISO hop). The closed-form law constants below are exact for this
-convention, which is what the samplers implement.
+convention, which is what the fading draws implement.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "pathloss",
     "siso_snr_dist",
     "miso_snr_dist",
-    "sample_siso_snr",
-    "sample_miso_snr",
     "siso_fading",
     "miso_fading",
     "siso_snr_from_fading",
@@ -41,6 +40,8 @@ __all__ = [
 
 PI2 = math.pi * math.pi
 
+# Frozen seed labels of the two fading streams, not function names:
+# changing either string changes every draw.
 _SISO_STREAM = "channel.sample_siso_snr"
 _MISO_STREAM = "channel.sample_miso_snr"
 
@@ -200,8 +201,8 @@ SnrDistribution = Union[ScaledNoncentralChiSq, Exponential]
 class SampleBatch:
     """Monte Carlo draws with their seed provenance.
 
-    kind "fading" holds a sampler's per-slot channel draw before the link
-    budget: siso_fading's sums are nonnegative, miso_fading's values
+    kind "fading" holds a per-slot channel draw before the link budget:
+    siso_fading's sums are nonnegative, miso_fading's values
     non-positive. "snr" holds the per-slot SNR and "service_bits" the
     per-slot service, both nonnegative.
     """
@@ -397,17 +398,14 @@ def siso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
     return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
-def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-    """Per-slot SNR of the phase-aligned single-antenna link: each slot
-    coherently sums N independent Rayleigh-amplitude products, squares,
-    and applies the link budget. Bit-reproducible per seed."""
-    return siso_snr_from_fading(siso_fading(cfg.n_elems, seed, n), cfg)
-
-
 def miso_fading(seed: int, n: int) -> SampleBatch:
     """Per-slot log1p(-u), u uniform, of the beamformed link: minus a
-    unit-mean exponential gain, so every value is non-positive. The draw
-    does not depend on the link."""
+    unit-mean exponential gain, so every value is non-positive.
+
+    The surface inverts the second hop, so the received amplitude is a
+    complex Gaussian sum of precoded first-hop aggregates, and its
+    squared magnitude is drawn directly by inverse CDF on one uniform.
+    The draw does not depend on the link."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = stream_rng(seed, _MISO_STREAM).random(n)
@@ -423,18 +421,6 @@ def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
         raise ValueError("miso_snr_from_fading needs a fading batch")
     snr = np.multiply(fading.values, -_miso_mean_snr(cfg))
     return SampleBatch(values=snr, seed=fading.seed, kind="snr")
-
-
-def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-    """Per-slot SNR of the beamformed link after second-hop inversion.
-
-    The surface inverts the second hop, so the received amplitude is the
-    sum over elements of the per-element precoded first-hop aggregates.
-    That sum is complex Gaussian, so its squared magnitude is drawn
-    directly: one exponential per slot, by inverse CDF on one uniform.
-    Bit-reproducible per seed.
-    """
-    return miso_snr_from_fading(miso_fading(seed, n), cfg)
 
 
 _INT_FIELDS = ("n_elems", "n_tx")

@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from irsec.channel import LinkConfig, load_link_config
 from irsec.eccore import SCENARIOS, ec_siso_csi
-from irsec.mcoracle import empirical_ec, simulate_service
 from irsec.rateopt import (
     DescentSettings,
     grid_argmax_rate,
@@ -150,7 +149,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize_rate(args) -> int:
     cfg = _build_config(args, args.scenario)
-    beamformed = SCENARIOS[args.scenario].beamformed
+    entry = SCENARIOS[args.scenario]
+    # every method, the kappa-free descent too, refuses a mode the link cannot take
+    entry.law(cfg, args.kappa_mode)
+    beamformed = entry.beamformed
     method = args.method
     if method == "auto":
         method = "root" if beamformed else "descent"
@@ -185,21 +187,26 @@ def _cmd_optimize_rate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.mc_slots < 1:
+        raise ValueError("mc_slots must be >= 1: validate compares with the oracle")
     seed = _resolve_seed(args)
     alpha = args.alpha
     print(f"alpha = {alpha!r}")
     print(f"mc_slots = {args.mc_slots}")
-    for offset, (scenario, entry) in enumerate(SCENARIOS.items()):
-        cfg = _build_config(args, scenario)
-        rate = None if entry.adaptive else auto_rate(cfg, scenario, alpha)
-        ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
-        service = simulate_service(cfg, scenario, rate, seed + offset, args.mc_slots)
-        est = empirical_ec(service, alpha)
-        rel = abs(ec - est.value) / max(abs(est.value), 1e-300)
-        line = (f"{scenario}: analytic = {ec:.6f}, oracle = {est.value:.6f}, "
-                f"stderr = {est.stderr:.2g}, rel_err = {rel:.3%}")
-        if rate is not None:
-            line += f", r_star = {rate:.6f}"
+    for offset, scenario in enumerate(SCENARIOS):
+        # each branch is a one-row alpha sweep, its oracle drawn at seed + offset
+        row, = run_sweep(SweepSpec(scenario, "alpha", (alpha,),
+                                   _build_config(args, scenario),
+                                   seed=seed + offset, mc_slots=args.mc_slots))
+        if row.error is not None:
+            print(f"error: {row.error}", file=sys.stderr)
+            return 2
+        ec, oracle = row.ec_analytical, row.ec_oracle
+        rel = abs(ec - oracle) / max(abs(oracle), 1e-300)
+        line = (f"{scenario}: analytic = {ec:.6f}, oracle = {oracle:.6f}, "
+                f"stderr = {row.oracle_stderr:.2g}, rel_err = {rel:.3%}")
+        if row.r_star is not None:
+            line += f", r_star = {row.r_star:.6f}"
         print(line)
     cfg = _build_config(args, "siso_csi")
     res = ec_siso_csi(cfg, alpha)

@@ -24,8 +24,6 @@ from irsec.channel import (
     miso_fading,
     miso_snr_dist,
     miso_snr_from_fading,
-    sample_miso_snr,
-    sample_siso_snr,
     siso_fading,
     siso_snr_dist,
     siso_snr_from_fading,
@@ -81,29 +79,30 @@ class Scenario:
     """One branch of the 2x2 design: the single-antenna or the beamformed
     link, with the rate adapted to the channel (CSI) or fixed (no CSI).
 
-    The methods call the module-level law, EC and sampler functions by
-    name at call time, so a caller that replaces one of them (a tracer,
-    a profiler) sees every call made through the table.
+    The methods call the module-level law, EC, fading and budget
+    functions by name at call time, so a caller that replaces one of
+    them (a tracer, a profiler) sees every call made through the table.
     """
 
     name: str
     beamformed: bool
     adaptive: bool
 
+    def _check_kappa_mode(self, kappa_mode: str) -> None:
+        # the single-antenna law has no kappa to choose a mode for
+        if not self.beamformed and kappa_mode != "exact":
+            raise ValueError(f"kappa_mode {kappa_mode!r} applies only to the beamformed link")
+
     def law(self, cfg: LinkConfig, kappa_mode: str = "exact") -> SnrDistribution:
-        """The link's SNR law; kappa_mode applies to the beamformed link."""
+        """The link's SNR law; kappa_mode applies to the beamformed link,
+        and any mode but "exact" is a ValueError on the single-antenna one."""
+        self._check_kappa_mode(kappa_mode)
         if self.beamformed:
             return miso_snr_dist(cfg, mode=kappa_mode)
         return siso_snr_dist(cfg)
 
-    def sample(self, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-        """n seeded per-slot SNR draws from the link's physical sampler."""
-        if self.beamformed:
-            return sample_miso_snr(cfg, seed, n)
-        return sample_siso_snr(cfg, seed, n)
-
     def fading(self, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-        """The sampler's n seeded per-slot draws before the link budget.
+        """The link's n seeded per-slot channel draws before the budget.
 
         They depend on cfg only through n_elems, so links that differ
         in power, geometry, gains, noise or antennas share them;
@@ -114,8 +113,8 @@ class Scenario:
         return siso_fading(cfg.n_elems, seed, n)
 
     def snr_from_fading(self, fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-        """The SNR batch that sample(cfg, fading.seed, n) returns, bit for
-        bit, from the fading(cfg, fading.seed, n) draw."""
+        """The per-slot SNR of a fading(cfg, seed, n) draw under cfg's
+        link budget: the link's seeded SNR sample."""
         if self.beamformed:
             return miso_snr_from_fading(fading, cfg)
         return siso_snr_from_fading(fading, cfg)
@@ -138,11 +137,13 @@ class Scenario:
         """EC of this branch; fixed-rate branches need the rate.
 
         kappa_mode applies to the beamformed link, method to siso_csi.
-        A rate given to an adaptive branch, or a method other than
-        "exact" outside siso_csi, is a ValueError rather than ignored.
+        A rate given to an adaptive branch, or a kappa_mode or method
+        other than "exact" where it does not apply, is a ValueError
+        rather than ignored.
         """
         if method != "exact" and (self.beamformed or not self.adaptive):
             raise ValueError(f"method {method!r} applies only to siso_csi")
+        self._check_kappa_mode(kappa_mode)
         self.check_rate(rate)
         if self.adaptive:
             if self.beamformed:
@@ -154,7 +155,8 @@ class Scenario:
 
 
 # The one place that says what each scenario name means. The order is
-# part of the interface: validate seeds branch k with seed + k.
+# part of the interface: validate's one-row sweep of branch k draws its
+# oracle at seed + k.
 SCENARIOS = {s.name: s for s in (
     Scenario("siso_csi", beamformed=False, adaptive=True),
     Scenario("siso_nocsi", beamformed=False, adaptive=False),
@@ -219,30 +221,30 @@ def _fold_density(t: float, root_lam: float) -> float:
             / math.sqrt(2.0 * math.pi))
 
 
-def _quad_grid(root_lam: float):
+def _fold_quad(integrand, root_lam: float) -> float:
+    """Integral of integrand(t) over the folded-normal window around the
+    ridge at root_lam = sqrt(lam), to relative accuracy _QUAD_EPSREL."""
     hi = root_lam + _QUAD_SPAN
     pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
-    return hi, pts
+    value, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
+                    epsabs=0.0, epsrel=_QUAD_EPSREL)
+    return value
 
 
 def _ln_mgf_siso_exact(beta: float, lam: float, u: float) -> float:
     """ln E[(1 + beta X)^{-u}] with X = Y^2, Y folded normal."""
     root_lam = math.sqrt(lam)
-    hi, pts = _quad_grid(root_lam)
     if u < _SMALL_U:
         # complement K = E[1 - (1+beta t^2)^{-u}] keeps precision as u -> 0
         def integrand(t: float) -> float:
             return -math.expm1(-u * math.log1p(beta * t * t)) * _fold_density(t, root_lam)
 
-        k, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
-                    epsabs=0.0, epsrel=_QUAD_EPSREL)
-        return math.log1p(-k)
+        return math.log1p(-_fold_quad(integrand, root_lam))
 
     def integrand(t: float) -> float:
         return math.exp(-u * math.log1p(beta * t * t)) * _fold_density(t, root_lam)
 
-    m, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
-                epsabs=0.0, epsrel=_QUAD_EPSREL)
+    m = _fold_quad(integrand, root_lam)
     if not m > 0.0:
         raise ArithmeticError(
             f"service MGF E[(1+SNR)^-u] underflows double precision at u = {u!r}")
@@ -486,20 +488,17 @@ def mean_service(
     """Expected per-slot service in bits; the alpha -> 0 limit of EC."""
     entry = get_scenario(scenario)
     entry.check_rate(rate)
+    dist = entry.law(cfg, kappa_mode)
     if not entry.adaptive:
-        p_on, _ = on_off_probs(entry.law(cfg, kappa_mode), rate, cfg.bandwidth)
+        p_on, _ = on_off_probs(dist, rate, cfg.bandwidth)
         return p_on * rate * cfg.slot
     if entry.beamformed:
-        mu, _, _ = miso_csi_moments(entry.law(cfg, kappa_mode).kappa,
-                                    cfg.bandwidth, cfg.slot)
+        mu, _, _ = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
         return mu
-    dist = siso_snr_dist(cfg)
     root_lam = math.sqrt(dist.lam)
-    hi, pts = _quad_grid(root_lam)
 
     def integrand(t: float) -> float:
         return math.log1p(dist.beta * t * t) * _fold_density(t, root_lam)
 
-    m, _ = quad(integrand, 0.0, hi, points=pts, limit=200,
-                epsabs=0.0, epsrel=_QUAD_EPSREL)
+    m = _fold_quad(integrand, root_lam)
     return cfg.slot * cfg.bandwidth * m / LN2

@@ -1,8 +1,8 @@
 """Monte Carlo ground truth for the analytical results.
 
 Everything here deliberately avoids the closed forms: service samples
-come straight from the physical channel samplers, and the EC estimator
-realizes the defining log-MGF limit on finite blocks.
+are mapped straight from the physical channel draws, and the EC
+estimator realizes the defining log-MGF limit on finite blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from irsec.eccore import LN2, alpha_value, get_scenario, snr_threshold
 __all__ = [
     "EcEstimate",
     "empirical_ec",
-    "simulate_service",
     "service_from_snr",
 ]
 
@@ -88,25 +87,6 @@ def empirical_ec(
         var = float(np.dot(w, w)) / (blocks - 1)
         stderr = math.sqrt(var / blocks) / (mean * scale)
     return EcEstimate(value=value, stderr=stderr, slots=n, blocks=blocks)
-
-
-def simulate_service(
-    cfg: LinkConfig,
-    scenario: str,
-    rate: float | None,
-    seed: int,
-    slots: int,
-) -> SampleBatch:
-    """Draw per-slot service bits from the physical channel samplers.
-
-    One seeded SNR draw from the scenario's sampler, mapped to service
-    bits by service_from_snr.
-    """
-    entry = get_scenario(scenario)
-    entry.check_rate(rate)
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    return service_from_snr(entry.sample(cfg, seed, slots), cfg, scenario, rate)
 
 
 def service_from_snr(

@@ -14,7 +14,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from irsec.channel import LinkConfig, SampleBatch, siso_snr_dist
+from irsec.channel import LinkConfig, SampleBatch
 from irsec.eccore import LN2, SCENARIOS, get_scenario
 from irsec.mcoracle import empirical_ec, service_from_snr
 from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
@@ -119,16 +119,17 @@ def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
     """Optimal fixed rate for a no-CSI scenario, by the robust route.
 
     The beamformed link uses its stationarity root under the kappa_mode
-    law. The single-antenna link runs grid_argmax_rate on a coarse grid
-    over twice the mean-SNR Shannon rate, whose Brent refinement covers
-    every regime the descent's fixed step handles unevenly.
+    law. The single-antenna link, which takes only kappa_mode="exact",
+    runs grid_argmax_rate on a coarse grid over twice the mean-SNR
+    Shannon rate, whose Brent refinement covers every regime the
+    descent's fixed step handles unevenly.
     """
     entry = get_scenario(scenario)
     if entry.adaptive:
         raise ValueError(f"{scenario} adapts its rate; there is none to optimize")
     if entry.beamformed:
         return solve_rate_miso_exact(cfg, alpha, kappa_mode=kappa_mode).r_star
-    dist = siso_snr_dist(cfg)
+    dist = entry.law(cfg, kappa_mode)
     mean_snr = dist.beta * (1.0 + dist.lam)
     r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2
     return grid_argmax_rate(cfg, alpha, scenario, r_max, _AUTO_GRID_POINTS).r_star
@@ -144,8 +145,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     own budget (Scenario.snr_from_fading), and rows with the same link
     config share that SNR batch, mapped to service at their own rate and
     exponent. A p_t, N_t, alpha or rate sweep thus draws the channel
-    once and an N sweep once per value. Every row's oracle equals a
-    fresh simulate_service draw at spec.seed, bit for bit.
+    once and an N sweep once per value. Every row's oracle is the one it
+    would get from a sweep of its own at spec.seed, bit for bit; irsec
+    validate runs each branch as such a one-row alpha sweep.
     """
     entry = SCENARIOS[spec.scenario]
     # rows are value-major, so rows sharing a draw are consecutive and

@@ -19,6 +19,11 @@ on/off EC from the spectral radius of the weighted 2x2 chain, an
 independent route to `ec_on_off`. `write_link_config` writes the
 config-file format that `load_link_config` reads.
 
+`sample_siso_snr`, `sample_miso_snr` and `simulate_service` compose
+the library's steps into the draw a sweep row makes: the seeded fading,
+the link budget and, for service, `service_from_snr`. They are what a
+one-row sweep at that seed samples, bit for bit.
+
 `grid_argmax_reference` is the brute-force rate search as it stood
 before Brent's refinement: a uniform grid plus one parabolic step.
 It is the oracle of the analytic optimizers and of the library's own
@@ -36,10 +41,15 @@ from irsec.channel import (
     LinkConfig,
     SampleBatch,
     ScaledNoncentralChiSq,
+    miso_fading,
+    miso_snr_from_fading,
     pathloss,
+    siso_fading,
+    siso_snr_from_fading,
     stream_rng,
 )
 from irsec.eccore import OnOffChannel, alpha_value, get_scenario
+from irsec.mcoracle import service_from_snr
 from irsec.rateopt import RateSolution, _fixed_rate_ec
 
 _SQRT_2 = math.sqrt(2.0)
@@ -93,6 +103,24 @@ def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
         out[pos:pos + m] = scale * mag2
         pos += m
     return out
+
+
+def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+    """Per-slot single-antenna SNR: the fading draw under cfg's budget."""
+    return siso_snr_from_fading(siso_fading(cfg.n_elems, seed, n), cfg)
+
+
+def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+    """Per-slot beamformed SNR: the fading draw under cfg's budget."""
+    return miso_snr_from_fading(miso_fading(seed, n), cfg)
+
+
+def simulate_service(cfg: LinkConfig, scenario: str, rate: float | None,
+                     seed: int, slots: int) -> SampleBatch:
+    """Per-slot service bits of the scenario's seeded channel draw."""
+    entry = get_scenario(scenario)
+    snr = entry.snr_from_fading(entry.fading(cfg, seed, slots), cfg)
+    return service_from_snr(snr, cfg, scenario, rate)
 
 
 def bootstrap_stderr_reference(service: SampleBatch, alpha: float,

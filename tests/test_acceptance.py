@@ -32,8 +32,6 @@ from irsec.channel import (
     Exponential,
     LinkConfig,
     miso_snr_dist,
-    sample_miso_snr,
-    sample_siso_snr,
     siso_snr_dist,
 )
 from irsec.eccore import (
@@ -47,7 +45,7 @@ from irsec.eccore import (
     miso_csi_moments,
     on_off_probs,
 )
-from irsec.mcoracle import empirical_ec, simulate_service
+from irsec.mcoracle import empirical_ec
 from irsec.rateopt import (
     DescentSettings,
     optimize_rate_miso_closed,
@@ -56,7 +54,14 @@ from irsec.rateopt import (
 )
 from irsec.specfun import LN2
 from irsec.sweeps import SweepSpec, auto_rate, run_sweep
-from reference_samplers import ec_on_off_spectral, grid_argmax_reference, ks_distance
+from reference_samplers import (
+    ec_on_off_spectral,
+    grid_argmax_reference,
+    ks_distance,
+    sample_miso_snr,
+    sample_siso_snr,
+    simulate_service,
+)
 
 DRAWS = 1_000_000
 

@@ -1,5 +1,6 @@
-"""Every public function and class of the library has a caller in the
-program: the package itself, the scripts or the benchmark.
+"""Every public function and class of the library, and every public
+method and property of those classes, has a caller in the program: the
+package itself, the scripts or the benchmark.
 
 A name counts as called where it appears as a name, an attribute or an
 import in the source of src/, scripts/ or bench/; strings, comments and
@@ -35,11 +36,23 @@ def _program_names() -> frozenset:
     return frozenset(names)
 
 
+def _public_members(cls) -> list:
+    """Public methods and properties defined on the class itself."""
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, staticmethod, classmethod)))]
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_public_names_have_a_program_caller(module_name):
     module = importlib.import_module(f"irsec.{module_name}")
     public = [name for name in module.__all__
               if inspect.isfunction(getattr(module, name))
               or inspect.isclass(getattr(module, name))]
-    unused = [name for name in public if name not in _program_names()]
+    public += [f"{name}.{member}" for name in module.__all__
+               if inspect.isclass(getattr(module, name))
+               for member in _public_members(getattr(module, name))]
+    unused = [name for name in public
+              if name.rsplit(".", 1)[-1] not in _program_names()]
     assert not unused, f"irsec.{module_name} exports names only tests use: {unused}"

@@ -27,8 +27,6 @@ from irsec.channel import (
     miso_snr_dist,
     miso_snr_from_fading,
     pathloss,
-    sample_miso_snr,
-    sample_siso_snr,
     siso_fading,
     siso_snr_dist,
     siso_snr_from_fading,
@@ -38,6 +36,8 @@ from reference_samplers import (
     cdf_array,
     ks_distance,
     miso_reference,
+    sample_miso_snr,
+    sample_siso_snr,
     siso_reference,
     write_link_config,
 )

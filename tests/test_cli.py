@@ -10,8 +10,10 @@ import pytest
 import irsec
 from irsec.channel import LinkConfig
 from irsec.cli import main
-from irsec.sweeps import CSV_HEADER
-from reference_samplers import write_link_config
+from irsec.eccore import SCENARIOS
+from irsec.mcoracle import empirical_ec
+from irsec.sweeps import CSV_HEADER, auto_rate
+from reference_samplers import simulate_service, write_link_config
 
 
 def _run(capsys, argv):
@@ -176,11 +178,53 @@ def test_ec_closed_mode_optimizes_rate_under_closed_law(capsys):
     assert float(kv["ec_bits_per_slot"]) > 0.0
 
 
+def test_single_antenna_rejects_kappa_mode(capsys):
+    """A kappa mode on the single-antenna link exits 2 on every verb and
+    method that takes one, the kappa-free descent included."""
+    flags = ["--alpha", "0.1", "--kappa-mode", "closed"]
+    for argv in (["ec", "--scenario", "siso_csi"],
+                 ["ec", "--scenario", "siso_nocsi"],
+                 ["optimize-rate", "--scenario", "siso_nocsi"],
+                 ["optimize-rate", "--scenario", "siso_nocsi", "--method", "descent"],
+                 ["optimize-rate", "--scenario", "siso_nocsi", "--method", "grid"]):
+        code, out, err = _run(capsys, argv + flags)
+        assert code == 2, argv
+        assert err.startswith("error: ValueError: kappa_mode 'closed'"), argv
+        assert out == "", argv
+
+
 def test_validate_smoke(capsys):
     code, out, _ = _run(capsys, ["validate", "--mc-slots", "2000"])
     assert code == 0
     assert sum("rel_err" in line for line in out.splitlines()) == 4
     assert "systematic_bias" in out
+
+
+def test_validate_branch_k_draws_at_seed_plus_k(capsys):
+    """Branch k of validate draws its oracle at seed + k, in table order."""
+    code, out, _ = _run(capsys, ["validate", "--mc-slots", "5000", "--seed", "11"])
+    assert code == 0
+    lines = [line for line in out.splitlines() if "rel_err" in line]
+    assert [line.split(":")[0] for line in lines] == list(SCENARIOS)
+    for k, (line, (name, entry)) in enumerate(zip(lines, SCENARIOS.items())):
+        cfg = LinkConfig(n_tx=10) if entry.beamformed else LinkConfig()
+        rate = None if entry.adaptive else auto_rate(cfg, name, 0.1)
+        want = empirical_ec(simulate_service(cfg, name, rate, 11 + k, 5000), 0.1)
+        assert f", oracle = {want.value:.6f}," in line, (k, line)
+
+
+def test_validate_rejects_zero_slots(capsys):
+    code, out, err = _run(capsys, ["validate", "--mc-slots", "0"])
+    assert code == 2
+    assert err.startswith("error: ValueError:")
+    assert "rel_err" not in out
+
+
+def test_validate_rejects_nonpositive_alpha(capsys):
+    code, out, err = _run(capsys, ["validate", "--alpha", "-1", "--mc-slots", "1000"])
+    assert code == 2
+    assert err.startswith("error: ValueError: alpha must be strictly positive")
+    assert "rel_err" not in out
 
 
 def test_bad_input_exit_code(capsys):

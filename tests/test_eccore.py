@@ -32,9 +32,8 @@ from irsec.eccore import (
     on_off_probs,
     snr_threshold,
 )
-from irsec.mcoracle import simulate_service
 from irsec.sweeps import auto_rate
-from reference_samplers import ec_on_off_spectral
+from reference_samplers import ec_on_off_spectral, simulate_service
 
 LN2 = math.log(2.0)
 
@@ -365,7 +364,7 @@ def test_scenario_table_matches_named_branches(name):
     assert got.ec_bits_per_slot == want.ec_bits_per_slot
     assert got.diagnostics == want.diagnostics
 
-    snr = entry.sample(cfg, 31, 2000).values
+    snr = entry.snr_from_fading(entry.fading(cfg, 31, 2000), cfg).values
     service = simulate_service(cfg, name, rate, 31, 2000).values
     if entry.adaptive:
         expect = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2
@@ -392,3 +391,20 @@ def test_scenario_table_rejects_inapplicable_flags(name):
     else:
         with pytest.raises(ValueError, match="applies only to siso_csi"):
             entry.ec(cfg, 0.1, rate, method="relaxed")
+
+
+@pytest.mark.parametrize("name", ["siso_csi", "siso_nocsi"])
+def test_single_antenna_rejects_kappa_mode(name):
+    """The single-antenna law has no kappa: any kappa_mode but "exact"
+    raises through law, ec and mean_service instead of being ignored."""
+    entry = SCENARIOS[name]
+    cfg = LinkConfig()
+    rate = None if entry.adaptive else 1.0
+    for mode in ("closed", "bogus"):
+        with pytest.raises(ValueError, match="applies only to the beamformed link"):
+            entry.law(cfg, mode)
+        with pytest.raises(ValueError, match="applies only to the beamformed link"):
+            entry.ec(cfg, 0.1, rate, kappa_mode=mode)
+        with pytest.raises(ValueError, match="applies only to the beamformed link"):
+            mean_service(cfg, name, rate, kappa_mode=mode)
+    assert entry.ec(cfg, 0.1, rate, kappa_mode="exact") == entry.ec(cfg, 0.1, rate)

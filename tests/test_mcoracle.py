@@ -19,9 +19,13 @@ from irsec.mcoracle import (
     EcEstimate,
     empirical_ec,
     service_from_snr,
+)
+from reference_samplers import (
+    bootstrap_stderr_reference,
+    ks_distance,
+    sample_siso_snr,
     simulate_service,
 )
-from reference_samplers import bootstrap_stderr_reference, ks_distance
 
 
 def _two_point_batch(seed: int, slots: int, p_on: float = 0.7, rate: float = 1.5):
@@ -212,7 +216,7 @@ def test_ks_self_consistency():
 
 
 def test_ks_tiny_surface_fails():
-    from irsec.channel import sample_siso_snr, siso_snr_dist
+    from irsec.channel import siso_snr_dist
 
     cfg = LinkConfig(n_elems=2)
     batch = sample_siso_snr(cfg, 1234, 200_000)

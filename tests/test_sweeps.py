@@ -13,7 +13,7 @@ import pytest
 from irsec import eccore, rateopt
 from irsec.channel import LinkConfig, siso_snr_dist
 from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, mean_service
-from irsec.mcoracle import empirical_ec, simulate_service
+from irsec.mcoracle import empirical_ec
 from irsec.sweeps import (
     CSV_HEADER,
     SweepSpec,
@@ -23,7 +23,7 @@ from irsec.sweeps import (
     run_sweep,
     write_csv,
 )
-from reference_samplers import grid_argmax_reference
+from reference_samplers import grid_argmax_reference, simulate_service
 
 
 def _rate_spec(values=(0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4), **kw):
@@ -218,6 +218,12 @@ def test_auto_rate_routes():
     cfg = LinkConfig()
     assert auto_rate(cfg, "siso_nocsi", 0.1) == pytest.approx(1.2783, abs=5e-3)
     assert auto_rate(LinkConfig(n_tx=10), "miso_nocsi", 10.0) > 0.0
+
+
+def test_auto_rate_rejects_single_antenna_kappa_mode():
+    for mode in ("closed", "bogus"):
+        with pytest.raises(ValueError, match="applies only to the beamformed link"):
+            auto_rate(LinkConfig(), "siso_nocsi", 0.1, kappa_mode=mode)
 
 
 # The closed-form design grid: surface sizes, transmit powers and QoS
