@@ -6,7 +6,10 @@ link the paper runs fixed-step gradient descent on rho. The beamformed
 link admits a transcendental stationarity equation with a unique root
 (both sides monotone) plus an interpretable closed-form approximation
 of it. One grid search serves both links: it brackets the peak of EC on
-a uniform grid and refines it with Brent's bounded minimizer.
+a uniform grid and refines it with Brent's bounded minimizer,
+numerics.minimize_bounded, a float-only port of scipy's
+minimize_scalar(method="bounded") that returns the same x, fun and
+evaluation count, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from irsec import specfun
 from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
@@ -30,6 +32,7 @@ from irsec.eccore import (
     get_scenario,
     on_off_probs,
 )
+from irsec.numerics import minimize_bounded
 
 __all__ = [
     "DescentSettings",
@@ -304,10 +307,9 @@ def grid_argmax_rate(
     r_best, ec_best = float(rates[k]), values[k]
     lo = float(rates[k - 1]) if k > 0 else 0.0
     hi = float(rates[min(k + 1, points - 1)])
-    res = minimize_scalar(lambda r: -_fixed_rate_ec(dist, cfg, a, r),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": _GRID_XATOL * r_max})
-    if -res.fun > ec_best:
-        r_best, ec_best = float(res.x), -float(res.fun)
+    x, fun, nfev = minimize_bounded(lambda r: -_fixed_rate_ec(dist, cfg, a, r),
+                                    lo, hi, _GRID_XATOL * r_max)
+    if -fun > ec_best:
+        r_best, ec_best = x, -fun
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
-                        iterations=points + res.nfev, method="grid")
+                        iterations=points + nfev, method="grid")

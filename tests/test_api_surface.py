@@ -5,19 +5,26 @@ package itself, the scripts or the benchmark.
 A name counts as called where it appears as a name, an attribute or an
 import in the source of src/, scripts/ or bench/; strings, comments and
 the tests do not count, so code that only its own tests call fails here.
+
+Importing the package and its command line loads no scipy module: numpy
+is the only run-time dependency, and scipy's import graph would triple
+the start-up time of every command.
 """
 
 import ast
 import functools
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_DIRS = ("src", "scripts", "bench")
-MODULES = ("specfun", "channel", "eccore", "rateopt", "mcoracle", "sweeps")
+MODULES = ("specfun", "numerics", "channel", "eccore", "rateopt", "mcoracle", "sweeps")
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,3 +63,12 @@ def test_public_names_have_a_program_caller(module_name):
     unused = [name for name in public
               if name.rsplit(".", 1)[-1] not in _program_names()]
     assert not unused, f"irsec.{module_name} exports names only tests use: {unused}"
+
+
+def test_package_and_cli_import_no_scipy():
+    probe = ("import irsec, irsec.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout

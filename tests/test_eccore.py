@@ -5,6 +5,7 @@ quadrature of the service MGF, 150-digit series evaluation of the
 log-moment integrals) and frozen here as decimal literals.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conftest import miso_cfg_for_kappa
 from irsec import eccore
-from irsec.channel import Exponential, LinkConfig
+from irsec.channel import Exponential, LinkConfig, siso_snr_dist
 from irsec.eccore import (
     SCENARIOS,
     EcResult,
@@ -128,6 +130,97 @@ def test_siso_csi_mgf_underflow_is_typed():
     cfg = LinkConfig(n_elems=2000, p_t=1e-3)
     with pytest.raises(ArithmeticError, match=r"underflows .* u = "):
         ec_siso_csi(cfg, 100.0)
+
+
+def _fold_density(t, root_lam):
+    # density of |Z| with Z ~ N(sqrt(lam), 1), damped form of both tails
+    d = t - root_lam
+    return (math.exp(-0.5 * d * d) * (1.0 + math.exp(-2.0 * root_lam * t))
+            / math.sqrt(2.0 * math.pi))
+
+
+_FOLD_WEIGHTS = {
+    "complement": lambda beta, u: lambda t: -math.expm1(-u * math.log1p(beta * t * t)),
+    "direct": lambda beta, u: lambda t: math.exp(-u * math.log1p(beta * t * t)),
+    "log": lambda beta, u: lambda t: math.log1p(beta * t * t),
+}
+
+# The benchmark's design grid: element counts, powers and QoS exponents.
+_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
+_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
+_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+@pytest.mark.parametrize("weight", sorted(_FOLD_WEIGHTS))
+@pytest.mark.parametrize("beta,lam,u", [
+    (2.3e-7, 161.0, 0.144), (0.7, 2.5, 1.4e-3), (1e-12, 3.1e5, 14.4), (40.0, 0.01, 1e-6)])
+def test_fold_integrand_is_weight_times_density_bit_for_bit(weight, beta, lam, u):
+    """Writing the density into each integrand keeps every bit of the
+    product weight(t) * density(t) it replaces."""
+    root_lam = math.sqrt(lam)
+    integrand = eccore._fold_integrand(weight, beta, u, root_lam)
+    w = _FOLD_WEIGHTS[weight](beta, u)
+    ts = np.concatenate(([0.0], np.linspace(0.0, root_lam + eccore._QUAD_SPAN, 301)[1:],
+                         np.random.default_rng(7).uniform(0.0, root_lam + 12.0, 100)))
+    for t in map(float, ts):
+        assert integrand(t) == w(t) * _fold_density(t, root_lam), t
+
+
+def test_fold_integrand_rejects_unknown_weight():
+    with pytest.raises(ValueError, match="weight"):
+        eccore._fold_integrand("square", 1.0, 1.0, 1.0)
+
+
+def test_fold_quad_matches_scipy_quad_on_the_design_grid():
+    """On every single-antenna cell of the design grid, both MGF routes
+    and the mean-service integral give quad's value and abserr, bit for
+    bit, with quad taking the density as a separate factor."""
+    cells = []
+    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+        cfg = LinkConfig(n_elems=n, p_t=p_t)
+        dist = siso_snr_dist(cfg)
+        cells.append(("log", dist.beta, 0.0, dist.lam))
+        for alpha in _GRID_ALPHA:
+            u = alpha * cfg.bandwidth * cfg.slot / LN2
+            cells += [("complement", dist.beta, u, dist.lam),
+                      ("direct", dist.beta, u, dist.lam)]
+    for weight, beta, u, lam in cells:
+        root_lam = math.sqrt(lam)
+        w = _FOLD_WEIGHTS[weight](beta, u)
+        hi = root_lam + eccore._QUAD_SPAN
+        pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
+        ref = quad(lambda t: w(t) * _fold_density(t, root_lam), 0.0, hi, points=pts,
+                   limit=200, epsabs=0.0, epsrel=eccore._QUAD_EPSREL)
+        value, abserr, _ = eccore._fold_quad(weight, beta, u, root_lam)
+        assert (value, abserr) == ref, (weight, beta, u, lam)
+    assert len(cells) == 49 * 15
+
+
+def test_siso_csi_reports_quadrature_health(cfg_siso):
+    res = ec_siso_csi(cfg_siso, 0.1)
+    assert 0.0 < res.diagnostics["quad_abserr"] < 1e-11
+    assert res.diagnostics["quad_neval"] > 0
+    assert res.diagnostics["quad_neval"] % 21 == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        relaxed = ec_siso_csi(cfg_siso, 0.1, method="relaxed")
+    assert math.isnan(relaxed.diagnostics["quad_abserr"])
+    assert relaxed.diagnostics["quad_neval"] == 0
+
+
+def test_missed_quadrature_target_warns_with_ier_and_abserr(cfg_siso, monkeypatch):
+    """A quadrature that stops short of its target (here: allowed no
+    bisection past the break points) says so instead of passing silently."""
+    full = ec_siso_csi(cfg_siso, 0.1).diagnostics
+    qagp = eccore.qagp
+    monkeypatch.setattr(eccore, "qagp", lambda f, a, b, pts, epsrel, limit:
+                        qagp(f, a, b, pts, epsrel, len(pts) + 1))
+    with pytest.warns(UserWarning, match=r"ier = 1, abserr = "):
+        short = ec_siso_csi(cfg_siso, 0.1).diagnostics
+    assert short["quad_abserr"] > full["quad_abserr"]
+    assert short["quad_neval"] < full["quad_neval"]
+    with pytest.warns(UserWarning, match=r"ier = 1"):
+        mean_service(cfg_siso, "siso_csi")
 
 
 @pytest.mark.parametrize("kappa,first,second,tol", SQLOG_ANCHORS)
