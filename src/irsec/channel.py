@@ -446,14 +446,17 @@ def load_link_config(path) -> LinkConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'name = value'")
             name = name.strip()
             value = value.strip()
-            if name in _FLOAT_FIELDS:
-                kwargs[name] = float(value)
-            elif name in _INT_FIELDS:
-                kwargs[name] = int(value)
-            elif name in ("g_t_db", "g_r_db"):
-                kwargs[name[:-3]] = 10.0 ** (float(value) / 10.0)
-            elif name == "precoder":
-                kwargs[name] = tuple(complex(tok.strip()) for tok in value.split(","))
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown field {name!r}")
+            try:
+                if name in _FLOAT_FIELDS:
+                    kwargs[name] = float(value)
+                elif name in _INT_FIELDS:
+                    kwargs[name] = int(value)
+                elif name in ("g_t_db", "g_r_db"):
+                    kwargs[name[:-3]] = 10.0 ** (float(value) / 10.0)
+                elif name == "precoder":
+                    kwargs[name] = tuple(complex(tok.strip()) for tok in value.split(","))
+                else:
+                    raise ValueError(f"unknown field {name!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return LinkConfig(**kwargs)

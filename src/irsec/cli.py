@@ -111,8 +111,7 @@ def _cmd_ec(args) -> int:
     rate = args.rate
     if not entry.adaptive and rate is None:
         rate = auto_rate(cfg, args.scenario, args.alpha, kappa_mode=args.kappa_mode)
-    res = entry.ec(cfg, args.alpha, rate, kappa_mode=args.kappa_mode,
-                   method=args.method)
+    res = entry.ec(cfg, args.alpha, rate, kappa_mode=args.kappa_mode)
     print(f"scenario = {args.scenario}")
     print(f"alpha = {args.alpha!r}")
     if rate is not None:
@@ -210,9 +209,9 @@ def _cmd_validate(args) -> int:
         print(line)
     cfg = _build_config(args, "siso_csi")
     res = ec_siso_csi(cfg, alpha)
-    relaxed = res.diagnostics.get("ec_relaxed")
+    relaxed = res.diagnostics["ec_relaxed"]
     exact = res.ec_bits_per_slot
-    if relaxed is not None and relaxed == relaxed:
+    if relaxed == relaxed:  # NaN where the closed form diverges
         bias = (relaxed - exact) / exact
         print(f"siso_csi high-SNR closed form: relaxed = {relaxed:.6f}, "
               f"exact = {exact:.6f}, systematic_bias = {bias:.2%}, "
@@ -235,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ec.add_argument("--alpha", required=True, type=float)
     p_ec.add_argument("--rate", type=float, default=None,
                       help="fixed rate; optimized automatically if omitted")
-    p_ec.add_argument("--method", choices=("exact", "relaxed"), default="exact",
-                      help="siso_csi evaluation route")
     p_ec.add_argument("--kappa-mode", choices=("exact", "closed"),
                       default="exact")
     _add_config_flags(p_ec)

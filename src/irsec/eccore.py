@@ -50,7 +50,6 @@ __all__ = [
     "mean_service",
     "KAPPA_WATSON",
     "RELAX_SNR_FLOOR",
-    "RELAX_PROB_LIMIT",
 ]
 
 LN2 = math.log(2.0)
@@ -61,10 +60,9 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 # at optimal truncation is far better. Crossover measured near 14.
 KAPPA_WATSON = 14.0
 
-# The interpretable high-SNR closed form drops the +1 inside the log.
-# Flag configs with non-negligible mass below this SNR.
+# The interpretable high-SNR closed form drops the +1 inside the log;
+# its diagnostics report the SNR law's mass below this floor.
 RELAX_SNR_FLOOR = 9.0
-RELAX_PROB_LIMIT = 0.1
 _EXP_TAIL = 690.0
 
 # Quadrature window for the exact single-antenna forms, in units of the
@@ -136,23 +134,21 @@ class Scenario:
         alpha: float,
         rate: float | None = None,
         kappa_mode: str = "exact",
-        method: str = "exact",
     ) -> EcResult:
         """EC of this branch; fixed-rate branches need the rate.
 
-        kappa_mode applies to the beamformed link, method to siso_csi.
-        A rate given to an adaptive branch, or a kappa_mode or method
-        other than "exact" where it does not apply, is a ValueError
-        rather than ignored.
+        kappa_mode applies to the beamformed link. A rate given to an
+        adaptive branch, or a kappa_mode other than "exact" on the
+        single-antenna link, is a ValueError rather than ignored.
+        siso_csi's high-SNR closed form is a diagnostic of its result,
+        never the EC.
         """
-        if method != "exact" and (self.beamformed or not self.adaptive):
-            raise ValueError(f"method {method!r} applies only to siso_csi")
         self._check_kappa_mode(kappa_mode)
         self.check_rate(rate)
         if self.adaptive:
             if self.beamformed:
                 return ec_miso_csi(cfg, alpha, kappa_mode=kappa_mode)
-            return ec_siso_csi(cfg, alpha, method=method)
+            return ec_siso_csi(cfg, alpha)
         if self.beamformed:
             return ec_miso_nocsi(cfg, alpha, rate, kappa_mode=kappa_mode)
         return ec_siso_nocsi(cfg, alpha, rate)
@@ -287,7 +283,7 @@ def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float) -> tuple[float, dict
         "neg_u_ln_beta": -u * math.log(beta),
         "neg_u_ln2": -u * LN2,
         "neg_half_lam": -0.5 * lam,
-        "ln_gamma_half_minus_u": specfun.ln_gamma(0.5 - u),
+        "ln_gamma_half_minus_u": math.lgamma(0.5 - u),
         "neg_half_ln_pi": -0.5 * math.log(math.pi),
         "ln_hyp1f1": specfun.ln_hyp1f1(0.5 - u, 0.5, 0.5 * lam),
     }
@@ -297,22 +293,21 @@ def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float) -> tuple[float, dict
 def ec_siso_csi(
     cfg: LinkConfig,
     alpha: float,
-    method: str = "exact",
 ) -> EcResult:
     """EC of the rate-adaptive single-antenna link.
 
-    method="exact" integrates the true service MGF; method="relaxed"
-    evaluates the interpretable high-SNR closed form, which requires
-    alpha * bandwidth * slot / ln 2 < 1/2 and undershoots when low-SNR
-    mass is non-negligible (both reported in diagnostics either way).
-    The exact route also reports its quadrature's error estimate and
-    integrand evaluations as quad_abserr and quad_neval (nan and 0 when
-    method="relaxed" takes no quadrature).
+    The EC integrates the true service MGF by quadrature, whose error
+    estimate and integrand evaluations are reported as quad_abserr and
+    quad_neval. The diagnostics also carry the interpretable high-SNR
+    closed form (ec_relaxed, ln_mgf_relaxed, relaxed_addends), finite
+    only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
+    low_snr_prob = P(SNR < RELAX_SNR_FLOOR), the mass on which that form
+    undershoots. The closed form is a diagnostic only, never the EC.
     """
     dist = siso_snr_dist(cfg)
     a = alpha_value(alpha)
     u = a * cfg.bandwidth * cfg.slot / LN2
-    diag: dict = {"beta": dist.beta, "lam": dist.lam, "u": u, "method": method}
+    diag: dict = {"beta": dist.beta, "lam": dist.lam, "u": u}
     diag["low_snr_prob"] = dist.cdf(RELAX_SNR_FLOOR)
 
     if u < 0.5:
@@ -324,29 +319,10 @@ def ec_siso_csi(
         diag["ln_mgf_relaxed"] = math.nan
         diag["ec_relaxed"] = math.nan
 
-    diag["quad_abserr"], diag["quad_neval"] = math.nan, 0
-    if method == "exact":
-        ln_mgf, diag["quad_abserr"], diag["quad_neval"] = _ln_mgf_siso_exact(
-            dist.beta, dist.lam, u)
-        ec = -ln_mgf / a
-    elif method == "relaxed":
-        if not u < 0.5:
-            raise ValueError(
-                "relaxed form diverges for alpha*bandwidth*slot/ln2 >= 1/2; "
-                "use method='exact'")
-        if diag["low_snr_prob"] > RELAX_PROB_LIMIT:
-            warnings.warn(
-                "relaxed closed form assumes SNR >> 1 but "
-                f"P(SNR < {RELAX_SNR_FLOOR:g}) = {diag['low_snr_prob']:.3g} "
-                f"> {RELAX_PROB_LIMIT:g}; expect a systematic undershoot",
-                UserWarning, stacklevel=2)
-        ln_mgf = diag["ln_mgf_relaxed"]
-        ec = max(diag["ec_relaxed"], 0.0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    ln_mgf, diag["quad_abserr"], diag["quad_neval"] = _ln_mgf_siso_exact(
+        dist.beta, dist.lam, u)
     diag["ln_mgf"] = ln_mgf
-    return EcResult(ec_bits_per_slot=ec, scenario="siso_csi", diagnostics=diag)
+    return EcResult(ec_bits_per_slot=-ln_mgf / a, scenario="siso_csi", diagnostics=diag)
 
 
 def _sq_log_moment(kappa: float) -> float:
@@ -483,15 +459,13 @@ def ec_on_off(
 
 
 def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
-                   alpha: float, rate: float,
-                   **extra) -> EcResult:
+                   alpha: float, rate: float) -> EcResult:
     """On/off EC at a fixed rate over the law dist; diagnostics carry
-    the chain, the law's parameters and extra."""
+    the chain. The one fixed-rate EC behind both no-CSI branches and the
+    rate search."""
     p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
     chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-    res = ec_on_off(chain, alpha, scenario=scenario)
-    res.diagnostics.update(vars(dist), **extra)
-    return res
+    return ec_on_off(chain, alpha, scenario=scenario)
 
 
 def ec_siso_nocsi(
@@ -500,7 +474,10 @@ def ec_siso_nocsi(
     rate: float,
 ) -> EcResult:
     """EC of fixed-rate transmission over the single-antenna link."""
-    return _ec_fixed_rate("siso_nocsi", siso_snr_dist(cfg), cfg, alpha, rate)
+    dist = siso_snr_dist(cfg)
+    res = _ec_fixed_rate("siso_nocsi", dist, cfg, alpha, rate)
+    res.diagnostics.update(vars(dist))
+    return res
 
 
 def ec_miso_nocsi(
@@ -510,8 +487,10 @@ def ec_miso_nocsi(
     kappa_mode: str = "exact",
 ) -> EcResult:
     """EC of fixed-rate transmission over the beamformed link."""
-    return _ec_fixed_rate("miso_nocsi", miso_snr_dist(cfg, mode=kappa_mode),
-                          cfg, alpha, rate, kappa_mode=kappa_mode)
+    dist = miso_snr_dist(cfg, mode=kappa_mode)
+    res = _ec_fixed_rate("miso_nocsi", dist, cfg, alpha, rate)
+    res.diagnostics.update(vars(dist), kappa_mode=kappa_mode)
+    return res
 
 
 def mean_service(

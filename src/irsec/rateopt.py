@@ -21,16 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsec import specfun
-from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
+from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
-    OnOffChannel,
+    _ec_fixed_rate,
     alpha_value,
     ec_miso_nocsi,
-    ec_on_off,
     ec_siso_nocsi,
     get_scenario,
-    on_off_probs,
 )
 from irsec.numerics import minimize_bounded
 
@@ -267,14 +265,6 @@ def solve_rate_miso_exact(
                         method="root_find")
 
 
-def _fixed_rate_ec(dist: SnrDistribution, cfg: LinkConfig, a: float,
-                   rate: float) -> float:
-    """On/off EC in bits per slot at a fixed rate over the law dist."""
-    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-    return ec_on_off(chain, a).ec_bits_per_slot
-
-
 def grid_argmax_rate(
     cfg: LinkConfig,
     alpha: float,
@@ -302,13 +292,15 @@ def grid_argmax_rate(
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
     rates = np.linspace(r_max / points, r_max, points)
-    values = [_fixed_rate_ec(dist, cfg, a, float(r)) for r in rates]
+    values = [_ec_fixed_rate(scenario, dist, cfg, a, float(r)).ec_bits_per_slot
+              for r in rates]
     k = int(np.argmax(values))
     r_best, ec_best = float(rates[k]), values[k]
     lo = float(rates[k - 1]) if k > 0 else 0.0
     hi = float(rates[min(k + 1, points - 1)])
-    x, fun, nfev = minimize_bounded(lambda r: -_fixed_rate_ec(dist, cfg, a, r),
-                                    lo, hi, _GRID_XATOL * r_max)
+    x, fun, nfev = minimize_bounded(
+        lambda r: -_ec_fixed_rate(scenario, dist, cfg, a, r).ec_bits_per_slot,
+        lo, hi, _GRID_XATOL * r_max)
     if -fun > ec_best:
         r_best, ec_best = x, -fun
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,

@@ -12,7 +12,6 @@ import math
 
 __all__ = [
     "ConvergenceError",
-    "ln_gamma",
     "gaussian_tail",
     "marcum_q_half",
     "marcum_q_half_ddb",
@@ -39,13 +38,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 class ConvergenceError(ArithmeticError):
     """A truncated series hit SERIES_MAX_TERMS before SERIES_REL_TOL."""
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def gaussian_tail(x: float) -> float:
@@ -97,16 +89,20 @@ def _kahan_sum(first_term: float, next_ratio) -> float:
     )
 
 
-def _hyp1f1_series(a: float, b: float, x: float) -> float:
-    return _kahan_sum(1.0, lambda n: (a + n) * x / ((b + n) * (n + 1.0)))
+def ln_hyp1f1(a: float, b: float, x: float) -> float:
+    """ln 1F1(a; b; x) for a > 0, b > 0 and x > 0.
 
-
-def _ln_hyp1f1_posx(a: float, b: float, x: float) -> float:
-    # x > 0 and a >= 0 here; a == 0 collapses every term past the first.
-    if a == 0.0:
-        return 0.0
+    Stays in the log domain so callers can combine it with large gamma
+    factors before a single exponentiation.
+    """
+    if a <= 0.0:
+        raise ValueError(f"ln_hyp1f1 requires a > 0, got {a}")
+    if b <= 0.0:
+        raise ValueError(f"ln_hyp1f1 requires b > 0, got {b}")
+    if x <= 0.0:
+        raise ValueError(f"ln_hyp1f1 requires x > 0, got {x}")
     if x <= HYP1F1_ASYMPTOTIC_SWITCH:
-        return math.log(_hyp1f1_series(a, b, x))
+        return math.log(_kahan_sum(1.0, lambda n: (a + n) * x / ((b + n) * (n + 1.0))))
     # Large-x asymptotic: 1F1(a;b;x) ~ Gamma(b)/Gamma(a) e^x x^(a-b) * S,
     # S = sum_k (b-a)_k (1-a)_k / (k! x^k), truncated at its smallest term.
     corr = 1.0
@@ -121,30 +117,7 @@ def _ln_hyp1f1_posx(a: float, b: float, x: float) -> float:
             break
     if corr <= 0.0:
         raise ConvergenceError("1F1 asymptotic correction lost positivity")
-    return ln_gamma(b) - ln_gamma(a) + x + (a - b) * math.log(x) + math.log(corr)
-
-
-def ln_hyp1f1(a: float, b: float, x: float) -> float:
-    """ln 1F1(a; b; x) for a > 0, b > 0 and real x.
-
-    Stays in the log domain so callers can combine it with large gamma
-    factors before a single exponentiation.
-    """
-    if a <= 0.0:
-        raise ValueError(f"ln_hyp1f1 requires a > 0, got {a}")
-    if b <= 0.0:
-        raise ValueError(f"ln_hyp1f1 requires b > 0, got {b}")
-    if x == 0.0:
-        return 0.0
-    if x < 0.0:
-        # reflect to positive argument: 1F1(a;b;x) = e^x 1F1(b-a;b;-x)
-        if b - a >= 0.0:
-            return x + _ln_hyp1f1_posx(b - a, b, -x)
-        value = _hyp1f1_series(a, b, x)
-        if value <= 0.0:
-            raise ValueError(f"1F1({a};{b};{x}) is not positive; no log form")
-        return math.log(value)
-    return _ln_hyp1f1_posx(a, b, x)
+    return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(corr)
 
 
 def hyp3f3_unit(x: float) -> float:

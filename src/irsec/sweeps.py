@@ -50,8 +50,9 @@ class SweepSpec:
     """One sweep request: what to vary, over what, at which exponents.
 
     mc_slots = 0 disables the oracle columns; otherwise it is the
-    oracle's slot count. When sweep_var is "alpha" the values themselves
-    are the exponents and alpha_list is ignored.
+    oracle's slot count, stored as an int (1e3 is 1000; 10.5 raises).
+    When sweep_var is "alpha" the values themselves are the exponents
+    and alpha_list is ignored.
     """
 
     scenario: str
@@ -85,8 +86,9 @@ class SweepSpec:
                 raise ValueError("alpha_list must be nonempty")
             if any(a <= 0.0 for a in self.alpha_list):
                 raise ValueError("alpha_list entries must be positive")
-        if self.mc_slots < 0:
-            raise ValueError("mc_slots must be >= 0")
+        if int(self.mc_slots) != self.mc_slots or self.mc_slots < 0:
+            raise ValueError("mc_slots must be a nonnegative integer")
+        object.__setattr__(self, "mc_slots", int(self.mc_slots))
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ from irsec.channel import (
     siso_snr_from_fading,
     stream_rng,
 )
-from irsec.eccore import OnOffChannel, alpha_value, get_scenario
+from irsec.eccore import OnOffChannel, _ec_fixed_rate, alpha_value, get_scenario
 from irsec.mcoracle import service_from_snr
-from irsec.rateopt import RateSolution, _fixed_rate_ec
+from irsec.rateopt import RateSolution
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -198,7 +198,8 @@ def grid_argmax_reference(
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
     rates = np.linspace(r_max / points, r_max, points)
-    values = np.array([_fixed_rate_ec(dist, cfg, a, r) for r in rates])
+    values = np.array([_ec_fixed_rate(scenario, dist, cfg, a, r).ec_bits_per_slot
+                       for r in rates])
     k = int(np.argmax(values))
     r_best, ec_best = float(rates[k]), float(values[k])
     if 0 < k < points - 1:
@@ -210,7 +211,7 @@ def grid_argmax_reference(
             offset = 0.5 * h * (y0 - y2) / curvature
             offset = min(max(offset, -h), h)
             r_ref = r_best + offset
-            ec_ref = _fixed_rate_ec(dist, cfg, a, r_ref)
+            ec_ref = _ec_fixed_rate(scenario, dist, cfg, a, r_ref).ec_bits_per_slot
             if ec_ref >= ec_best:
                 r_best, ec_best = r_ref, ec_ref
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,

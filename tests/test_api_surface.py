@@ -1,10 +1,12 @@
-"""Every public function and class of the library, and every public
-method and property of those classes, has a caller in the program: the
-package itself, the scripts or the benchmark.
+"""Every public name of the library (each function, class, constant and
+alias in a module's __all__, and every public method and property of
+those classes) has a user in the program: the package itself, the
+scripts or the benchmark.
 
-A name counts as called where it appears as a name, an attribute or an
-import in the source of src/, scripts/ or bench/; strings, comments and
-the tests do not count, so code that only its own tests call fails here.
+A name counts as used where it is read as a name or an attribute, or
+imported, in the source of src/, scripts/ or bench/. An assignment does
+not count, nor do strings, comments and the tests, so a name that only
+its own definition and the tests mention fails here.
 
 Importing the package and its command line loads no scipy module: numpy
 is the only run-time dependency, and scipy's import graph would triple
@@ -34,9 +36,10 @@ def _program_names() -> frozenset:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                # a constant's own assignment is an ast.Name too, in Store context
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.rsplit(".", 1)[-1])
@@ -54,9 +57,7 @@ def _public_members(cls) -> list:
 @pytest.mark.parametrize("module_name", MODULES)
 def test_public_names_have_a_program_caller(module_name):
     module = importlib.import_module(f"irsec.{module_name}")
-    public = [name for name in module.__all__
-              if inspect.isfunction(getattr(module, name))
-              or inspect.isclass(getattr(module, name))]
+    public = list(module.__all__)
     public += [f"{name}.{member}" for name in module.__all__
                if inspect.isclass(getattr(module, name))
                for member in _public_members(getattr(module, name))]

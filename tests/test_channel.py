@@ -6,6 +6,7 @@ measured values, not flaky statistical gambles.
 """
 
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -512,4 +513,14 @@ def test_config_unknown_field(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("power = 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown field"):
+        load_link_config(path)
+
+
+@pytest.mark.parametrize("line", ["n_elems = 16.0", "p_t = abc"])
+def test_config_value_errors_name_the_line(tmp_path, line):
+    """A value that does not convert names its file and line, like every
+    other config error."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# link\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
         load_link_config(path)

@@ -14,9 +14,8 @@ from scipy.optimize import minimize_scalar
 
 from irsec import numerics
 from irsec.channel import LinkConfig
-from irsec.eccore import get_scenario
+from irsec.eccore import _ec_fixed_rate, get_scenario
 from irsec.numerics import minimize_bounded, qagp
-from irsec.rateopt import _fixed_rate_ec
 
 # quad reports ier only through its message; these are their openings.
 _QUAD_MESSAGES = {
@@ -174,13 +173,16 @@ def test_minimize_bounded_matches_scipy_on_rate_brackets(scenario, alpha, points
     dist = get_scenario(scenario).law(cfg)
     r_max = 40.0 * cfg.bandwidth
     rates = np.linspace(r_max / points, r_max, points)
-    k = int(np.argmax([_fixed_rate_ec(dist, cfg, alpha, float(r)) for r in rates]))
+
+    def ec(r):
+        return _ec_fixed_rate(scenario, dist, cfg, alpha, r).ec_bits_per_slot
+
+    k = int(np.argmax([ec(float(r)) for r in rates]))
     brackets = [(0.0, float(rates[1])), (float(rates[-2]), r_max)]
     if 0 < k < points - 1:
         brackets.append((float(rates[k - 1]), float(rates[k + 1])))
     for lo, hi in brackets:
-        _assert_same_minimum(lambda r: -_fixed_rate_ec(dist, cfg, alpha, r),
-                             lo, hi, 1e-9 * r_max)
+        _assert_same_minimum(lambda r: -ec(r), lo, hi, 1e-9 * r_max)
 
 
 def test_minimize_bounded_validation():

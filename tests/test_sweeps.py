@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsec import eccore, rateopt
+from irsec import eccore
 from irsec.channel import LinkConfig, siso_snr_dist
 from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, mean_service
 from irsec.mcoracle import empirical_ec
@@ -60,6 +60,18 @@ def test_spec_validation():
         _rate_spec(alpha_list=(0.1, -1.0))
     with pytest.raises(ValueError):
         _rate_spec(mc_slots=-100)
+
+
+def test_integral_float_mc_slots_is_the_int():
+    """An integral slot count such as 1e3 runs as 1000; a fractional one
+    is refused at construction rather than failing every row."""
+    spec = _rate_spec(values=(1.0, 1.5), mc_slots=1e3)
+    assert spec.mc_slots == 1000 and type(spec.mc_slots) is int
+    rows = run_sweep(spec)
+    assert all(row.error is None for row in rows)
+    assert rows == run_sweep(_rate_spec(values=(1.0, 1.5), mc_slots=1000))
+    with pytest.raises(ValueError, match="mc_slots"):
+        _rate_spec(mc_slots=10.5)
 
 
 def test_rate_sweep_is_unimodal():
@@ -254,13 +266,13 @@ def test_auto_rate_reaches_the_fine_grid_peak():
 def test_auto_rate_evaluation_budget(monkeypatch, alpha):
     """The single-antenna optimum costs at most 100 EC evaluations."""
     calls = []
-    on_off_probs = rateopt.on_off_probs
+    on_off_probs = eccore.on_off_probs
 
     def counted(*args):
         calls.append(args)
         return on_off_probs(*args)
 
-    monkeypatch.setattr(rateopt, "on_off_probs", counted)
+    monkeypatch.setattr(eccore, "on_off_probs", counted)
     auto_rate(LinkConfig(), "siso_nocsi", alpha)
     assert 0 < len(calls) <= 100
 
