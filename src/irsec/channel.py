@@ -78,6 +78,11 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     )
 
 
+_INT_FIELDS = ("n_elems", "n_tx")
+_FLOAT_FIELDS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
+                 "p_t", "sigma2", "bandwidth", "slot")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Full physical parameterization of one downlink.
@@ -103,6 +108,9 @@ class LinkConfig:
     precoder: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("d1", "d2", "x_irs", "y_irs", "g_t", "g_r", "p_t",
                      "sigma2", "bandwidth", "slot"):
             if not getattr(self, name) > 0.0:
@@ -423,11 +431,6 @@ def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
     return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
-_INT_FIELDS = ("n_elems", "n_tx")
-_FLOAT_FIELDS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
-                 "p_t", "sigma2", "bandwidth", "slot")
-
-
 def load_link_config(path) -> LinkConfig:
     """Read a flat `name = value` config file.
 
@@ -459,4 +462,7 @@ def load_link_config(path) -> LinkConfig:
                     raise ValueError(f"unknown field {name!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            except OverflowError:
+                raise OverflowError(f"{path}:{lineno}: {name} = {value}: "
+                                    "the linear gain overflows a float") from None
     return LinkConfig(**kwargs)

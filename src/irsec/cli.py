@@ -69,7 +69,12 @@ def _build_config(args, scenario: str | None = None) -> LinkConfig:
         if value is None:
             continue
         if name.endswith("_db"):
-            overrides[name[:-3]] = 10.0 ** (value / 10.0)
+            try:
+                overrides[name[:-3]] = 10.0 ** (value / 10.0)
+            except OverflowError:
+                flag = "--" + name.replace("_", "-")
+                raise OverflowError(
+                    f"{flag} {value!r}: the linear gain overflows a float") from None
         else:
             overrides[name] = value
     if args.precoder is not None:
@@ -192,11 +197,12 @@ def _cmd_validate(args) -> int:
     alpha = args.alpha
     print(f"alpha = {alpha!r}")
     print(f"mc_slots = {args.mc_slots}")
-    for offset, scenario in enumerate(SCENARIOS):
-        # each branch is a one-row alpha sweep, its oracle drawn at seed + offset
+    for scenario in SCENARIOS:
+        # each branch is a one-row alpha sweep at seed; the CSI and no-CSI
+        # branches of one link share its fading draw (see run_sweep)
         row, = run_sweep(SweepSpec(scenario, "alpha", (alpha,),
                                    _build_config(args, scenario),
-                                   seed=seed + offset, mc_slots=args.mc_slots))
+                                   seed=seed, mc_slots=args.mc_slots))
         if row.error is not None:
             print(f"error: {row.error}", file=sys.stderr)
             return 2

@@ -154,9 +154,8 @@ class Scenario:
         return ec_siso_nocsi(cfg, alpha, rate)
 
 
-# The one place that says what each scenario name means. The order is
-# part of the interface: validate's one-row sweep of branch k draws its
-# oracle at seed + k.
+# The one place that says what each scenario name means. Every branch
+# draws its oracle at the caller's seed, so the order seeds nothing.
 SCENARIOS = {s.name: s for s in (
     Scenario("siso_csi", beamformed=False, adaptive=True),
     Scenario("siso_nocsi", beamformed=False, adaptive=False),

@@ -154,7 +154,9 @@ def optimize_rate_siso(
     r(m) = r(m-1) - step * drho/dr, stopping at |r(m) - r(m-1)| <= conv_tol.
     Nonpositive iterates are projected back to conv_tol. No line search;
     step quality is the caller's responsibility (grid_argmax_rate is the
-    cross-check).
+    cross-check). A start where the EC is 0 and the gradient too small
+    to move the rate (p_on has underflowed, or nearly) is a ValueError
+    naming r0, not a converged dead rate.
     """
     if settings is None:
         settings = DescentSettings()
@@ -167,6 +169,10 @@ def optimize_rate_siso(
             r_new = tol
         if abs(r_new - r_prev) <= tol:
             ec = ec_siso_nocsi(cfg, alpha, r_new).ec_bits_per_slot
+            if m == 1 and ec == 0.0:
+                raise ValueError(
+                    f"descent stalls at r0 = {r0!r}: the EC there is 0 and its "
+                    f"gradient {grad!r} does not move the rate; pick a smaller r0")
             return RateSolution(r_star=r_new, ec_at_r_star=ec,
                                 iterations=m, method="gradient_descent")
         r_prev = r_new

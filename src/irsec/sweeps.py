@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from irsec.channel import LinkConfig, SampleBatch
-from irsec.eccore import LN2, SCENARIOS, get_scenario
+from irsec.eccore import LN2, SCENARIOS, Scenario, get_scenario
 from irsec.mcoracle import empirical_ec, service_from_snr
 from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
 
@@ -137,6 +137,25 @@ def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
     return grid_argmax_rate(cfg, alpha, scenario, r_max, _AUTO_GRID_POINTS).r_star
 
 
+# The last fading draw any sweep made, as ((beamformed, N, seed, slots),
+# batch). A draw depends only on that key and its values are read-only,
+# so consecutive sweeps of one link share it; a new key replaces it, so
+# at most one batch outlives a sweep.
+_last_fading: tuple[tuple, SampleBatch] | None = None
+
+
+def _fading(entry: Scenario, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+    global _last_fading
+    key = (entry.beamformed, cfg.n_elems, seed, n)
+    last = _last_fading
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_fading = last = None  # free the old batch before drawing the next
+    batch = entry.fading(cfg, seed, n)
+    _last_fading = (key, batch)
+    return batch
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, one row per (value, alpha), never aborting.
 
@@ -147,23 +166,23 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     own budget (Scenario.snr_from_fading), and rows with the same link
     config share that SNR batch, mapped to service at their own rate and
     exponent. A p_t, N_t, alpha or rate sweep thus draws the channel
-    once and an N sweep once per value. Every row's oracle is the one it
-    would get from a sweep of its own at spec.seed, bit for bit; irsec
-    validate runs each branch as such a one-row alpha sweep.
+    once and an N sweep once per value. The last draw is kept after the
+    sweep returns, so the next sweep of the same link kind, element
+    count, seed and slot count reuses it instead of drawing again: the
+    CSI and no-CSI branches of one link share one draw. Every row's
+    oracle is the one it would get from a fresh draw at spec.seed, bit
+    for bit; irsec validate runs each branch as such a one-row alpha
+    sweep.
     """
     entry = SCENARIOS[spec.scenario]
-    # rows are value-major, so rows sharing a draw are consecutive and
-    # the last one of each kind is the only one worth keeping
-    last_fading: tuple[int, SampleBatch] | None = None
+    # rows are value-major, so rows sharing a link config are consecutive
     last_snr: tuple[LinkConfig, SampleBatch] | None = None
 
     def draw(cfg: LinkConfig) -> SampleBatch:
-        nonlocal last_fading, last_snr
+        nonlocal last_snr
         if last_snr is None or last_snr[0] != cfg:
-            if last_fading is None or last_fading[0] != cfg.n_elems:
-                last_fading = (cfg.n_elems,
-                               entry.fading(cfg, spec.seed, spec.mc_slots))
-            last_snr = (cfg, entry.snr_from_fading(last_fading[1], cfg))
+            fading = _fading(entry, cfg, spec.seed, spec.mc_slots)
+            last_snr = (cfg, entry.snr_from_fading(fading, cfg))
         return last_snr[1]
 
     rows: list[SweepRow] = []

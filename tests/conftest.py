@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from irsec import eccore, sweeps
 from irsec.channel import LinkConfig, pathloss
 
 
@@ -34,3 +35,24 @@ def miso_cfg_for_kappa(kappa: float, n_tx: int = 10) -> LinkConfig:
     p_t = base.sigma2 / (2.0 * base.n_elems * pathloss(base)
                          * base.precoder_power * kappa)
     return replace(base, p_t=p_t)
+
+
+@pytest.fixture
+def fading_calls(monkeypatch):
+    """The names of the fading draws the test makes, in call order,
+    starting from an empty sweep fading slot."""
+    calls = []
+
+    def counted(name):
+        draw = getattr(eccore, name)
+
+        def fading(*args):
+            calls.append(name)
+            return draw(*args)
+
+        monkeypatch.setattr(eccore, name, fading)
+
+    counted("siso_fading")
+    counted("miso_fading")
+    monkeypatch.setattr(sweeps, "_last_fading", None)
+    return calls

@@ -9,7 +9,7 @@ import math
 import re
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -78,6 +78,16 @@ def test_link_config_validation():
         LinkConfig(n_tx=2, precoder=(1.0,))
     with pytest.raises(ValueError):
         LinkConfig(precoder=(0.0,))
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(LinkConfig)
+                                   if f.type == "float"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_link_config_rejects_nonfinite_floats(field, value):
+    """inf and nan are refused as input in every float field; an infinite
+    power used to pass the positivity check and fail in the quadrature."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        LinkConfig(**{field: value})
 
 
 def test_default_precoder_unit_norm():

@@ -200,17 +200,20 @@ def test_validate_smoke(capsys):
     assert "systematic_bias" in out
 
 
-def test_validate_branch_k_draws_at_seed_plus_k(capsys):
-    """Branch k of validate draws its oracle at seed + k, in table order."""
+def test_validate_draws_every_branch_at_seed(capsys, fading_calls):
+    """Every branch of validate draws its oracle at seed itself, so the
+    CSI and no-CSI branches of one link share one fading draw: one
+    siso_fading and one miso_fading call per validate."""
     code, out, _ = _run(capsys, ["validate", "--mc-slots", "5000", "--seed", "11"])
     assert code == 0
+    assert fading_calls == ["siso_fading", "miso_fading"]
     lines = [line for line in out.splitlines() if "rel_err" in line]
     assert [line.split(":")[0] for line in lines] == list(SCENARIOS)
-    for k, (line, (name, entry)) in enumerate(zip(lines, SCENARIOS.items())):
+    for line, (name, entry) in zip(lines, SCENARIOS.items()):
         cfg = LinkConfig(n_tx=10) if entry.beamformed else LinkConfig()
         rate = None if entry.adaptive else auto_rate(cfg, name, 0.1)
-        want = empirical_ec(simulate_service(cfg, name, rate, 11 + k, 5000), 0.1)
-        assert f", oracle = {want.value:.6f}," in line, (k, line)
+        want = empirical_ec(simulate_service(cfg, name, rate, 11, 5000), 0.1)
+        assert f", oracle = {want.value:.6f}, stderr = {want.stderr:.2g}," in line, line
 
 
 def test_validate_rejects_zero_slots(capsys):
@@ -225,6 +228,45 @@ def test_validate_rejects_nonpositive_alpha(capsys):
     assert code == 2
     assert err.startswith("error: ValueError: alpha must be strictly positive")
     assert "rel_err" not in out
+
+
+def test_db_gain_overflow_names_the_flag(capsys):
+    code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "0.1",
+                                   "--g-t-db", "4000"])
+    assert code == 2
+    assert err.startswith("error: OverflowError: --g-t-db 4000.0: ")
+    assert "ec_bits_per_slot" not in out
+
+
+def test_db_gain_overflow_in_config_names_the_line(tmp_path, capsys):
+    path = tmp_path / "link.cfg"
+    path.write_text("# link\ng_r_db = 4000\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "0.1",
+                                 "--config", str(path)])
+    assert code == 2
+    assert err.startswith(f"error: OverflowError: {path}:2: g_r_db = 4000: ")
+
+
+def test_nonfinite_link_value_is_named(tmp_path, capsys):
+    """An infinite power is refused as input, by flag or by file, not
+    left to fail inside the quadrature."""
+    path = tmp_path / "link.cfg"
+    path.write_text("p_t = 1e400\n", encoding="utf-8")
+    for extra in (["--p-t", "inf"], ["--config", str(path)]):
+        code, _, err = _run(capsys, ["ec", "--scenario", "siso_csi",
+                                     "--alpha", "0.1", *extra])
+        assert code == 2
+        assert err == "error: ValueError: p_t must be finite\n", extra
+
+
+def test_optimize_rate_refuses_a_dead_descent(capsys):
+    """With 16 elements the default descent start has EC 0 and no usable
+    gradient; the command fails naming r0 instead of printing r* = r0."""
+    code, out, err = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
+                                   "--alpha", "0.1", "--n-elems", "16"])
+    assert code == 2
+    assert err.startswith("error: ValueError: descent stalls at r0 = 1.0")
+    assert "r_star" not in out
 
 
 def test_bad_input_exit_code(capsys):

@@ -107,22 +107,32 @@ def test_descent_tight_qos_needs_fine_step(cfg_siso):
 
 def test_descent_plateau_needs_multi_start(cfg_siso_16):
     """With 16 elements the MGF is flat at the default r0 = B (the on
-    probability has underflowed), so single-start descent reports the
-    start point with zero EC; restarting from smaller rates recovers
-    the true optimum."""
-    stuck = optimize_rate_siso(cfg_siso_16, 0.1)
-    assert stuck.r_star == pytest.approx(1.0, abs=1e-6)
-    assert stuck.ec_at_r_star == pytest.approx(0.0, abs=1e-15)
+    probability has underflowed), so single-start descent cannot move;
+    it raises naming r0 rather than report the start with zero EC, and
+    so does r0 = 0.5 B. Restarting from smaller rates recovers the true
+    optimum."""
+    for r0 in (1.0, 0.5):
+        with pytest.raises(ValueError, match=rf"r0 = {r0!r}: the EC there is 0"):
+            optimize_rate_siso(cfg_siso_16, 0.1, DescentSettings(r0=r0))
 
     fine = DescentSettings(r0=0.02, step=0.05, conv_tol=1e-8)
     best = max(
         (optimize_rate_siso(cfg_siso_16, 0.1, replace(fine, r0=r0))
-         for r0 in (0.02, 0.1, 0.5, 1.0)),
+         for r0 in (0.02, 0.1)),
         key=lambda s: s.ec_at_r_star)
     oracle = grid_argmax_reference(cfg_siso_16, 0.1, "siso_nocsi", 0.3, 1000)
     assert best.r_star == pytest.approx(oracle.r_star, abs=1e-4)
     assert best.ec_at_r_star == pytest.approx(oracle.ec_at_r_star, rel=1e-8)
     assert oracle.ec_at_r_star == pytest.approx(0.03835292574957367, rel=1e-8)
+
+
+def test_descent_rejects_a_dead_start():
+    """A start whose gradient is exactly 0 and whose EC is 0 raises, and
+    so does one whose gradient is too small to move the rate."""
+    for cfg in (LinkConfig(p_t=1e-5), LinkConfig(n_elems=16)):
+        with pytest.raises(ValueError, match=r"^descent stalls at r0 = 1\.0"):
+            optimize_rate_siso(cfg, 0.1)
+    assert siso_ec_gradient(LinkConfig(p_t=1e-5), 0.1, 1.0) == 0.0
 
 
 def test_descent_nonconvergence_carries_last_rate(cfg_siso):

@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsec import eccore
+from irsec import eccore, sweeps
 from irsec.channel import LinkConfig, siso_snr_dist
-from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, mean_service
+from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, get_scenario, mean_service
 from irsec.mcoracle import empirical_ec
 from irsec.sweeps import (
     CSV_HEADER,
@@ -136,24 +136,11 @@ def test_oracle_rows_reproducible():
     assert a == b
 
 
-def test_oracle_draws_once_per_config(monkeypatch):
+def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
     """Rows with the same element count share one fading draw at
     spec.seed: a rate, p_t or N_t sweep draws once, an N sweep once per
     value, and every row's oracle equals a fresh simulate_service draw
     at that seed."""
-    calls = []
-
-    def counted(name):
-        draw = getattr(eccore, name)
-
-        def fading(*args):
-            calls.append(name)
-            return draw(*args)
-
-        monkeypatch.setattr(eccore, name, fading)
-
-    counted("siso_fading")
-    counted("miso_fading")
     common = dict(alpha_list=(0.1, 1.0), seed=7, mc_slots=2000)
     rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), **common)
     power_spec = SweepSpec(scenario="siso_csi", sweep_var="p_t",
@@ -169,9 +156,11 @@ def test_oracle_draws_once_per_config(monkeypatch):
                         (power_spec, ["siso_fading"]),
                         (elements_spec, ["siso_fading"] * 3),
                         (antennas_spec, ["miso_fading"])):
-        calls.clear()
+        # an earlier sweep's draw would satisfy this one
+        monkeypatch.setattr(sweeps, "_last_fading", None)
+        fading_calls.clear()
         rows = run_sweep(spec)
-        assert calls == draws, spec.sweep_var
+        assert fading_calls == draws, spec.sweep_var
         for row in rows:
             assert row.error is None
             cfg = spec.fixed
@@ -187,7 +176,56 @@ def test_oracle_draws_once_per_config(monkeypatch):
             assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr)
 
 
-def test_oracle_keeps_one_draw_at_a_time():
+def _one_row(scenario, alpha=0.1, seed=7, mc_slots=2000, n_elems=100):
+    """A one-row alpha sweep, as irsec validate runs each branch."""
+    n_tx = 10 if get_scenario(scenario).beamformed else 1
+    return SweepSpec(scenario, "alpha", (alpha,),
+                     LinkConfig(n_elems=n_elems, n_tx=n_tx),
+                     seed=seed, mc_slots=mc_slots)
+
+
+def test_consecutive_sweeps_of_one_link_share_a_draw(monkeypatch, fading_calls):
+    """The CSI and no-CSI sweeps of one link, at one element count, seed
+    and slot count, draw its fading once between them, and each row is
+    the one a fresh draw gives, bit for bit."""
+    for kind, pair in (("siso_fading", ("siso_csi", "siso_nocsi")),
+                       ("miso_fading", ("miso_csi", "miso_nocsi"))):
+        monkeypatch.setattr(sweeps, "_last_fading", None)
+        fading_calls.clear()
+        specs = [_one_row(name, alpha) for name in pair for alpha in (0.1, 1.0)]
+        rows = [run_sweep(spec) for spec in specs]
+        assert fading_calls == [kind]
+        for spec, row in zip(specs, rows):
+            monkeypatch.setattr(sweeps, "_last_fading", None)
+            assert run_sweep(spec) == row
+        assert fading_calls == [kind] * 5
+
+
+@pytest.mark.parametrize("scenario, change", [
+    ("siso_csi", dict(seed=8)),
+    ("siso_csi", dict(mc_slots=2001)),
+    ("siso_csi", dict(n_elems=64)),
+    ("miso_nocsi", {}),
+], ids=["seed", "slots", "N", "link kind"])
+def test_a_new_link_seed_or_size_draws_again(fading_calls, scenario, change):
+    """A sweep that differs from the last one in seed, slot count, element
+    count or link kind draws its own fading, the slot then holds that
+    draw alone, and the row is the one a fresh draw gives."""
+    run_sweep(_one_row("siso_nocsi"))
+    fading_calls.clear()
+    spec = _one_row(scenario, **change)
+    row, = run_sweep(spec)
+    beamformed = get_scenario(scenario).beamformed
+    assert fading_calls == ["miso_fading" if beamformed else "siso_fading"]
+    key, batch = sweeps._last_fading
+    assert key == (beamformed, spec.fixed.n_elems, spec.seed, spec.mc_slots)
+    assert batch.values.size == spec.mc_slots
+    want = empirical_ec(simulate_service(spec.fixed, scenario, row.r_star,
+                                         spec.seed, spec.mc_slots), 0.1)
+    assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr)
+
+
+def test_oracle_keeps_one_draw_at_a_time(monkeypatch):
     """A p_t sweep holds only one fading draw and the current config's
     SNR batch: the traced peak stays a few batches wide, not one batch
     per value."""
@@ -198,6 +236,8 @@ def test_oracle_keeps_one_draw_at_a_time():
                          values=tuple(np.logspace(-5, -1, 20)),
                          fixed=fixed, alpha_list=(0.1,), mc_slots=slots)
         run_sweep(spec)  # warm caches and lazy imports outside the trace
+        # the traced sweep draws its fading afresh, not from the warm-up's
+        monkeypatch.setattr(sweeps, "_last_fading", None)
         tracemalloc.start()
         try:
             rows = run_sweep(spec)
