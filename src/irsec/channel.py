@@ -10,6 +10,7 @@ convention, which is what the fading draws implement.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import zlib
@@ -126,6 +127,8 @@ class LinkConfig:
             object.__setattr__(self, "precoder", (self._equal_power_weight(),) * self.n_tx)
         else:
             object.__setattr__(self, "precoder", tuple(complex(v) for v in self.precoder))
+            if not all(map(cmath.isfinite, self.precoder)):
+                raise ValueError("precoder must be finite")
         if len(self.precoder) != self.n_tx:
             raise ValueError("precoder length must equal n_tx")
         if not self.precoder_power > 0.0:
@@ -436,9 +439,11 @@ def load_link_config(path) -> LinkConfig:
 
     Unknown names are an error; `g_t_db`/`g_r_db` accept gains in dB;
     `precoder` is a comma-separated list of complex literals; `#` starts
-    a comment.
+    a comment. Every error names the file, and the line when there is
+    one: a value LinkConfig refuses names the line that set its field.
     """
     kwargs = {}
+    lines = {}  # the line that set each kwargs field
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -465,4 +470,11 @@ def load_link_config(path) -> LinkConfig:
             except OverflowError:
                 raise OverflowError(f"{path}:{lineno}: {name} = {value}: "
                                     "the linear gain overflows a float") from None
-    return LinkConfig(**kwargs)
+            lines[name.removesuffix("_db")] = lineno
+    try:
+        return LinkConfig(**kwargs)
+    except ValueError as exc:
+        # LinkConfig's messages open with the field they refuse
+        field = str(exc).split(" ", 1)[0]
+        where = f"{path}:{lines[field]}" if field in lines else str(path)
+        raise ValueError(f"{where}: {exc}") from None

@@ -27,6 +27,7 @@ from irsec.sweeps import (
     SWEEP_VARS,
     SweepSpec,
     auto_rate,
+    auto_rate_solution,
     emit_csv,
     emit_plot,
     run_sweep,
@@ -158,11 +159,12 @@ def _cmd_optimize_rate(args) -> int:
     entry.law(cfg, args.kappa_mode)
     beamformed = entry.beamformed
     method = args.method
-    if method == "auto":
-        method = "root" if beamformed else "descent"
     if _METHOD_BEAMFORMED.get(method, beamformed) != beamformed:
         raise ValueError(f"--method {method} does not apply to {args.scenario}")
-    if method == "descent":
+    if method == "auto":
+        sol = auto_rate_solution(cfg, args.scenario, args.alpha,
+                                 kappa_mode=args.kappa_mode)
+    elif method == "descent":
         settings = DescentSettings(r0=args.r0, step=args.step,
                                    conv_tol=args.conv_tol,
                                    max_iters=args.max_iters)
@@ -267,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=[n for n, s in SCENARIOS.items() if not s.adaptive])
     p_or.add_argument("--alpha", required=True, type=float)
     p_or.add_argument("--method", default="auto",
-                      choices=("auto", "descent", "closed", "root", "grid"))
+                      choices=("auto", "descent", "closed", "root", "grid"),
+                      help="auto: the rate irsec ec and sweeps transmit at; "
+                           "descent: the paper's fixed-step descent")
     p_or.add_argument("--r0", type=float, default=None)
     p_or.add_argument("--step", type=float, default=None)
     p_or.add_argument("--conv-tol", type=float, default=None)

@@ -421,37 +421,43 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
     return 1.0 - p_off, p_off
 
 
+def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
+                   slot: float) -> tuple[float, float]:
+    """(ln_mgf, ec) of a two-state service chain with exponent a > 0.
+
+    With iid states the MGF is 1 - k, k = p_on (1 - exp(-a rate slot)).
+    log1p(-k) is exact while k < 1/2; above, 1 - k keeps only the last
+    bits of k, so p_off and p_on exp(-a rate slot) are added in the log
+    domain instead. Once x = a rate slot is subnormal it has lost bits
+    that dividing by a cannot restore, so EC takes its first-order value
+    p_on rate slot, the mean service.
+    """
+    x = a * rate * slot
+    k = p_on * (-math.expm1(-x))
+    if k < 0.5:
+        ln_mgf = math.log1p(-k)
+    else:
+        ln_on = math.log(p_on) - x
+        if p_off == 0.0:
+            ln_mgf = ln_on
+        else:
+            ln_off = math.log(p_off)
+            hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
+            ln_mgf = hi + math.log1p(math.exp(lo - hi))
+    if x < sys.float_info.min:
+        return ln_mgf, p_on * rate * slot
+    return ln_mgf, -ln_mgf / a
+
+
 def ec_on_off(
     chain: OnOffChannel,
     alpha: float,
     scenario: str = "siso_nocsi",
 ) -> EcResult:
-    """EC of a two-state service chain, scalar route.
-
-    With iid states the MGF is 1 - k, k = p_on (1 - exp(-alpha rate slot)).
-    log1p(-k) is exact while k < 1/2; above, 1 - k keeps only the last
-    bits of k, so p_off and p_on exp(-alpha rate slot) are added in the
-    log domain instead. Once x = alpha rate slot is subnormal it has lost
-    bits that dividing by alpha cannot restore, so EC takes its
-    first-order value p_on rate slot, the mean service.
-    """
-    a = alpha_value(alpha)
-    x = a * chain.rate * chain.slot
-    k = chain.p_on * (-math.expm1(-x))
-    if k < 0.5:
-        ln_mgf = math.log1p(-k)
-    else:
-        ln_on = math.log(chain.p_on) - x
-        if chain.p_off == 0.0:
-            ln_mgf = ln_on
-        else:
-            ln_off = math.log(chain.p_off)
-            hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
-            ln_mgf = hi + math.log1p(math.exp(lo - hi))
-    if x < sys.float_info.min:
-        ec = chain.p_on * chain.rate * chain.slot
-    else:
-        ec = -ln_mgf / a
+    """EC of a two-state service chain, scalar route; the diagnostics
+    carry the chain and the log service MGF."""
+    ln_mgf, ec = _on_off_kernel(chain.p_on, chain.p_off, alpha_value(alpha),
+                                chain.rate, chain.slot)
     diag = {"p_on": chain.p_on, "p_off": chain.p_off, "rate": chain.rate,
             "slot": chain.slot, "ln_mgf": ln_mgf}
     return EcResult(ec_bits_per_slot=ec, scenario=scenario, diagnostics=diag)
@@ -460,11 +466,24 @@ def ec_on_off(
 def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
                    alpha: float, rate: float) -> EcResult:
     """On/off EC at a fixed rate over the law dist; diagnostics carry
-    the chain. The one fixed-rate EC behind both no-CSI branches and the
-    rate search."""
+    the chain. The one fixed-rate EC behind both no-CSI branches."""
     p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
     chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
     return ec_on_off(chain, alpha, scenario=scenario)
+
+
+def _fixed_rate_value(dist: SnrDistribution, a: float, rate: float,
+                      bandwidth: float, slot: float) -> float:
+    """_ec_fixed_rate(...).ec_bits_per_slot, bit for bit, for an exponent
+    a already checked by alpha_value: the rate search's objective, which
+    builds no chain, result or diagnostics. It keeps the chain's range
+    check on p_on, and calls on_off_probs by its module name so that a
+    caller that replaces it (a tracer, a counting test) sees every
+    evaluation."""
+    p_on, p_off = on_off_probs(dist, rate, bandwidth)
+    if not 0.0 <= p_on <= 1.0:
+        raise ValueError("p_on must lie in [0, 1]")
+    return _on_off_kernel(p_on, p_off, a, rate, slot)[1]
 
 
 def ec_siso_nocsi(

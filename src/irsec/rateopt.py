@@ -9,7 +9,10 @@ of it. One grid search serves both links: it brackets the peak of EC on
 a uniform grid and refines it with Brent's bounded minimizer,
 numerics.minimize_bounded, a float-only port of scipy's
 minimize_scalar(method="bounded") that returns the same x, fun and
-evaluation count, bit for bit.
+evaluation count, bit for bit. The search runs on Python floats: its
+grid is np.linspace's arithmetic, and each evaluation is the scalar
+on/off EC kernel with no result object, the same bits as the EC the
+no-CSI branches report.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from irsec import specfun
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
-    _ec_fixed_rate,
+    _fixed_rate_value,
     alpha_value,
     ec_miso_nocsi,
     ec_siso_nocsi,
@@ -271,6 +272,14 @@ def solve_rate_miso_exact(
                         method="root_find")
 
 
+def _rate_grid(r_max: float, points: int) -> list[float]:
+    """np.linspace(r_max / points, r_max, points) on floats, bit for bit:
+    the same start + i * step, with the last point set to r_max."""
+    start = r_max / points
+    step = (r_max - start) / (points - 1)
+    return [start + i * step for i in range(points - 1)] + [r_max]
+
+
 def grid_argmax_rate(
     cfg: LinkConfig,
     alpha: float,
@@ -297,15 +306,16 @@ def grid_argmax_rate(
     if entry.adaptive:
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
-    rates = np.linspace(r_max / points, r_max, points)
-    values = [_ec_fixed_rate(scenario, dist, cfg, a, float(r)).ec_bits_per_slot
-              for r in rates]
-    k = int(np.argmax(values))
-    r_best, ec_best = float(rates[k]), values[k]
-    lo = float(rates[k - 1]) if k > 0 else 0.0
-    hi = float(rates[min(k + 1, points - 1)])
+    b, t = cfg.bandwidth, cfg.slot
+    rates = _rate_grid(r_max, points)
+    values = [_fixed_rate_value(dist, a, r, b, t) for r in rates]
+    ec_best = max(values)
+    k = values.index(ec_best)  # the first maximum, as np.argmax
+    r_best = rates[k]
+    lo = rates[k - 1] if k > 0 else 0.0
+    hi = rates[min(k + 1, points - 1)]
     x, fun, nfev = minimize_bounded(
-        lambda r: -_ec_fixed_rate(scenario, dist, cfg, a, r).ec_bits_per_slot,
+        lambda r: -_fixed_rate_value(dist, a, r, b, t),
         lo, hi, _GRID_XATOL * r_max)
     if -fun > ec_best:
         r_best, ec_best = x, -fun

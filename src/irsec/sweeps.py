@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from irsec.channel import LinkConfig, SampleBatch
 from irsec.eccore import LN2, SCENARIOS, Scenario, get_scenario
 from irsec.mcoracle import empirical_ec, service_from_snr
-from irsec.rateopt import grid_argmax_rate, solve_rate_miso_exact
+from irsec.rateopt import RateSolution, grid_argmax_rate, solve_rate_miso_exact
 
 __all__ = [
     "SWEEP_VARS",
@@ -25,6 +25,7 @@ __all__ = [
     "SweepRow",
     "run_sweep",
     "auto_rate",
+    "auto_rate_solution",
     "write_csv",
     "emit_csv",
     "emit_plot",
@@ -116,9 +117,10 @@ def _apply_value(fixed: LinkConfig, var: str, value: float) -> LinkConfig:
     return fixed
 
 
-def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
-              kappa_mode: str = "exact") -> float:
-    """Optimal fixed rate for a no-CSI scenario, by the robust route.
+def auto_rate_solution(cfg: LinkConfig, scenario: str, alpha: float,
+                       kappa_mode: str = "exact") -> RateSolution:
+    """Optimal fixed rate for a no-CSI scenario by the robust route, with
+    the EC it achieves.
 
     The beamformed link uses its stationarity root under the kappa_mode
     law. The single-antenna link, which takes only kappa_mode="exact",
@@ -130,11 +132,18 @@ def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
     if entry.adaptive:
         raise ValueError(f"{scenario} adapts its rate; there is none to optimize")
     if entry.beamformed:
-        return solve_rate_miso_exact(cfg, alpha, kappa_mode=kappa_mode).r_star
+        return solve_rate_miso_exact(cfg, alpha, kappa_mode=kappa_mode)
     dist = entry.law(cfg, kappa_mode)
     mean_snr = dist.beta * (1.0 + dist.lam)
     r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2
-    return grid_argmax_rate(cfg, alpha, scenario, r_max, _AUTO_GRID_POINTS).r_star
+    return grid_argmax_rate(cfg, alpha, scenario, r_max, _AUTO_GRID_POINTS)
+
+
+def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
+              kappa_mode: str = "exact") -> float:
+    """The rate of auto_rate_solution: the one every sweep row, irsec ec
+    and irsec optimize-rate's default method use."""
+    return auto_rate_solution(cfg, scenario, alpha, kappa_mode).r_star
 
 
 # The last fading draw any sweep made, as ((beamformed, N, seed, slots),

@@ -90,6 +90,16 @@ def test_link_config_rejects_nonfinite_floats(field, value):
         LinkConfig(**{field: value})
 
 
+@pytest.mark.parametrize("n_tx, precoder", [(1, (math.inf,)),
+                                            (2, (1 + 0j, math.nan)),
+                                            (2, (0.6, complex(0.8, -math.inf)))])
+def test_link_config_rejects_nonfinite_precoder(n_tx, precoder):
+    """An infinite weight used to pass the power check and fail later as
+    'kappa must be positive'; a nan one was blamed on the power."""
+    with pytest.raises(ValueError, match="^precoder must be finite$"):
+        LinkConfig(n_tx=n_tx, precoder=precoder)
+
+
 def test_default_precoder_unit_norm():
     cfg = LinkConfig(n_tx=10)
     assert len(cfg.precoder) == 10
@@ -533,4 +543,19 @@ def test_config_value_errors_name_the_line(tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(f"# link\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
+        load_link_config(path)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("p_t = 1e400\n", 1, "p_t must be finite"),
+    ("# link\nn_tx = 2\nprecoder = 1, nan\n", 3, "precoder must be finite"),
+    ("d1 = 20\ng_t_db = -4000\n", 2, "g_t must be strictly positive"),
+    ("n_tx = 3\n\nprecoder = 0.6, 0.8j\n", 3, "precoder length must equal n_tx"),
+])
+def test_config_link_errors_name_the_line(tmp_path, text, lineno, message):
+    """A value that converts but that LinkConfig refuses names the line
+    that set the field, like a value that does not convert."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: {message}$"):
         load_link_config(path)

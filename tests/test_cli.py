@@ -72,7 +72,7 @@ def test_optimize_rate_auto_routes(capsys):
                                  "--alpha", "0.1"])
     assert code == 0
     kv = _kv(out)
-    assert kv["method"] == "gradient_descent"
+    assert kv["method"] == "grid"
     assert float(kv["r_star"]) == pytest.approx(1.2783, abs=1e-2)
 
     code, out, _ = _run(capsys, ["optimize-rate", "--scenario", "miso_nocsi",
@@ -82,6 +82,30 @@ def test_optimize_rate_auto_routes(capsys):
     assert kv["method"] == "root_find"
     assert float(kv["r_star"]) > 0.0
     assert float(kv["ec_at_r_star"]) > 0.0
+
+
+@pytest.mark.parametrize("scenario, flags", [
+    ("siso_nocsi", ["--n-elems", "16"]),
+    ("siso_nocsi", ["--p-t", "1e-5"]),
+    ("siso_nocsi", []),
+    ("miso_nocsi", ["--kappa-mode", "closed"]),
+])
+def test_optimize_rate_default_is_the_ec_rate(capsys, scenario, flags):
+    """The default method prints the rate irsec ec transmits at, bit for
+    bit, with the EC there; links where the descent stalls answer too."""
+    argv = ["--scenario", scenario, "--alpha", "0.1", *flags]
+    code, out, _ = _run(capsys, ["optimize-rate", *argv])
+    assert code == 0
+    opt = _kv(out)
+    code, out, _ = _run(capsys, ["ec", *argv])
+    assert code == 0
+    ec = _kv(out)
+    assert opt["r_star"] == ec["rate"]
+    assert opt["ec_at_r_star"] == ec["ec_bits_per_slot"]
+    if scenario == "siso_nocsi":
+        assert opt["method"] == "grid"
+    if flags == ["--n-elems", "16"]:
+        assert opt["r_star"] == "0.05201246421374107"
 
 
 def test_optimize_rate_grid_default_span(capsys):
@@ -249,21 +273,33 @@ def test_db_gain_overflow_in_config_names_the_line(tmp_path, capsys):
 
 def test_nonfinite_link_value_is_named(tmp_path, capsys):
     """An infinite power is refused as input, by flag or by file, not
-    left to fail inside the quadrature."""
+    left to fail inside the quadrature; the file's error names its line."""
     path = tmp_path / "link.cfg"
     path.write_text("p_t = 1e400\n", encoding="utf-8")
-    for extra in (["--p-t", "inf"], ["--config", str(path)]):
+    for extra, where in ((["--p-t", "inf"], ""), (["--config", str(path)], f"{path}:1: ")):
         code, _, err = _run(capsys, ["ec", "--scenario", "siso_csi",
                                      "--alpha", "0.1", *extra])
         assert code == 2
-        assert err == "error: ValueError: p_t must be finite\n", extra
+        assert err == f"error: ValueError: {where}p_t must be finite\n", extra
+
+
+def test_nonfinite_precoder_in_config_names_the_line(tmp_path, capsys):
+    """An infinite weight is refused at its line, not blamed on kappa."""
+    path = tmp_path / "link.cfg"
+    path.write_text("# one antenna\nn_tx = 1\nprecoder = inf\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["ec", "--scenario", "miso_csi", "--alpha", "0.1",
+                                   "--config", str(path)])
+    assert code == 2
+    assert err == f"error: ValueError: {path}:3: precoder must be finite\n"
+    assert "ec_bits_per_slot" not in out
 
 
 def test_optimize_rate_refuses_a_dead_descent(capsys):
     """With 16 elements the default descent start has EC 0 and no usable
     gradient; the command fails naming r0 instead of printing r* = r0."""
     code, out, err = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
-                                   "--alpha", "0.1", "--n-elems", "16"])
+                                   "--alpha", "0.1", "--n-elems", "16",
+                                   "--method", "descent"])
     assert code == 2
     assert err.startswith("error: ValueError: descent stalls at r0 = 1.0")
     assert "r_star" not in out

@@ -389,6 +389,43 @@ def test_fixed_rate_ec_is_bounded_by_mean_service(n, log_p_t, log_alpha,
     assert 0.0 <= ec <= mean_service(cfg, name, rate) * (1.0 + 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 20000),
+    log_p_t=st.floats(-9.0, 3.0),
+    log_alpha=st.floats(-6.0, 3.0),
+    log_rate=st.floats(-9.0, math.log10(50.0)),
+    law=st.sampled_from([("siso_nocsi", "exact"), ("miso_nocsi", "exact"),
+                         ("miso_nocsi", "closed")]),
+)
+def test_fixed_rate_value_is_the_fixed_rate_ec(n, log_p_t, log_alpha, log_rate, law):
+    """The rate search's float objective returns the bits of the EC the
+    no-CSI branches report, over the design ranges of both laws."""
+    name, kappa_mode = law
+    entry = SCENARIOS[name]
+    cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
+                     n_tx=10 if entry.beamformed else 1)
+    alpha, rate = 10.0 ** log_alpha, 10.0 ** log_rate
+    dist = entry.law(cfg, kappa_mode)
+    want = eccore._ec_fixed_rate(name, dist, cfg, alpha, rate).ec_bits_per_slot
+    got = eccore._fixed_rate_value(dist, alpha_value(alpha), rate,
+                                   cfg.bandwidth, cfg.slot)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("p_off", [-0.5, math.nan])
+def test_fixed_rate_value_checks_p_on(p_off):
+    """A law whose CDF leaves [0, 1] is refused as the chain refuses it."""
+    class BadLaw:
+        def cdf(self, x):
+            return p_off
+
+    with pytest.raises(ValueError, match="p_on must lie in"):
+        eccore._fixed_rate_value(BadLaw(), 0.1, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="p_on must lie in"):
+        eccore._ec_fixed_rate("siso_nocsi", BadLaw(), LinkConfig(), 0.1, 1.0)
+
+
 def test_nocsi_wrappers_compose(cfg_siso, cfg_miso):
     res_s = ec_siso_nocsi(cfg_siso, 0.1, rate=1.2782898)
     assert res_s.scenario == "siso_nocsi"

@@ -8,18 +8,24 @@ nothing about any of them.
 """
 
 import math
+import types
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
+from irsec import rateopt
 from irsec.eccore import LN2, on_off_probs
 from irsec.rateopt import (
     DescentSettings,
     NonConvergenceError,
     RateSolution,
+    _rate_grid,
     grid_argmax_rate,
     optimize_rate_miso_closed,
     optimize_rate_siso,
@@ -173,6 +179,50 @@ def test_bracket_validation_and_dead_budget(cfg_siso):
         grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 0.0, 24)
     dead = replace(cfg_siso, p_t=1e-300)
     assert grid_argmax_rate(dead, 0.1, "siso_nocsi", 2.0, 24).ec_at_r_star == 0.0
+
+
+@pytest.mark.parametrize("points", [3, 24, 1000])
+@settings(max_examples=100, deadline=None)
+@given(log_r_max=st.floats(-12.0, 4.0))
+def test_rate_grid_is_linspace(points, log_r_max):
+    r_max = 10.0 ** log_r_max
+    want = np.linspace(r_max / points, r_max, points)
+    assert [r.hex() for r in _rate_grid(r_max, points)] == [float(r).hex() for r in want]
+
+
+def test_rate_search_holds_no_numpy():
+    """The search runs on floats: no per-evaluation array round trips."""
+    assert not [name for name, value in vars(rateopt).items()
+                if isinstance(value, types.ModuleType) and value.__name__.startswith("numpy")]
+
+
+# (scenario, N, p_t, alpha, kappa_mode, r_max) -> (r_star, ec_at_r_star,
+# iterations) of the 24-point search, frozen from its numpy version; the
+# single-antenna r_max is auto_rate's span, the beamformed one twice the
+# stationarity root
+GRID_PINS = [
+    (("siso_nocsi", 1, 1e-9, 1e-6, "exact", "0x1.e22a4b76202e6p-31"),
+     ("0x1.1c8174a8c74aep-31", "0x1.661a8e8bae1d6p-33", 33)),
+    (("siso_nocsi", 16, 1e-3, 0.1, "exact", "0x1.1f8bc4350409fp-3"),
+     ("0x1.aa160b1909531p-5", "0x1.3a2fea399c589p-5", 33)),
+    (("siso_nocsi", 100, 0.1, 10.0, "exact", "0x1.e44ec19080a47p+3"),
+     ("0x1.0c49e6fee75acp+2", "0x1.088ea6b6e3c3fp+2", 34)),
+    (("siso_nocsi", 2000, 1e3, 1e3, "exact", "0x1.d7b9660e69f7ep+5"),
+     ("0x1.a364de68a9542p+4", "0x1.a364de68a9542p+4", 57)),
+    (("miso_nocsi", 100, 1e-5, 1.0, "exact", "0x1.cbb5551aa3bb8p-12"),
+     ("0x1.cbb55566fcfc2p-13", "0x1.5246190dc5f9cp-14", 33)),
+    (("miso_nocsi", 400, 10.0, 100.0, "closed", "0x1.5bc50be108c86p-2"),
+     ("0x1.5bc50bda37988p-3", "0x1.21b8c987c9961p-3", 36)),
+]
+
+
+@pytest.mark.parametrize("cell, pinned", GRID_PINS)
+def test_grid_search_pinned_at_design_cells(cell, pinned):
+    scenario, n, p_t, alpha, kappa_mode, r_max = cell
+    cfg = LinkConfig(n_elems=n, p_t=p_t, n_tx=10 if scenario == "miso_nocsi" else 1)
+    sol = grid_argmax_rate(cfg, alpha, scenario, float.fromhex(r_max), 24,
+                           kappa_mode=kappa_mode)
+    assert (sol.r_star.hex(), sol.ec_at_r_star.hex(), sol.iterations) == pinned
 
 
 def test_grid_optimum_decreases_with_qos(cfg_siso):
