@@ -12,16 +12,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from irsec.channel import LinkConfig, load_link_config
 from irsec.eccore import SCENARIOS, ec_siso_csi
 from irsec.rateopt import (
-    DescentSettings,
-    grid_argmax_rate,
+    NonConvergenceError,
+    RateSolution,
     optimize_rate_miso_closed,
     optimize_rate_siso,
-    solve_rate_miso_exact,
 )
 from irsec.sweeps import (
     SWEEP_VARS,
@@ -44,9 +44,6 @@ MISO_DEFAULT_N_TX = 10
 _FLOAT_FLAGS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
                 "g_t_db", "g_r_db", "p_t", "sigma2", "bandwidth", "slot")
 _INT_FLAGS = ("n_elems", "n_tx")
-
-# optimize-rate methods bound to one link: True for the beamformed one
-_METHOD_BEAMFORMED = {"descent": False, "closed": True, "root": True}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -94,7 +91,12 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -152,43 +154,35 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _print_solution(prefix: str, sol: RateSolution) -> None:
+    print(f"{prefix}method = {sol.method}")
+    print(f"{prefix}r_star = {sol.r_star!r}")
+    print(f"{prefix}ec_at_r_star = {sol.ec_at_r_star!r}")
+    print(f"{prefix}iterations = {sol.iterations}")
+    if sol.method == "closed_form":
+        print(f"{prefix}closed_form_valid = {sol.closed_form_valid}")
+
+
 def _cmd_optimize_rate(args) -> int:
     cfg = _build_config(args, args.scenario)
-    entry = SCENARIOS[args.scenario]
-    # every method, the kappa-free descent too, refuses a mode the link cannot take
-    entry.law(cfg, args.kappa_mode)
-    beamformed = entry.beamformed
-    method = args.method
-    if _METHOD_BEAMFORMED.get(method, beamformed) != beamformed:
-        raise ValueError(f"--method {method} does not apply to {args.scenario}")
-    if method == "auto":
-        sol = auto_rate_solution(cfg, args.scenario, args.alpha,
-                                 kappa_mode=args.kappa_mode)
-    elif method == "descent":
-        settings = DescentSettings(r0=args.r0, step=args.step,
-                                   conv_tol=args.conv_tol,
-                                   max_iters=args.max_iters)
-        sol = optimize_rate_siso(cfg, args.alpha, settings)
-    elif method == "closed":
-        sol = optimize_rate_miso_closed(cfg, args.alpha, kappa_mode=args.kappa_mode)
-    elif method == "root":
-        sol = solve_rate_miso_exact(cfg, args.alpha, kappa_mode=args.kappa_mode)
-    else:
-        r_max = args.r_max
-        if r_max is None:
-            # twice the optimum, so the grid step scales with the answer
-            r_max = 2.0 * auto_rate(cfg, args.scenario, args.alpha,
-                                    kappa_mode=args.kappa_mode)
-        sol = grid_argmax_rate(cfg, args.alpha, args.scenario, r_max=r_max,
-                               points=args.points, kappa_mode=args.kappa_mode)
+    sol = auto_rate_solution(cfg, args.scenario, args.alpha,
+                             kappa_mode=args.kappa_mode)
     print(f"scenario = {args.scenario}")
     print(f"alpha = {args.alpha!r}")
-    print(f"method = {sol.method}")
-    print(f"r_star = {sol.r_star!r}")
-    print(f"ec_at_r_star = {sol.ec_at_r_star!r}")
-    print(f"iterations = {sol.iterations}")
-    if sol.method == "closed_form":
-        print(f"closed_form_valid = {sol.closed_form_valid}")
+    _print_solution("", sol)
+    # the paper's solver on the same link, a diagnostic beside the answer
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # closed_form_valid says it
+            if SCENARIOS[args.scenario].beamformed:
+                paper = optimize_rate_miso_closed(cfg, args.alpha,
+                                                  kappa_mode=args.kappa_mode)
+            else:
+                paper = optimize_rate_siso(cfg, args.alpha)
+    except (ValueError, NonConvergenceError) as exc:
+        print(f"paper.error = {type(exc).__name__}: {exc}")
+        return 0
+    _print_solution("paper.", paper)
     return 0
 
 
@@ -264,20 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
 
-    p_or = sub.add_parser("optimize-rate", help="find the optimal fixed rate")
+    p_or = sub.add_parser(
+        "optimize-rate",
+        help="the fixed rate ec and sweep transmit at, the paper's solver beside it")
     p_or.add_argument("--scenario", required=True,
                       choices=[n for n, s in SCENARIOS.items() if not s.adaptive])
     p_or.add_argument("--alpha", required=True, type=float)
-    p_or.add_argument("--method", default="auto",
-                      choices=("auto", "descent", "closed", "root", "grid"),
-                      help="auto: the rate irsec ec and sweeps transmit at; "
-                           "descent: the paper's fixed-step descent")
-    p_or.add_argument("--r0", type=float, default=None)
-    p_or.add_argument("--step", type=float, default=None)
-    p_or.add_argument("--conv-tol", type=float, default=None)
-    p_or.add_argument("--max-iters", type=int, default=100_000)
-    p_or.add_argument("--r-max", type=float, default=None)
-    p_or.add_argument("--points", type=int, default=1000)
     p_or.add_argument("--kappa-mode", choices=("exact", "closed"),
                       default="exact")
     _add_config_flags(p_or)

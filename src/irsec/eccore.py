@@ -378,10 +378,16 @@ def ec_miso_csi(
 
     EC = mu - (alpha/2) sigma^2; negative values are clamped to zero
     with a warning since the quadratic model has left its regime there.
+    Past slot * bandwidth ~ 1e154 the second moment overflows a double,
+    which is an OverflowError rather than a NaN EC.
     """
     a = alpha_value(alpha)
     dist = miso_snr_dist(cfg, mode=kappa_mode)
     mu, eta, var = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
+    if not math.isfinite(var):  # eta - mu^2 is finite iff both terms are
+        raise OverflowError(
+            f"service moments overflow a double at slot * bandwidth = "
+            f"{cfg.slot * cfg.bandwidth!r}")
     raw = mu - 0.5 * a * var
     ec = raw
     if raw < 0.0:

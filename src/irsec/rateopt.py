@@ -285,13 +285,12 @@ def grid_argmax_rate(
     alpha: float,
     scenario: str,
     r_max: float,
-    points: int = 1000,
-    kappa_mode: str = "exact",
+    points: int,
 ) -> RateSolution:
     """EC maximizer by a uniform rate grid and Brent refinement.
 
-    Evaluates the exact no-CSI EC under the scenario's law (kappa_mode
-    for the beamformed link) at `points` rates in (0, r_max], then runs
+    Evaluates the exact no-CSI EC under the scenario's law (the exact
+    kappa for the beamformed link) at `points` rates in (0, r_max], then runs
     Brent's bounded minimizer on -EC over the two grid cells around the
     best point ([0, r_1] or [r_{n-2}, r_max] at an edge). Returns the
     better of the refined and the best grid point; iterations counts
@@ -305,7 +304,7 @@ def grid_argmax_rate(
     entry = get_scenario(scenario)
     if entry.adaptive:
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
-    dist = entry.law(cfg, kappa_mode)
+    dist = entry.law(cfg)
     b, t = cfg.bandwidth, cfg.slot
     rates = _rate_grid(r_max, points)
     values = [_fixed_rate_value(dist, a, r, b, t) for r in rates]

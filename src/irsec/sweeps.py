@@ -142,7 +142,7 @@ def auto_rate_solution(cfg: LinkConfig, scenario: str, alpha: float,
 def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
               kappa_mode: str = "exact") -> float:
     """The rate of auto_rate_solution: the one every sweep row, irsec ec
-    and irsec optimize-rate's default method use."""
+    and irsec optimize-rate use."""
     return auto_rate_solution(cfg, scenario, alpha, kappa_mode).r_star
 
 

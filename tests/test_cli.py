@@ -1,6 +1,8 @@
 """Command-line verbs, driven in-process through main()."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import irsec
 from irsec.channel import LinkConfig
-from irsec.cli import main
+from irsec.cli import build_parser, main
 from irsec.eccore import SCENARIOS
 from irsec.mcoracle import empirical_ec
 from irsec.sweeps import CSV_HEADER, auto_rate
@@ -108,37 +110,92 @@ def test_optimize_rate_default_is_the_ec_rate(capsys, scenario, flags):
         assert opt["r_star"] == "0.05201246421374107"
 
 
-def test_optimize_rate_grid_default_span(capsys):
-    code, out, _ = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
-                                 "--alpha", "0.1", "--method", "grid"])
-    assert code == 0
-    kv = _kv(out)
-    assert kv["method"] == "grid"
-    assert float(kv["r_star"]) == pytest.approx(1.2783, abs=5e-3)
-
-
-def test_optimize_rate_grid_honours_kappa_mode(capsys):
-    """The grid route and its default span, twice the optimum, use the
-    --kappa-mode law, so the grid optimum lies within one grid step of
-    the root-find one and its EC is no worse."""
-    argv = ["optimize-rate", "--scenario", "miso_nocsi", "--alpha", "0.1",
-            "--kappa-mode", "closed", "--points", "1000"]
-    _, out, _ = _run(capsys, argv + ["--method", "root"])
-    root = _kv(out)
-    code, out, _ = _run(capsys, argv + ["--method", "grid"])
-    assert code == 0
-    grid = _kv(out)
-    r_root = float(root["r_star"])
-    assert abs(float(grid["r_star"]) - r_root) <= 2.0 * r_root / 1000
-    assert (float(grid["ec_at_r_star"])
-            >= float(root["ec_at_r_star"]) * (1.0 - 1e-9))
-
-
 def test_optimize_rate_scenario_gate(capsys):
-    code, out, err = _run(capsys, ["optimize-rate", "--scenario", "miso_nocsi",
-                                   "--alpha", "0.1", "--method", "descent"])
-    assert code == 2
-    assert err.startswith("error: ValueError:")
+    """optimize-rate has one answer per link and no route to choose:
+    --method is an argparse usage error on either link."""
+    for scenario in ("siso_nocsi", "miso_nocsi"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize-rate", "--scenario", scenario, "--alpha", "0.1",
+                  "--method", "descent"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--method" in err
+        assert out == ""
+
+
+def test_optimize_rate_help_lists_no_route_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["optimize-rate", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--scenario", "--alpha", "--kappa-mode", "--config", "--n-elems"):
+        assert flag in out, flag
+    for flag in ("--method", "--r0", "--step", "--conv-tol", "--max-iters",
+                 "--r-max", "--points"):
+        assert flag not in out, flag
+
+
+# the six lines optimize-rate printed before it reported the paper's solver
+_RATE_LINES = {
+    ("siso_nocsi", "0.1", ()): [
+        "scenario = siso_nocsi", "alpha = 0.1", "method = grid",
+        "r_star = 1.2782897695409108", "ec_at_r_star = 1.2075111288102678",
+        "iterations = 35"],
+    ("siso_nocsi", "0.1", ("--n-elems", "16")): [
+        "scenario = siso_nocsi", "alpha = 0.1", "method = grid",
+        "r_star = 0.05201246421374107", "ec_at_r_star = 0.03835292574957367",
+        "iterations = 33"],
+    ("miso_nocsi", "10", ()): [
+        "scenario = miso_nocsi", "alpha = 10.0", "method = root_find",
+        "r_star = 0.019581951515758523", "ec_at_r_star = 0.007511620381766675",
+        "iterations = 38"],
+}
+
+
+def _optimize_rate(capsys, key):
+    scenario, alpha, flags = key
+    code, out, err = _run(capsys, ["optimize-rate", "--scenario", scenario,
+                                   "--alpha", alpha, *flags])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:6] == _RATE_LINES[key]
+    assert all(line.startswith("paper.") for line in lines[6:])
+    return _kv(out)
+
+
+def test_optimize_rate_reports_the_paper_descent(capsys):
+    kv = _optimize_rate(capsys, ("siso_nocsi", "0.1", ()))
+    assert kv["paper.method"] == "gradient_descent"
+    assert kv["paper.iterations"] == "304"
+    assert float(kv["paper.ec_at_r_star"]) == pytest.approx(
+        float(kv["ec_at_r_star"]), rel=1e-9)
+    assert "paper.closed_form_valid" not in kv
+
+
+def test_optimize_rate_refuses_a_dead_descent(capsys):
+    """With 16 elements the paper's descent start has EC 0 and no usable
+    gradient: the command still answers, and reports the descent's
+    failure naming r0 instead of printing r* = r0."""
+    kv = _optimize_rate(capsys, ("siso_nocsi", "0.1", ("--n-elems", "16")))
+    assert kv["paper.error"].startswith("ValueError: descent stalls at r0 = 1.0")
+    assert "paper.r_star" not in kv
+
+
+def test_optimize_rate_reports_a_descent_that_does_not_converge(capsys):
+    code, out, err = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
+                                   "--alpha", "10", "--n-elems", "64", "--p-t", "0.1"])
+    assert code == 0 and err == ""
+    kv = _kv(out)
+    assert kv["method"] == "grid" and float(kv["ec_at_r_star"]) > 0.0
+    assert kv["paper.error"].startswith(
+        "NonConvergenceError: descent did not converge in 100000 iterations")
+
+
+def test_optimize_rate_reports_the_paper_closed_form(capsys):
+    kv = _optimize_rate(capsys, ("miso_nocsi", "10", ()))
+    assert kv["paper.method"] == "closed_form"
+    assert kv["paper.closed_form_valid"] == "False"
+    assert kv["paper.iterations"] == "0"
 
 
 def test_sweep_writes_files(tmp_path, capsys):
@@ -175,6 +232,14 @@ def test_sweep_env_seed(monkeypatch, capsys):
     assert out_env != out_other
 
 
+def test_env_seed_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("IRS_EC_SEED", "abc")
+    code, out, err = _run(capsys, ["validate", "--mc-slots", "100"])
+    assert code == 2
+    assert err == "error: ValueError: IRS_EC_SEED must be an integer, got 'abc'\n"
+    assert "rel_err" not in out
+
+
 def test_ec_kappa_mode_closed(capsys):
     """The paper's closed-form constant stays selectable beside the exact one."""
     argv = ["ec", "--scenario", "miso_csi", "--alpha", "0.1"]
@@ -203,14 +268,12 @@ def test_ec_closed_mode_optimizes_rate_under_closed_law(capsys):
 
 
 def test_single_antenna_rejects_kappa_mode(capsys):
-    """A kappa mode on the single-antenna link exits 2 on every verb and
-    method that takes one, the kappa-free descent included."""
+    """A kappa mode on the single-antenna link exits 2 on every verb
+    that takes one, before optimize-rate runs the kappa-free descent."""
     flags = ["--alpha", "0.1", "--kappa-mode", "closed"]
     for argv in (["ec", "--scenario", "siso_csi"],
                  ["ec", "--scenario", "siso_nocsi"],
-                 ["optimize-rate", "--scenario", "siso_nocsi"],
-                 ["optimize-rate", "--scenario", "siso_nocsi", "--method", "descent"],
-                 ["optimize-rate", "--scenario", "siso_nocsi", "--method", "grid"]):
+                 ["optimize-rate", "--scenario", "siso_nocsi"]):
         code, out, err = _run(capsys, argv + flags)
         assert code == 2, argv
         assert err.startswith("error: ValueError: kappa_mode 'closed'"), argv
@@ -294,15 +357,14 @@ def test_nonfinite_precoder_in_config_names_the_line(tmp_path, capsys):
     assert "ec_bits_per_slot" not in out
 
 
-def test_optimize_rate_refuses_a_dead_descent(capsys):
-    """With 16 elements the default descent start has EC 0 and no usable
-    gradient; the command fails naming r0 instead of printing r* = r0."""
-    code, out, err = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
-                                   "--alpha", "0.1", "--n-elems", "16",
-                                   "--method", "descent"])
+def test_miso_csi_moment_overflow_is_an_error(capsys):
+    """A slot long enough to overflow the service moments exits 2 naming
+    slot * bandwidth instead of printing a NaN EC."""
+    code, out, err = _run(capsys, ["ec", "--scenario", "miso_csi", "--alpha", "0.1",
+                                   "--slot", "1e300"])
     assert code == 2
-    assert err.startswith("error: ValueError: descent stalls at r0 = 1.0")
-    assert "r_star" not in out
+    assert err.startswith("error: OverflowError: ") and "slot * bandwidth" in err
+    assert "ec_bits_per_slot" not in out
 
 
 def test_bad_input_exit_code(capsys):
@@ -346,3 +408,28 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "ec_bits_per_slot = " in proc.stdout
     assert "diag.kappa = 65.79" in proc.stdout  # ten-antenna default budget
+
+
+def _readme_commands():
+    """Every `irsec ...` command in README.md's sh blocks, with its
+    backslash-continued lines joined and its comment dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["irsec"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    """A flag removed from the CLI but still documented fails here."""
+    parser = build_parser()
+    verbs = set()
+    for argv in _readme_commands():
+        try:
+            verbs.add(parser.parse_args(argv).verb)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: irsec {shlex.join(argv)}")
+    assert verbs == {"ec", "sweep", "optimize-rate", "validate"}

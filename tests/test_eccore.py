@@ -237,6 +237,19 @@ def test_miso_moments_validation():
         miso_csi_moments(1.0, bandwidth=-1.0)
 
 
+@pytest.mark.parametrize("field", ["slot", "bandwidth"])
+def test_miso_csi_moment_overflow_is_an_error(cfg_miso, field):
+    """Once the second moment overflows, the EC would be inf - inf; it is
+    an OverflowError naming slot * bandwidth instead."""
+    with pytest.raises(OverflowError, match=r"slot \* bandwidth = 1e\+300"):
+        ec_miso_csi(replace(cfg_miso, **{field: 1e300}), 0.1)
+    # a decade below, the moments are finite and the Gaussian model's
+    # negative EC is clamped as before
+    with pytest.warns(UserWarning, match="clamping to 0"):
+        res = ec_miso_csi(replace(cfg_miso, **{field: 1e153}), 0.1)
+    assert res.ec_bits_per_slot == 0.0
+
+
 def test_miso_csi_reference_point():
     """Gaussian-model EC at the reference budget's exact SNR rate."""
     mu, eta, var = miso_csi_moments(65.797362673929057)
