@@ -31,7 +31,16 @@ def build_specs(seed, mc_slots):
     base = LinkConfig()
     common = dict(seed=seed, mc_slots=mc_slots)
     rates = tuple(float(r) for r in np.linspace(0.015, 3.0, 200))
+    # Sweeps of one link kind, element count, seed and slot count share
+    # one fading draw (irsec.sweeps), so the order decides how often the
+    # channel is drawn: the N sweep runs first and ends on the reference
+    # N = 100, which every single-antenna sweep after it reuses, and the
+    # beamformed sweep, whose draw would replace it, runs last.
     return {
+        "ec_vs_elements": SweepSpec(
+            scenario="siso_csi", sweep_var="N",
+            values=(16.0, 25.0, 36.0, 49.0, 64.0, 81.0, 100.0),
+            fixed=base, alpha_list=(0.1, 1.0, 10.0), **common),
         "ec_vs_power_csi": SweepSpec(
             scenario="siso_csi", sweep_var="p_t",
             values=_decades(-5, -1), fixed=base,
@@ -40,14 +49,6 @@ def build_specs(seed, mc_slots):
             scenario="siso_nocsi", sweep_var="p_t",
             values=_decades(-5, -1), fixed=base,
             alpha_list=(0.1, 1.0, 10.0), **common),
-        "ec_vs_elements": SweepSpec(
-            scenario="siso_csi", sweep_var="N",
-            values=(16.0, 25.0, 36.0, 49.0, 64.0, 81.0, 100.0),
-            fixed=base, alpha_list=(0.1, 1.0, 10.0), **common),
-        "ec_vs_tx_antennas": SweepSpec(
-            scenario="miso_csi", sweep_var="N_t",
-            values=(1.0, 2.0, 4.0, 8.0, 10.0),
-            fixed=LinkConfig(n_tx=1), alpha_list=(0.1, 1.0), **common),
         "ec_vs_qos_exponent": SweepSpec(
             scenario="siso_nocsi", sweep_var="alpha",
             values=(0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0),
@@ -57,6 +58,10 @@ def build_specs(seed, mc_slots):
         "ec_vs_rate": SweepSpec(
             scenario="siso_nocsi", sweep_var="rate", values=rates,
             fixed=base, alpha_list=(0.1, 1.0), **common),
+        "ec_vs_tx_antennas": SweepSpec(
+            scenario="miso_csi", sweep_var="N_t",
+            values=(1.0, 2.0, 4.0, 8.0, 10.0),
+            fixed=LinkConfig(n_tx=1), alpha_list=(0.1, 1.0), **common),
     }
 
 

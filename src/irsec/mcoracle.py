@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the closed forms: service samples
 are mapped straight from the physical channel draws, and the EC
-estimator realizes the defining log-MGF limit on finite blocks.
+estimator realizes the defining log-MGF limit on finite blocks. A
+fixed-rate link serves either rate*slot bits or none, so its estimate
+needs only the count of slots that support the rate.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from irsec.eccore import LN2, alpha_value, get_scenario, snr_threshold
 __all__ = [
     "EcEstimate",
     "empirical_ec",
+    "on_off_estimate",
     "service_from_snr",
 ]
 
@@ -115,3 +118,49 @@ def service_from_snr(
         threshold = snr_threshold(rate, cfg.bandwidth)
         service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)
     return SampleBatch(values=service, seed=snr.seed, kind="service_bits")
+
+
+def on_off_estimate(
+    snr: SampleBatch,
+    cfg: LinkConfig,
+    scenario: str,
+    rate: float,
+    alpha: float,
+) -> EcEstimate:
+    """empirical_ec of the fixed-rate service of an SNR batch, from counts.
+
+    With `on` of the n slots supporting the rate, each serving
+    bits = rate*slot, and off = n - on, the one-slot estimate is
+    -ln(1 + q)/alpha with q = (on/n)(e^(-alpha bits) - 1), and its
+    delta-method stderr is |e^(-alpha bits) - 1| sqrt(on off/(n-1)) /
+    (n (1+q) alpha). Unlike a mean of per-slot weights, the counts carry
+    no summation rounding. The inputs are checked as service_from_snr
+    and empirical_ec check them: bits must be finite and nonnegative
+    when any slot is on, and a rate no slot supports gives 0.
+    """
+    entry = get_scenario(scenario)
+    if entry.adaptive:
+        raise ValueError(f"{scenario} adapts its rate; its service is not on/off")
+    entry.check_rate(rate)
+    if snr.kind != "snr":
+        raise ValueError("on_off_estimate needs an snr batch")
+    a = alpha_value(alpha)
+    n = snr.values.size
+    on = int(np.count_nonzero(snr.values >= snr_threshold(rate, cfg.bandwidth)))
+    bits = rate * cfg.slot
+    # the slots that are on serve bits, which a service batch would refuse
+    if on and not (math.isfinite(bits) and bits >= 0.0):
+        raise ValueError(f"service bits rate * slot = {bits!r} must be finite "
+                         "and nonnegative")
+    if on in (0, n):
+        # constant service; e^(-alpha bits) may underflow, bits cannot
+        return EcEstimate(value=bits + 0.0 if on else 0.0, stderr=0.0,
+                          slots=n, blocks=n)
+    off = n - on
+    d = math.expm1(-a * bits)
+    # 1 + q as a sum of positive terms, so no digits cancel when it nears 0
+    mgf = (off + on * math.exp(-a * bits)) / n
+    # log1p keeps the digits of an mgf near 1, log those of one near 0
+    ln_mgf = math.log1p(on * d / n) if mgf > 0.5 else math.log(mgf)
+    stderr = -d * math.sqrt(on * off / (n - 1)) / (n * mgf * a)
+    return EcEstimate(value=-ln_mgf / a, stderr=stderr, slots=n, blocks=n)

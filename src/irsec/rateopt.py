@@ -225,7 +225,9 @@ def solve_rate_miso_exact(
     (r/B) ln2 + ln(e^(alpha r T) - 1) = ln(B alpha T/(kappa ln2)).
     The left side is strictly increasing from -inf, so the root is
     unique; brackets grow/shrink geometrically until they straddle it.
-    Terminates only below a 1e-10 residual.
+    Terminates only below a 1e-10 residual; a root the 500 halvings
+    cannot reach, past alpha * slot * bandwidth ~ 1e150, is an
+    OverflowError naming slot * bandwidth.
     """
     a = alpha_value(alpha)
     dist = miso_snr_dist(cfg, mode=kappa_mode)
@@ -264,8 +266,12 @@ def solve_rate_miso_exact(
         else:
             hi = mid
     else:
-        raise RuntimeError(
-            f"bisection stalled with residual {residual!r} at rate {mid!r}")
+        # the root sits about alpha*slot*bandwidth times below the
+        # bandwidth (to a log factor): past ~1e150 that is more halvings
+        # than the loop allows
+        raise OverflowError(
+            f"the rate root is out of the bisection's reach at slot * bandwidth "
+            f"= {t * b!r}, alpha = {a!r} (residual {residual!r} at rate {mid!r})")
 
     ec = ec_miso_nocsi(cfg, alpha, mid, kappa_mode=kappa_mode).ec_bits_per_slot
     return RateSolution(r_star=mid, ec_at_r_star=ec, iterations=it,

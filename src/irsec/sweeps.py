@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from irsec.channel import LinkConfig, SampleBatch
 from irsec.eccore import LN2, SCENARIOS, Scenario, get_scenario
-from irsec.mcoracle import empirical_ec, service_from_snr
+from irsec.mcoracle import empirical_ec, on_off_estimate, service_from_snr
 from irsec.rateopt import RateSolution, grid_argmax_rate, solve_rate_miso_exact
 
 __all__ = [
@@ -42,7 +42,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # Grid points that bracket the single-antenna EC peak before Brent's
 # refinement: over twice the mean-SNR Shannon rate, 24 points come within
 # 1e-9 of an 800-point parabolic grid's peak in every design cell, at
-# ~36 EC evaluations per solve.
+# ~38 EC evaluations per solve (32-59 over the design grid).
 _AUTO_GRID_POINTS = 24
 
 
@@ -173,15 +173,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     spec.seed, and common random numbers: rows with the same element
     count share one fading draw, to which each link config applies its
     own budget (Scenario.snr_from_fading), and rows with the same link
-    config share that SNR batch, mapped to service at their own rate and
-    exponent. A p_t, N_t, alpha or rate sweep thus draws the channel
-    once and an N sweep once per value. The last draw is kept after the
-    sweep returns, so the next sweep of the same link kind, element
-    count, seed and slot count reuses it instead of drawing again: the
-    CSI and no-CSI branches of one link share one draw. Every row's
-    oracle is the one it would get from a fresh draw at spec.seed, bit
-    for bit; irsec validate runs each branch as such a one-row alpha
-    sweep.
+    config share that SNR batch. An adaptive-rate row maps the batch to
+    per-slot service and takes empirical_ec at its exponent; a
+    fixed-rate row, whose slots serve rate*slot bits or none, counts
+    the slots that support its rate (on_off_estimate). A p_t, N_t,
+    alpha or rate sweep thus draws the channel once and an N sweep once
+    per value. The last draw is kept after the sweep returns, so the
+    next sweep of the same link kind, element count, seed and slot
+    count reuses it instead of drawing again: the CSI and no-CSI
+    branches of one link share one draw. Every row's oracle is the one
+    it would get from a fresh draw at spec.seed, bit for bit; irsec
+    validate runs each branch as such a one-row alpha sweep.
     """
     entry = SCENARIOS[spec.scenario]
     # rows are value-major, so rows sharing a link config are consecutive
@@ -217,8 +219,12 @@ def _run_row(spec: SweepSpec, value: float, alpha: float,
     ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
     ec_oracle = stderr = None
     if spec.mc_slots:
-        service = service_from_snr(draw(cfg), cfg, spec.scenario, rate)
-        estimate = empirical_ec(service, alpha)
+        snr = draw(cfg)
+        if entry.adaptive:
+            service = service_from_snr(snr, cfg, spec.scenario, None)
+            estimate = empirical_ec(service, alpha)
+        else:
+            estimate = on_off_estimate(snr, cfg, spec.scenario, rate, alpha)
         ec_oracle, stderr = estimate.value, estimate.stderr
     return SweepRow(sweep_var=spec.sweep_var, value=value, alpha=alpha,
                     ec_analytical=ec, ec_oracle=ec_oracle,

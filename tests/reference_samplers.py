@@ -19,10 +19,11 @@ on/off EC from the spectral radius of the weighted 2x2 chain, an
 independent route to `ec_on_off`. `write_link_config` writes the
 config-file format that `load_link_config` reads.
 
-`sample_siso_snr`, `sample_miso_snr` and `simulate_service` compose
-the library's steps into the draw a sweep row makes: the seeded fading,
-the link budget and, for service, `service_from_snr`. They are what a
-one-row sweep at that seed samples, bit for bit.
+`sample_siso_snr`, `sample_miso_snr`, `simulate_snr` and
+`simulate_service` compose the library's steps into the draw a sweep
+row makes: the seeded fading, the link budget and, for service,
+`service_from_snr`. They are what a one-row sweep at that seed samples,
+bit for bit.
 
 `grid_argmax_reference` is the brute-force rate search as it stood
 before Brent's refinement: a uniform grid plus one parabolic step.
@@ -115,12 +116,16 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     return miso_snr_from_fading(miso_fading(seed, n), cfg)
 
 
+def simulate_snr(cfg: LinkConfig, scenario: str, seed: int, slots: int) -> SampleBatch:
+    """Per-slot SNR of the scenario's seeded channel draw."""
+    entry = get_scenario(scenario)
+    return entry.snr_from_fading(entry.fading(cfg, seed, slots), cfg)
+
+
 def simulate_service(cfg: LinkConfig, scenario: str, rate: float | None,
                      seed: int, slots: int) -> SampleBatch:
     """Per-slot service bits of the scenario's seeded channel draw."""
-    entry = get_scenario(scenario)
-    snr = entry.snr_from_fading(entry.fading(cfg, seed, slots), cfg)
-    return service_from_snr(snr, cfg, scenario, rate)
+    return service_from_snr(simulate_snr(cfg, scenario, seed, slots), cfg, scenario, rate)
 
 
 def bootstrap_stderr_reference(service: SampleBatch, alpha: float,

@@ -367,6 +367,19 @@ def test_miso_csi_moment_overflow_is_an_error(capsys):
     assert "ec_bits_per_slot" not in out
 
 
+@pytest.mark.parametrize("flag", ["--slot", "--bandwidth"])
+def test_miso_rate_root_out_of_reach_is_an_error(capsys, flag):
+    """A slot or bandwidth so long that the beamformed rate root lies past
+    the bisection's reach exits 2 naming slot * bandwidth, not blaming a
+    stalled bisection."""
+    code, out, err = _run(capsys, ["ec", "--scenario", "miso_nocsi", "--alpha", "0.1",
+                                   flag, "1e300"])
+    assert code == 2
+    assert err.startswith("error: OverflowError: ")
+    assert "slot * bandwidth = 1e+300" in err
+    assert "ec_bits_per_slot" not in out
+
+
 def test_bad_input_exit_code(capsys):
     code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "-0.5"])
     assert code == 2

@@ -3,21 +3,33 @@
 The estimator is exercised on services whose EC is available in closed
 form, so every assertion has an exact target; stochastic bounds replay
 fixed seeds. Its delta-method stderr is checked against a 200-resample
-bootstrap over the same slots.
+bootstrap over the same slots. The fixed-rate count form is checked
+against a 50-digit evaluation of the same counts and against the
+estimator on the materialized on/off service.
 """
 
+import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import miso_cfg_for_kappa
 from irsec.channel import Exponential, LinkConfig, SampleBatch, miso_snr_dist, stream_rng
-from irsec.eccore import OnOffChannel, ec_on_off, mean_service, miso_csi_moments
+from irsec.eccore import (
+    OnOffChannel,
+    ec_on_off,
+    mean_service,
+    miso_csi_moments,
+    snr_threshold,
+)
 from irsec.mcoracle import (
     EcEstimate,
     empirical_ec,
+    on_off_estimate,
     service_from_snr,
 )
 from reference_samplers import (
@@ -25,6 +37,7 @@ from reference_samplers import (
     ks_distance,
     sample_siso_snr,
     simulate_service,
+    simulate_snr,
 )
 
 
@@ -193,6 +206,111 @@ def test_simulate_service_argument_gates(cfg_siso):
     service = simulate_service(cfg_siso, "siso_csi", None, 1, 100)
     with pytest.raises(ValueError, match="snr batch"):
         service_from_snr(service, cfg_siso, "siso_csi", None)
+
+
+def _counted_snr(cfg: LinkConfig, rate: float, on: int, n: int) -> SampleBatch:
+    """An SNR batch in which exactly `on` of the n slots support the rate."""
+    values = np.zeros(n)
+    values[:on] = snr_threshold(rate, cfg.bandwidth)
+    return SampleBatch(values=values, seed=0, kind="snr")
+
+
+def _on_off_mpmath(on: int, n: int, alpha: float, bits: float) -> tuple[float, float]:
+    """The count form's value and delta-method stderr at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        d = mpmath.expm1(-a * mpmath.mpf(bits))
+        mgf = 1 + on * d / n
+        value = -mpmath.log(mgf) / a
+        stderr = 0
+        if 0 < on < n:
+            stderr = -d * mpmath.sqrt(mpmath.mpf(on * (n - on)) / (n - 1)) / (n * mgf * a)
+        return float(value), float(stderr)
+
+
+@pytest.mark.parametrize("on, n, rate, alpha", [
+    (0, 1000, 1.0, 0.1),          # no slot on: +0.0
+    (1000, 1000, 1.3, 0.1),       # every slot on: rate*slot exactly
+    (100, 100, 0.0, 0.1),         # rate 0, which every slot supports: +0.0
+    (1, 2, 0.7, 2.0),
+    (437, 10_000, 1.0, 1e-6),     # alpha*bits ~ 1e-6
+    (9_999, 10_000, 2.5, 1e-6),
+    (3, 10_000, 80.0, 10.0),      # alpha*bits = 800: e^(-alpha bits) is 0
+    (9_999, 10_000, 80.0, 10.0),
+    (199_999, 200_000, 100.0, 10.0),
+    (5_000, 10_000, 1.5, 1.0),
+])
+def test_on_off_estimate_matches_mpmath(on, n, rate, alpha):
+    """The count form holds its digits at every count, including an
+    e^(-alpha bits) that underflows beside an on count near n."""
+    cfg = LinkConfig()
+    est = on_off_estimate(_counted_snr(cfg, rate, on, n), cfg, "siso_nocsi", rate, alpha)
+    value, stderr = _on_off_mpmath(on, n, alpha, rate * cfg.slot)
+    assert (est.slots, est.blocks) == (n, n)
+    assert type(est.value) is float and type(est.stderr) is float
+    assert est.value == pytest.approx(value, rel=1e-15, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+    assert math.copysign(1.0, est.value) == 1.0
+
+
+def test_on_off_estimate_figure_rows_match_mpmath():
+    """The figure set's rate sweep near its EC ~ 0 end, on its N = 100
+    draw, where a mean of per-slot weights was ~1e-12 off."""
+    cfg = LinkConfig()
+    snr = sample_siso_snr(cfg, 12345, 10_000)
+    rates = [float(r) for r in np.linspace(0.015, 3.0, 200) if 1.9 <= r <= 2.3]
+    for rate, alpha in itertools.product(rates, (0.1, 1.0)):
+        on = int(np.count_nonzero(snr.values >= snr_threshold(rate, cfg.bandwidth)))
+        value, stderr = _on_off_mpmath(on, snr.values.size, alpha, rate)
+        est = on_off_estimate(snr, cfg, "siso_nocsi", rate, alpha)
+        assert est.value == pytest.approx(value, rel=1e-15, abs=0.0), (rate, alpha)
+        assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0), (rate, alpha)
+
+
+@pytest.mark.parametrize("scenario, cfg, rates", [
+    ("siso_nocsi", LinkConfig(), (0.5, 1.2, 1.9, 2.4)),
+    ("siso_nocsi", LinkConfig(n_elems=16, p_t=0.01), (0.05, 0.3, 1.0)),
+    ("miso_nocsi", LinkConfig(n_tx=10), (0.005, 0.02, 0.06)),
+])
+def test_on_off_estimate_matches_empirical_ec(scenario, cfg, rates):
+    """Counting the on slots gives empirical_ec of the materialized
+    on/off service, to the rounding of its per-slot sums."""
+    snr = simulate_snr(cfg, scenario, 41, 20_000)
+    for rate in rates:
+        for alpha in (0.01, 0.1, 1.0, 10.0):
+            est = on_off_estimate(snr, cfg, scenario, rate, alpha)
+            want = empirical_ec(service_from_snr(snr, cfg, scenario, rate), alpha)
+            assert est.value == pytest.approx(want.value, rel=1e-11), (rate, alpha)
+            assert est.stderr == pytest.approx(want.stderr, rel=1e-11), (rate, alpha)
+            assert (est.slots, est.blocks) == (want.slots, want.blocks)
+
+
+def test_on_off_estimate_argument_gates(cfg_siso):
+    snr = simulate_snr(cfg_siso, "siso_nocsi", 1, 100)
+    with pytest.raises(ValueError, match="adapts its rate"):
+        on_off_estimate(snr, cfg_siso, "siso_csi", None, 0.1)
+    with pytest.raises(ValueError, match="needs a rate"):
+        on_off_estimate(snr, cfg_siso, "siso_nocsi", None, 0.1)
+    with pytest.raises(ValueError):
+        on_off_estimate(snr, cfg_siso, "mimo_nocsi", 1.0, 0.1)
+    service = simulate_service(cfg_siso, "siso_nocsi", 1.0, 1, 100)
+    with pytest.raises(ValueError, match="snr batch"):
+        on_off_estimate(service, cfg_siso, "siso_nocsi", 1.0, 0.1)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            on_off_estimate(snr, cfg_siso, "siso_nocsi", 1.0, alpha)
+    # service_from_snr's batch check refuses the bits of the slots that
+    # are on: a negative rate, which every slot supports, or a slot so
+    # long that rate * slot overflows
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        on_off_estimate(snr, cfg_siso, "siso_nocsi", -1.0, 0.1)
+    long_slot = replace(cfg_siso, slot=1e308)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        on_off_estimate(_counted_snr(long_slot, 2.0, 5, 10), long_slot, "siso_nocsi", 2.0, 0.1)
+    # a rate that no slot supports serves nothing, as service_from_snr's
+    # all-zero service does
+    est = on_off_estimate(snr, cfg_siso, "siso_nocsi", math.inf, 0.1)
+    assert (est.value, est.stderr) == (0.0, 0.0)
 
 
 def test_miso_service_moments_match_series():

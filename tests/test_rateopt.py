@@ -296,6 +296,18 @@ def test_miso_root_small_alpha_hits_ergodic_argmax():
     assert root.r_star == pytest.approx(want, abs=2e-3)
 
 
+@pytest.mark.parametrize("field", ["slot", "bandwidth"])
+def test_miso_root_out_of_reach_names_slot_bandwidth(cfg_miso, field):
+    """At slot * bandwidth = 1e100 the rate root still lies within 500
+    halvings of the bandwidth; at 1e150 it does not, which is an
+    OverflowError naming slot * bandwidth."""
+    near = solve_rate_miso_exact(replace(cfg_miso, **{field: 1e100}), 0.1)
+    assert near.iterations < 500
+    assert near.ec_at_r_star == pytest.approx(2187.191533398882, rel=1e-12)
+    with pytest.raises(OverflowError, match=r"slot \* bandwidth = 1e\+150"):
+        solve_rate_miso_exact(replace(cfg_miso, **{field: 1e150}), 0.1)
+
+
 def test_miso_closed_form_inside_regime():
     mk = miso_cfg_for_kappa(0.5)
     closed = optimize_rate_miso_closed(mk, 10.0)

@@ -13,7 +13,7 @@ import pytest
 from irsec import eccore, sweeps
 from irsec.channel import LinkConfig, siso_snr_dist
 from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, get_scenario, mean_service
-from irsec.mcoracle import empirical_ec
+from irsec.mcoracle import empirical_ec, on_off_estimate
 from irsec.sweeps import (
     CSV_HEADER,
     SweepSpec,
@@ -23,7 +23,19 @@ from irsec.sweeps import (
     run_sweep,
     write_csv,
 )
-from reference_samplers import grid_argmax_reference, simulate_service
+from reference_samplers import grid_argmax_reference, simulate_service, simulate_snr
+
+
+def _fresh_oracle(cfg, scenario, rate, alpha, seed, slots):
+    """(value, stderr) of one row's oracle on a fresh draw at seed: an
+    adaptive row's empirical_ec of its service, a fixed-rate row's count
+    of on slots."""
+    if get_scenario(scenario).adaptive:
+        est = empirical_ec(simulate_service(cfg, scenario, None, seed, slots), alpha)
+    else:
+        snr = simulate_snr(cfg, scenario, seed, slots)
+        est = on_off_estimate(snr, cfg, scenario, rate, alpha)
+    return est.value, est.stderr
 
 
 def _rate_spec(values=(0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4), **kw):
@@ -139,8 +151,9 @@ def test_oracle_rows_reproducible():
 def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
     """Rows with the same element count share one fading draw at
     spec.seed: a rate, p_t or N_t sweep draws once, an N sweep once per
-    value, and every row's oracle equals a fresh simulate_service draw
-    at that seed."""
+    value, and every row's oracle equals the one a fresh draw at that
+    seed gives: empirical_ec of its service for an adaptive row, the
+    count of on slots for a fixed-rate row."""
     common = dict(alpha_list=(0.1, 1.0), seed=7, mc_slots=2000)
     rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), **common)
     power_spec = SweepSpec(scenario="siso_csi", sweep_var="p_t",
@@ -170,10 +183,9 @@ def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
                 cfg = replace(cfg, n_elems=int(row.value))
             elif spec.sweep_var == "N_t":
                 cfg = LinkConfig(n_tx=int(row.value))
-            want = empirical_ec(simulate_service(
-                cfg, spec.scenario, row.r_star, spec.seed, spec.mc_slots),
-                row.alpha)
-            assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr)
+            want = _fresh_oracle(cfg, spec.scenario, row.r_star, row.alpha,
+                                 spec.seed, spec.mc_slots)
+            assert (row.ec_oracle, row.oracle_stderr) == want
 
 
 def _one_row(scenario, alpha=0.1, seed=7, mc_slots=2000, n_elems=100):
@@ -220,9 +232,9 @@ def test_a_new_link_seed_or_size_draws_again(fading_calls, scenario, change):
     key, batch = sweeps._last_fading
     assert key == (beamformed, spec.fixed.n_elems, spec.seed, spec.mc_slots)
     assert batch.values.size == spec.mc_slots
-    want = empirical_ec(simulate_service(spec.fixed, scenario, row.r_star,
-                                         spec.seed, spec.mc_slots), 0.1)
-    assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr)
+    want = _fresh_oracle(spec.fixed, scenario, row.r_star, 0.1,
+                         spec.seed, spec.mc_slots)
+    assert (row.ec_oracle, row.oracle_stderr) == want
 
 
 def test_oracle_keeps_one_draw_at_a_time(monkeypatch):
