@@ -36,14 +36,12 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "get_scenario",
-    "OnOffChannel",
     "EcResult",
     "alpha_value",
     "ec_siso_csi",
     "ec_miso_csi",
     "ec_siso_nocsi",
     "ec_miso_nocsi",
-    "ec_on_off",
     "on_off_probs",
     "snr_threshold",
     "miso_csi_moments",
@@ -173,31 +171,14 @@ def get_scenario(name: str) -> Scenario:
 
 
 def alpha_value(alpha: float) -> float:
-    """The QoS exponent as a float; ValueError unless strictly positive."""
+    """The QoS exponent as a float; ValueError unless strictly positive
+    and finite."""
     a = float(alpha)
     if not a > 0.0:
         raise ValueError("alpha must be strictly positive")
+    if a == math.inf:
+        raise ValueError("alpha must be finite")
     return a
-
-
-@dataclass(frozen=True)
-class OnOffChannel:
-    """Two-state service chain: fixed rate when on, zero when off."""
-
-    p_on: float
-    p_off: float
-    rate: float
-    slot: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_on <= 1.0:
-            raise ValueError("p_on must lie in [0, 1]")
-        if abs(self.p_on + self.p_off - 1.0) > 1e-12:
-            raise ValueError("p_on + p_off must equal 1")
-        if self.rate < 0.0:
-            raise ValueError("rate must be nonnegative")
-        if not self.slot > 0.0:
-            raise ValueError("slot must be positive")
 
 
 @dataclass(frozen=True)
@@ -417,8 +398,8 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
 
     On means the channel supports the rate: SNR >= snr_threshold(rate).
     """
-    if rate < 0.0:
-        raise ValueError("rate must be nonnegative")
+    if not rate >= 0.0:
+        raise ValueError(f"rate must be nonnegative, got {rate!r}")
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
     if rate == 0.0:
@@ -455,41 +436,18 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
     return ln_mgf, -ln_mgf / a
 
 
-def ec_on_off(
-    chain: OnOffChannel,
-    alpha: float,
-    scenario: str = "siso_nocsi",
-) -> EcResult:
-    """EC of a two-state service chain, scalar route; the diagnostics
-    carry the chain and the log service MGF."""
-    ln_mgf, ec = _on_off_kernel(chain.p_on, chain.p_off, alpha_value(alpha),
-                                chain.rate, chain.slot)
-    diag = {"p_on": chain.p_on, "p_off": chain.p_off, "rate": chain.rate,
-            "slot": chain.slot, "ln_mgf": ln_mgf}
-    return EcResult(ec_bits_per_slot=ec, scenario=scenario, diagnostics=diag)
-
-
-def _ec_fixed_rate(scenario: str, dist: SnrDistribution, cfg: LinkConfig,
-                   alpha: float, rate: float) -> EcResult:
-    """On/off EC at a fixed rate over the law dist; diagnostics carry
-    the chain. The one fixed-rate EC behind both no-CSI branches."""
-    p_on, p_off = on_off_probs(dist, rate, cfg.bandwidth)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=rate, slot=cfg.slot)
-    return ec_on_off(chain, alpha, scenario=scenario)
-
-
-def _fixed_rate_value(dist: SnrDistribution, a: float, rate: float,
-                      bandwidth: float, slot: float) -> float:
-    """_ec_fixed_rate(...).ec_bits_per_slot, bit for bit, for an exponent
-    a already checked by alpha_value: the rate search's objective, which
-    builds no chain, result or diagnostics. It keeps the chain's range
-    check on p_on, and calls on_off_probs by its module name so that a
-    caller that replaces it (a tracer, a counting test) sees every
-    evaluation."""
+def _fixed_rate(dist: SnrDistribution, a: float, rate: float, bandwidth: float,
+                slot: float) -> tuple[float, float, float, float]:
+    """(p_on, p_off, ln_mgf, ec) of fixed-rate transmission over the law
+    dist, for an exponent a already checked by alpha_value: the one
+    fixed-rate EC, behind both no-CSI branches and the rate search. It
+    calls on_off_probs by its module name so that a caller that replaces
+    it (a tracer, a counting test) sees every evaluation."""
     p_on, p_off = on_off_probs(dist, rate, bandwidth)
     if not 0.0 <= p_on <= 1.0:
         raise ValueError("p_on must lie in [0, 1]")
-    return _on_off_kernel(p_on, p_off, a, rate, slot)[1]
+    ln_mgf, ec = _on_off_kernel(p_on, p_off, a, rate, slot)
+    return p_on, p_off, ln_mgf, ec
 
 
 def ec_siso_nocsi(
@@ -499,9 +457,11 @@ def ec_siso_nocsi(
 ) -> EcResult:
     """EC of fixed-rate transmission over the single-antenna link."""
     dist = siso_snr_dist(cfg)
-    res = _ec_fixed_rate("siso_nocsi", dist, cfg, alpha, rate)
-    res.diagnostics.update(vars(dist))
-    return res
+    p_on, p_off, ln_mgf, ec = _fixed_rate(dist, alpha_value(alpha), rate,
+                                          cfg.bandwidth, cfg.slot)
+    diag = {"p_on": p_on, "p_off": p_off, "rate": rate, "slot": cfg.slot,
+            "ln_mgf": ln_mgf, **vars(dist)}
+    return EcResult(ec_bits_per_slot=ec, scenario="siso_nocsi", diagnostics=diag)
 
 
 def ec_miso_nocsi(
@@ -512,9 +472,11 @@ def ec_miso_nocsi(
 ) -> EcResult:
     """EC of fixed-rate transmission over the beamformed link."""
     dist = miso_snr_dist(cfg, mode=kappa_mode)
-    res = _ec_fixed_rate("miso_nocsi", dist, cfg, alpha, rate)
-    res.diagnostics.update(vars(dist), kappa_mode=kappa_mode)
-    return res
+    p_on, p_off, ln_mgf, ec = _fixed_rate(dist, alpha_value(alpha), rate,
+                                          cfg.bandwidth, cfg.slot)
+    diag = {"p_on": p_on, "p_off": p_off, "rate": rate, "slot": cfg.slot,
+            "ln_mgf": ln_mgf, **vars(dist), "kappa_mode": kappa_mode}
+    return EcResult(ec_bits_per_slot=ec, scenario="miso_nocsi", diagnostics=diag)
 
 
 def mean_service(

@@ -10,9 +10,9 @@ a uniform grid and refines it with Brent's bounded minimizer,
 numerics.minimize_bounded, a float-only port of scipy's
 minimize_scalar(method="bounded") that returns the same x, fun and
 evaluation count, bit for bit. The search runs on Python floats: its
-grid is np.linspace's arithmetic, and each evaluation is the scalar
-on/off EC kernel with no result object, the same bits as the EC the
-no-CSI branches report.
+grid is np.linspace's arithmetic, and each evaluation is eccore's one
+fixed-rate EC with no result object, the function the no-CSI branches
+report from.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from irsec import specfun
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
-    _fixed_rate_value,
+    _fixed_rate,
     alpha_value,
     ec_miso_nocsi,
     ec_siso_nocsi,
@@ -313,14 +313,14 @@ def grid_argmax_rate(
     dist = entry.law(cfg)
     b, t = cfg.bandwidth, cfg.slot
     rates = _rate_grid(r_max, points)
-    values = [_fixed_rate_value(dist, a, r, b, t) for r in rates]
+    values = [_fixed_rate(dist, a, r, b, t)[3] for r in rates]
     ec_best = max(values)
     k = values.index(ec_best)  # the first maximum, as np.argmax
     r_best = rates[k]
     lo = rates[k - 1] if k > 0 else 0.0
     hi = rates[min(k + 1, points - 1)]
     x, fun, nfev = minimize_bounded(
-        lambda r: -_fixed_rate_value(dist, a, r, b, t),
+        lambda r: -_fixed_rate(dist, a, r, b, t)[3],
         lo, hi, _GRID_XATOL * r_max)
     if -fun > ec_best:
         r_best, ec_best = x, -fun

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from irsec.channel import LinkConfig, SampleBatch
-from irsec.eccore import LN2, SCENARIOS, Scenario, get_scenario
+from irsec.eccore import LN2, SCENARIOS, Scenario, alpha_value, get_scenario
 from irsec.mcoracle import empirical_ec, on_off_estimate, service_from_snr
 from irsec.rateopt import RateSolution, grid_argmax_rate, solve_rate_miso_exact
 
@@ -53,7 +53,8 @@ class SweepSpec:
     mc_slots = 0 disables the oracle columns; otherwise it is the
     oracle's slot count, stored as an int (1e3 is 1000; 10.5 raises).
     When sweep_var is "alpha" the values themselves are the exponents
-    and alpha_list is ignored.
+    and alpha_list is ignored. NaN values are refused, and every
+    exponent must pass alpha_value.
     """
 
     scenario: str
@@ -71,6 +72,8 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("values must be nonempty")
+        if any(math.isnan(v) for v in self.values):
+            raise ValueError("values must not be NaN")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.sweep_var in ("N", "N_t") and not all(
@@ -82,11 +85,10 @@ class SweepSpec:
             raise ValueError("rate sweeps require a no-CSI scenario")
         object.__setattr__(self, "alpha_list",
                            tuple(float(a) for a in self.alpha_list))
-        if self.sweep_var != "alpha":
-            if not self.alpha_list:
-                raise ValueError("alpha_list must be nonempty")
-            if any(a <= 0.0 for a in self.alpha_list):
-                raise ValueError("alpha_list entries must be positive")
+        if self.sweep_var != "alpha" and not self.alpha_list:
+            raise ValueError("alpha_list must be nonempty")
+        for a in self.values if self.sweep_var == "alpha" else self.alpha_list:
+            alpha_value(a)
         if int(self.mc_slots) != self.mc_slots or self.mc_slots < 0:
             raise ValueError("mc_slots must be a nonnegative integer")
         object.__setattr__(self, "mc_slots", int(self.mc_slots))

@@ -16,7 +16,8 @@ noise, not bit for bit.
 route beside the library's scalar `math` one; `ks_distance` builds the
 sup-CDF distance of a batch on it. `ec_on_off_spectral` computes the
 on/off EC from the spectral radius of the weighted 2x2 chain, an
-independent route to `ec_on_off`. `write_link_config` writes the
+independent route to the library's scalar on/off formula
+`eccore._on_off_kernel`. `write_link_config` writes the
 config-file format that `load_link_config` reads.
 
 `sample_siso_snr`, `sample_miso_snr`, `simulate_snr` and
@@ -49,7 +50,7 @@ from irsec.channel import (
     siso_snr_from_fading,
     stream_rng,
 )
-from irsec.eccore import OnOffChannel, _ec_fixed_rate, alpha_value, get_scenario
+from irsec.eccore import _fixed_rate, alpha_value, get_scenario
 from irsec.mcoracle import service_from_snr
 from irsec.rateopt import RateSolution
 
@@ -167,13 +168,14 @@ def ks_distance(samples: SampleBatch, law) -> float:
     return float(max(upper, lower))
 
 
-def ec_on_off_spectral(chain: OnOffChannel, alpha: float) -> float:
+def ec_on_off_spectral(p_on: float, p_off: float, alpha: float, rate: float,
+                       slot: float) -> float:
     """On/off EC via the spectral radius of the weighted 2x2 chain:
     rows are the iid state distribution, columns weighted by per-state
-    service decay."""
-    on = chain.p_on * math.exp(-alpha * chain.rate * chain.slot)
-    m = np.array([[chain.p_off, on],
-                  [chain.p_off, on]])
+    service decay. Takes _on_off_kernel's arguments in its order."""
+    on = p_on * math.exp(-alpha * rate * slot)
+    m = np.array([[p_off, on],
+                  [p_off, on]])
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     return -math.log(radius) / alpha
 
@@ -203,7 +205,7 @@ def grid_argmax_reference(
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg, kappa_mode)
     rates = np.linspace(r_max / points, r_max, points)
-    values = np.array([_ec_fixed_rate(scenario, dist, cfg, a, r).ec_bits_per_slot
+    values = np.array([_fixed_rate(dist, a, r, cfg.bandwidth, cfg.slot)[3]
                        for r in rates])
     k = int(np.argmax(values))
     r_best, ec_best = float(rates[k]), float(values[k])
@@ -216,7 +218,7 @@ def grid_argmax_reference(
             offset = 0.5 * h * (y0 - y2) / curvature
             offset = min(max(offset, -h), h)
             r_ref = r_best + offset
-            ec_ref = _ec_fixed_rate(scenario, dist, cfg, a, r_ref).ec_bits_per_slot
+            ec_ref = _fixed_rate(dist, a, r_ref, cfg.bandwidth, cfg.slot)[3]
             if ec_ref >= ec_best:
                 r_best, ec_best = r_ref, ec_ref
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,

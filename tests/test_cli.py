@@ -317,6 +317,67 @@ def test_validate_rejects_nonpositive_alpha(capsys):
     assert "rel_err" not in out
 
 
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_ec_rejects_infinite_alpha(capsys, scenario):
+    """Every branch refuses alpha = inf as input rather than answering
+    it each in its own way."""
+    code, out, err = _run(capsys, ["ec", "--scenario", scenario, "--alpha", "inf"])
+    assert code == 2
+    assert err.startswith("error: ValueError: alpha must be finite")
+    assert "ec_bits_per_slot" not in out
+
+
+NOCSI_EC_LINES = {
+    "siso_nocsi": [
+        "rate = 1.2782897695409108",
+        "ec_bits_per_slot = 1.2075111288102678",
+        "diag.beta = 0.011646355092701335",
+        "diag.lam = 160.99457599185223",
+        "diag.ln_mgf = -0.12075111288102679",
+        "diag.p_off = 0.05209036420368654",
+        "diag.p_on = 0.9479096357963135",
+        "diag.rate = 1.2782897695409108",
+        "diag.slot = 1.0",
+    ],
+    "miso_nocsi": [
+        "rate = 0.021577540042878703",
+        "ec_bits_per_slot = 0.008000354034445439",
+        "diag.kappa = 65.79736267392904",
+        "diag.kappa_mode = 'exact'",
+        "diag.ln_mgf = -0.0008000354034445439",
+        "diag.p_off = 0.6289759797643948",
+        "diag.p_on = 0.3710240202356052",
+        "diag.rate = 0.021577540042878703",
+        "diag.slot = 1.0",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", list(NOCSI_EC_LINES))
+def test_ec_nocsi_prints_the_pinned_chain(capsys, scenario):
+    """irsec ec at the reference link prints these lines exactly: the
+    optimized rate, the EC and the on/off chain behind it."""
+    code, out, err = _run(capsys, ["ec", "--scenario", scenario, "--alpha", "0.1"])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"scenario = {scenario}", "alpha = 0.1",
+                                *NOCSI_EC_LINES[scenario]]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sweep-var", "rate", "--values", "nan"],
+    ["--sweep-var", "rate", "--values", "1.0", "--alphas", "nan"],
+    ["--sweep-var", "alpha", "--values=-1,0.1"],
+])
+def test_sweep_refuses_nan_values_and_bad_exponents(capsys, flags):
+    """A NaN sweep value or an exponent alpha_value refuses is an input
+    error (exit 2), not a table of row errors."""
+    code, out, err = _run(capsys, ["sweep", "--scenario", "siso_nocsi", *flags,
+                                   "--mc-slots", "100"])
+    assert code == 2
+    assert err.startswith("error: ValueError: ")
+    assert "rows = " not in out
+
+
 def test_db_gain_overflow_names_the_flag(capsys):
     code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "0.1",
                                    "--g-t-db", "4000"])

@@ -21,11 +21,11 @@ from irsec.channel import Exponential, LinkConfig, siso_snr_dist
 from irsec.eccore import (
     SCENARIOS,
     EcResult,
-    OnOffChannel,
+    _fixed_rate,
+    _on_off_kernel,
     alpha_value,
     ec_miso_csi,
     ec_miso_nocsi,
-    ec_on_off,
     ec_siso_csi,
     ec_siso_nocsi,
     mean_service,
@@ -33,6 +33,7 @@ from irsec.eccore import (
     on_off_probs,
     snr_threshold,
 )
+from irsec.rateopt import grid_argmax_rate
 from irsec.sweeps import auto_rate
 from reference_samplers import ec_on_off_spectral, simulate_service
 
@@ -56,17 +57,11 @@ def test_qos_exponent():
     assert alpha_value(2.0) == 2.0
     with pytest.raises(ValueError):
         alpha_value(-1.0)
-
-
-def test_on_off_channel_validation():
-    with pytest.raises(ValueError):
-        OnOffChannel(p_on=0.5, p_off=0.4, rate=1.0, slot=1.0)
-    with pytest.raises(ValueError):
-        OnOffChannel(p_on=1.2, p_off=-0.2, rate=1.0, slot=1.0)
-    with pytest.raises(ValueError):
-        OnOffChannel(p_on=0.5, p_off=0.5, rate=-1.0, slot=1.0)
-    with pytest.raises(ValueError):
-        OnOffChannel(p_on=0.5, p_off=0.5, rate=1.0, slot=0.0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        alpha_value(math.inf)
+    for bad in (0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be strictly positive"):
+            alpha_value(bad)
 
 
 def test_ec_result_scenario_gate():
@@ -308,28 +303,34 @@ def test_on_off_probs_validation():
         on_off_probs(Exponential(0.5), -1.0, 1.0)
     with pytest.raises(ValueError):
         on_off_probs(Exponential(0.5), 1.0, 0.0)
+    with pytest.raises(ValueError, match="rate must be nonnegative, got nan"):
+        on_off_probs(Exponential(0.5), math.nan, 1.0)
+
+
+@pytest.mark.parametrize("name", ["siso_nocsi", "miso_nocsi"])
+def test_infinite_rate_gives_zero_ec(name):
+    """No SNR supports an infinite rate: the chain is always off."""
+    entry = SCENARIOS[name]
+    res = entry.ec(LinkConfig(n_tx=10 if entry.beamformed else 1), 0.1, math.inf)
+    assert res.ec_bits_per_slot == 0.0
+    assert (res.diagnostics["p_on"], res.diagnostics["p_off"]) == (0.0, 1.0)
 
 
 def test_ec_on_off_spot_value():
     """Fixed-rate EC at (kappa=0.5, alpha=0.1, r=1, B=T=1)."""
-    p_on, p_off = on_off_probs(Exponential(0.5), 1.0, 1.0)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=1.0, slot=1.0)
-    res = ec_on_off(chain, 0.1)
-    assert res.ec_bits_per_slot == pytest.approx(0.59451772467971217, rel=1e-13)
+    ec = _fixed_rate(Exponential(0.5), 0.1, 1.0, 1.0, 1.0)[3]
+    assert ec == pytest.approx(0.59451772467971217, rel=1e-13)
 
 
 def test_ec_on_off_degenerate_chains():
-    on = OnOffChannel(p_on=1.0, p_off=0.0, rate=2.0, slot=1.5)
-    assert ec_on_off(on, 0.7).ec_bits_per_slot == pytest.approx(3.0, rel=1e-14)
-    zero = OnOffChannel(p_on=1.0, p_off=0.0, rate=0.0, slot=1.0)
-    assert ec_on_off(zero, 0.7).ec_bits_per_slot == 0.0
-    off = OnOffChannel(p_on=0.0, p_off=1.0, rate=5.0, slot=1.0)
-    assert ec_on_off(off, 0.7).ec_bits_per_slot == 0.0
+    # (p_on, p_off, alpha, rate, slot)
+    assert _on_off_kernel(1.0, 0.0, 0.7, 2.0, 1.5)[1] == pytest.approx(3.0, rel=1e-14)
+    assert _on_off_kernel(1.0, 0.0, 0.7, 0.0, 1.0)[1] == 0.0
+    assert _on_off_kernel(0.0, 1.0, 0.7, 5.0, 1.0)[1] == 0.0
 
 
 def test_ec_on_off_small_alpha_limit():
-    chain = OnOffChannel(p_on=0.8, p_off=0.2, rate=1.5, slot=1.0)
-    ec = ec_on_off(chain, 1e-6).ec_bits_per_slot
+    ec = _on_off_kernel(0.8, 0.2, 1e-6, 1.5, 1.0)[1]
     assert ec == pytest.approx(0.8 * 1.5, rel=1e-4)
 
 
@@ -343,9 +344,8 @@ def test_ec_on_off_small_alpha_limit():
 def test_spectral_route_matches_scalar(p_on, rate, slot, alpha):
     """The 2x2 eigenvalue route is an independent evaluation of the
     same rank-1 chain and must coincide with the scalar form."""
-    chain = OnOffChannel(p_on=p_on, p_off=1.0 - p_on, rate=rate, slot=slot)
-    scalar = ec_on_off(chain, alpha).ec_bits_per_slot
-    spectral = ec_on_off_spectral(chain, alpha)
+    scalar = _on_off_kernel(p_on, 1.0 - p_on, alpha, rate, slot)[1]
+    spectral = ec_on_off_spectral(p_on, 1.0 - p_on, alpha, rate, slot)
     assert spectral == pytest.approx(scalar, rel=1e-9, abs=1e-10)
 
 
@@ -407,36 +407,31 @@ def test_fixed_rate_ec_is_bounded_by_mean_service(n, log_p_t, log_alpha,
     n=st.integers(1, 20000),
     log_p_t=st.floats(-9.0, 3.0),
     log_alpha=st.floats(-6.0, 3.0),
-    log_rate=st.floats(-9.0, math.log10(50.0)),
-    law=st.sampled_from([("siso_nocsi", "exact"), ("miso_nocsi", "exact"),
-                         ("miso_nocsi", "closed")]),
+    log_r_max=st.floats(-9.0, math.log10(50.0)),
+    name=st.sampled_from(["siso_nocsi", "miso_nocsi"]),
 )
-def test_fixed_rate_value_is_the_fixed_rate_ec(n, log_p_t, log_alpha, log_rate, law):
-    """The rate search's float objective returns the bits of the EC the
-    no-CSI branches report, over the design ranges of both laws."""
-    name, kappa_mode = law
+def test_rate_search_peak_is_the_nocsi_ec(n, log_p_t, log_alpha, log_r_max, name):
+    """The EC the rate search reports at its peak is, bit for bit, the
+    EC the no-CSI branch reports at that rate, over the design ranges
+    of both links."""
     entry = SCENARIOS[name]
     cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
                      n_tx=10 if entry.beamformed else 1)
-    alpha, rate = 10.0 ** log_alpha, 10.0 ** log_rate
-    dist = entry.law(cfg, kappa_mode)
-    want = eccore._ec_fixed_rate(name, dist, cfg, alpha, rate).ec_bits_per_slot
-    got = eccore._fixed_rate_value(dist, alpha_value(alpha), rate,
-                                   cfg.bandwidth, cfg.slot)
-    assert got.hex() == want.hex()
+    alpha = 10.0 ** log_alpha
+    sol = grid_argmax_rate(cfg, alpha, name, 10.0 ** log_r_max, 24)
+    want = entry.ec(cfg, alpha, sol.r_star).ec_bits_per_slot
+    assert sol.ec_at_r_star.hex() == want.hex()
 
 
 @pytest.mark.parametrize("p_off", [-0.5, math.nan])
 def test_fixed_rate_value_checks_p_on(p_off):
-    """A law whose CDF leaves [0, 1] is refused as the chain refuses it."""
+    """A law whose CDF leaves [0, 1] is refused."""
     class BadLaw:
         def cdf(self, x):
             return p_off
 
     with pytest.raises(ValueError, match="p_on must lie in"):
-        eccore._fixed_rate_value(BadLaw(), 0.1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="p_on must lie in"):
-        eccore._ec_fixed_rate("siso_nocsi", BadLaw(), LinkConfig(), 0.1, 1.0)
+        _fixed_rate(BadLaw(), 0.1, 1.0, 1.0, 1.0)
 
 
 def test_nocsi_wrappers_compose(cfg_siso, cfg_miso):
@@ -451,8 +446,7 @@ def test_nocsi_wrappers_compose(cfg_siso, cfg_miso):
     # reproduce through the parts it claims to compose
     p_on, p_off = on_off_probs(
         Exponential(res_m.diagnostics["kappa"]), 1.0, cfg_miso.bandwidth)
-    chain = OnOffChannel(p_on=p_on, p_off=p_off, rate=1.0, slot=cfg_miso.slot)
-    assert res_m.ec_bits_per_slot == ec_on_off(chain, 0.1).ec_bits_per_slot
+    assert res_m.ec_bits_per_slot == _on_off_kernel(p_on, p_off, 0.1, 1.0, cfg_miso.slot)[1]
 
 
 def test_mean_service_anchor(cfg_siso):

@@ -20,8 +20,7 @@ import pytest
 from conftest import miso_cfg_for_kappa
 from irsec.channel import Exponential, LinkConfig, SampleBatch, miso_snr_dist, stream_rng
 from irsec.eccore import (
-    OnOffChannel,
-    ec_on_off,
+    _on_off_kernel,
     mean_service,
     miso_csi_moments,
     snr_threshold,
@@ -74,8 +73,7 @@ def test_zero_service_is_positive_zero():
 def test_two_point_service_converges_to_closed_form():
     batch = _two_point_batch(321, 1_000_000)
     est = empirical_ec(batch, 0.5)
-    truth = ec_on_off(
-        OnOffChannel(p_on=0.7, p_off=0.3, rate=1.5, slot=1.0), 0.5).ec_bits_per_slot
+    truth = _on_off_kernel(0.7, 0.3, 0.5, 1.5, 1.0)[1]
     assert est.stderr > 0.0
     assert abs(est.value - truth) <= 3.0 * est.stderr
 

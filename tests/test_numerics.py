@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from irsec import numerics
 from irsec.channel import LinkConfig
-from irsec.eccore import _ec_fixed_rate, get_scenario
+from irsec.eccore import _fixed_rate, get_scenario
 from irsec.numerics import minimize_bounded, qagp
 
 # quad reports ier only through its message; these are their openings.
@@ -175,7 +175,7 @@ def test_minimize_bounded_matches_scipy_on_rate_brackets(scenario, alpha, points
     rates = np.linspace(r_max / points, r_max, points)
 
     def ec(r):
-        return _ec_fixed_rate(scenario, dist, cfg, alpha, r).ec_bits_per_slot
+        return _fixed_rate(dist, alpha, r, cfg.bandwidth, cfg.slot)[3]
 
     k = int(np.argmax([ec(float(r)) for r in rates]))
     brackets = [(0.0, float(rates[1])), (float(rates[-2]), r_max)]

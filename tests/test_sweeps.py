@@ -72,6 +72,20 @@ def test_spec_validation():
         _rate_spec(alpha_list=(0.1, -1.0))
     with pytest.raises(ValueError):
         _rate_spec(mc_slots=-100)
+    # NaN passes no neighbour comparison, so it is refused by name; every
+    # exponent, from alpha_list or an alpha sweep's values, obeys alpha_value
+    for values in ((math.nan,), (1.0, math.nan, 2.0)):
+        with pytest.raises(ValueError, match="values must not be NaN"):
+            _rate_spec(values=values)
+    with pytest.raises(ValueError, match="alpha must be strictly positive"):
+        _rate_spec(alpha_list=(math.nan,))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        _rate_spec(alpha_list=(0.1, math.inf))
+    for values, message in (((-1.0, 0.1), "strictly positive"),
+                            ((0.1, math.inf), "finite")):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(scenario="siso_csi", sweep_var="alpha", values=values,
+                      fixed=LinkConfig())
 
 
 def test_integral_float_mc_slots_is_the_int():
