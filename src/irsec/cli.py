@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -44,6 +45,13 @@ MISO_DEFAULT_N_TX = 10
 _FLOAT_FLAGS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
                 "g_t_db", "g_r_db", "p_t", "sigma2", "bandwidth", "slot")
 _INT_FLAGS = ("n_elems", "n_tx")
+
+# argparse reads a token that starts with "-" as an option unless it is a
+# plain negative number such as -1 or -.5, so "--values -1,0.1" and
+# "--p-t -1e-3" would stop at "expected one argument" before the value is
+# checked. No option of this CLI starts with a digit or a dot, so such a
+# token is the value of the option before it.
+_NUMERIC_VALUE = re.compile(r"-[\d.]")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -280,9 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_numeric_values(argv: list[str]) -> list[str]:
+    """argv with each "--flag -1..." pair written as "--flag=-1..."."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NUMERIC_VALUE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numeric_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except Exception as exc:

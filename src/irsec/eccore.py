@@ -6,9 +6,9 @@ transmitter adapts to the channel, and a two-state on/off chain at a
 fixed rate when it does not. EC(alpha) = -(1/alpha) ln E[exp(-alpha s)]
 for one slot, since slots are independent and identically distributed.
 
-The single-antenna adaptive-rate forms integrate over the folded-normal
-law by numerics.qagp, a port of QUADPACK's dqagpe that returns the same
-bits as scipy.integrate.quad with break points.
+The single-antenna adaptive-rate forms take their integrals from the
+single-antenna SNR law itself (ScaledNoncentralChiSq.ln_mgf and
+mean_log), a trapezoid rule that halves its step until two sums agree.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from irsec.channel import (
     siso_snr_dist,
     siso_snr_from_fading,
 )
-from irsec.numerics import qagp
 
 __all__ = [
     "SCENARIOS",
@@ -62,16 +61,6 @@ KAPPA_WATSON = 14.0
 # its diagnostics report the SNR law's mass below this floor.
 RELAX_SNR_FLOOR = 9.0
 _EXP_TAIL = 690.0
-
-# Quadrature window for the exact single-antenna forms, in units of the
-# folded-normal standard deviation around the ridge at sqrt(lam).
-_QUAD_SPAN = 45.0
-_QUAD_EPSREL = 1e-11
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Below this decay exponent the direct MGF quadrature loses the signal
-# (M is 1 - O(u)); integrate the complement instead.
-_SMALL_U = 1e-3
 
 
 @dataclass(frozen=True)
@@ -194,69 +183,6 @@ class EcResult:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
 
-def _fold_integrand(weight: str, beta: float, u: float, root_lam: float):
-    """t -> w(beta t^2) p(t): p is the density of |Z|, Z ~ N(root_lam, 1),
-    in its damped form exp(-d^2/2) (1 + exp(-2 root_lam t)) / sqrt(2 pi)
-    with d = t - root_lam, and w is the weight of x = beta t^2 that names
-    the integral: "complement" 1 - (1+x)^-u, "direct" (1+x)^-u or "log"
-    ln(1+x), which ignores u.
-
-    Each closure evaluates p inline, in the formula's order of
-    operations, with -2 root_lam computed once here rather than at every
-    abscissa: it returns the bits of w(t) * p(t) for one Python call.
-    """
-    damp = -2.0 * root_lam
-    if weight == "complement":
-        def integrand(t: float) -> float:
-            d = t - root_lam
-            return (-math.expm1(-u * math.log1p(beta * t * t))
-                    * (math.exp(-0.5 * d * d) * (1.0 + math.exp(damp * t)) / _SQRT_2PI))
-    elif weight == "direct":
-        def integrand(t: float) -> float:
-            d = t - root_lam
-            return (math.exp(-u * math.log1p(beta * t * t))
-                    * (math.exp(-0.5 * d * d) * (1.0 + math.exp(damp * t)) / _SQRT_2PI))
-    elif weight == "log":
-        def integrand(t: float) -> float:
-            d = t - root_lam
-            return (math.log1p(beta * t * t)
-                    * (math.exp(-0.5 * d * d) * (1.0 + math.exp(damp * t)) / _SQRT_2PI))
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    return integrand
-
-
-def _fold_quad(weight: str, beta: float, u: float, root_lam: float) -> tuple[float, float, int]:
-    """(value, abserr, neval) of the integral of _fold_integrand over the
-    folded-normal window around the ridge at root_lam = sqrt(lam), to
-    relative accuracy _QUAD_EPSREL. A UserWarning names QUADPACK's ier
-    and abserr when the quadrature misses that target."""
-    hi = root_lam + _QUAD_SPAN
-    pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
-    value, abserr, neval, ier, _ = qagp(_fold_integrand(weight, beta, u, root_lam),
-                                        0.0, hi, pts, _QUAD_EPSREL, 200)
-    if ier != 0:
-        warnings.warn(
-            f"folded-normal quadrature missed its {_QUAD_EPSREL:g} relative target: "
-            f"ier = {ier}, abserr = {abserr:.3g}", UserWarning, stacklevel=3)
-    return value, abserr, neval
-
-
-def _ln_mgf_siso_exact(beta: float, lam: float, u: float) -> tuple[float, float, int]:
-    """ln E[(1 + beta X)^{-u}] with X = Y^2, Y folded normal, and the
-    quadrature's abserr and neval on the integral it took."""
-    root_lam = math.sqrt(lam)
-    if u < _SMALL_U:
-        # complement K = E[1 - (1+beta t^2)^{-u}] keeps precision as u -> 0
-        k, abserr, neval = _fold_quad("complement", beta, u, root_lam)
-        return math.log1p(-k), abserr, neval
-    m, abserr, neval = _fold_quad("direct", beta, u, root_lam)
-    if not m > 0.0:
-        raise ArithmeticError(
-            f"service MGF E[(1+SNR)^-u] underflows double precision at u = {u!r}")
-    return math.log(m), abserr, neval
-
-
 def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float) -> tuple[float, dict]:
     """High-SNR form: ln E[(beta X)^{-u}], finite only for u < 1/2."""
     addends = {
@@ -276,9 +202,10 @@ def ec_siso_csi(
 ) -> EcResult:
     """EC of the rate-adaptive single-antenna link.
 
-    The EC integrates the true service MGF by quadrature, whose error
-    estimate and integrand evaluations are reported as quad_abserr and
-    quad_neval. The diagnostics also carry the interpretable high-SNR
+    The EC is -ln E[(1+SNR)^-u] / alpha from the law's ln_mgf; the
+    diagnostics report its route ("complement" or "direct"), the
+    difference of its last two step halvings and its integrand
+    evaluations as quad_route, quad_abserr and quad_neval. They also carry the interpretable high-SNR
     closed form (ec_relaxed, ln_mgf_relaxed, relaxed_addends), finite
     only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
     low_snr_prob = P(SNR < RELAX_SNR_FLOOR), the mass on which that form
@@ -299,8 +226,7 @@ def ec_siso_csi(
         diag["ln_mgf_relaxed"] = math.nan
         diag["ec_relaxed"] = math.nan
 
-    ln_mgf, diag["quad_abserr"], diag["quad_neval"] = _ln_mgf_siso_exact(
-        dist.beta, dist.lam, u)
+    ln_mgf, diag["quad_abserr"], diag["quad_neval"], diag["quad_route"] = dist.ln_mgf(u)
     diag["ln_mgf"] = ln_mgf
     return EcResult(ec_bits_per_slot=-ln_mgf / a, scenario="siso_csi", diagnostics=diag)
 
@@ -495,5 +421,4 @@ def mean_service(
     if entry.beamformed:
         mu, _, _ = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
         return mu
-    m, _, _ = _fold_quad("log", dist.beta, 0.0, math.sqrt(dist.lam))
-    return cfg.slot * cfg.bandwidth * m / LN2
+    return cfg.slot * cfg.bandwidth * dist.mean_log().value / LN2

@@ -378,6 +378,25 @@ def test_sweep_refuses_nan_values_and_bad_exponents(capsys, flags):
     assert "rows = " not in out
 
 
+@pytest.mark.parametrize("values", [["--values", "-1,0.1"], ["--values=-1,0.1"]])
+def test_sweep_negative_values_reach_the_alpha_check(capsys, values):
+    """A value list that starts with a minus sign is the value of
+    --values in either spelling, not an unknown option: the sweep
+    refuses it for its exponent, as alpha_value does."""
+    code, out, err = _run(capsys, ["sweep", "--scenario", "siso_nocsi",
+                                   "--sweep-var", "alpha", *values, "--mc-slots", "100"])
+    assert code == 2
+    assert err == "error: ValueError: alpha must be strictly positive\n"
+    assert out == ""
+
+
+def test_negative_float_flag_reaches_the_config_check(capsys):
+    code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "0.1",
+                                   "--p-t", "-1e-3"])
+    assert code == 2
+    assert err == "error: ValueError: p_t must be strictly positive\n"
+
+
 def test_db_gain_overflow_names_the_flag(capsys):
     code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "0.1",
                                    "--g-t-db", "4000"])

@@ -7,6 +7,7 @@ log-moment integrals) and frozen here as decimal literals.
 
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import reference_quadpack
 from conftest import miso_cfg_for_kappa
-from irsec import eccore
+from irsec import channel
 from irsec.channel import Exponential, LinkConfig, siso_snr_dist
 from irsec.eccore import (
     SCENARIOS,
@@ -35,7 +37,7 @@ from irsec.eccore import (
 )
 from irsec.rateopt import grid_argmax_rate
 from irsec.sweeps import auto_rate
-from reference_samplers import ec_on_off_spectral, simulate_service
+from reference_samplers import ec_on_off_spectral, ln_mgf_reference, simulate_service
 
 LN2 = math.log(2.0)
 
@@ -115,12 +117,53 @@ def test_siso_csi_unknown_method(cfg_siso):
             ec_siso_csi(cfg_siso, 0.1, method=method)
 
 
-def test_siso_csi_mgf_underflow_is_typed():
-    """Past the exponent where the direct-route MGF underflows to 0, the
-    exact form names the underflow instead of a raw math domain error."""
+# Design cells (N, p_t, alpha) for the 30-digit check of the trapezoid
+# rule, with the route each takes: the reference link; the complement
+# route at tiny u and at the low-SNR cells whose EC used to exceed the
+# mean; the direct route at high SNR; cells with two peaks; and cells
+# whose direct-route MGF used to underflow.
+MPMATH_CELLS = (
+    (100, 1e-3, 0.1, "complement"),
+    (100, 1e-3, 10.0, "direct"),
+    (20000, 10.0, 1e-6, "complement"),
+    (1, 1e-9, 1.0, "complement"),
+    (16, 1e-9, 1e-3, "complement"),
+    (2000, 1e-9, 1e-3, "complement"),
+    (1, 1e3, 0.1, "direct"),
+    (16, 1e3, 1.0, "direct"),
+    (100, 10.0, 10.0, "direct"),
+    (2000, 10.0, 100.0, "direct"),
+    (2000, 1e-3, 100.0, "direct"),
+    (20000, 1e-7, 1e3, "direct"),
+    (100, 1e3, 1e3, "direct"),
+)
+
+
+@pytest.mark.parametrize("n,p_t,alpha,route", MPMATH_CELLS)
+def test_siso_ln_mgf_matches_mpmath(n, p_t, alpha, route):
+    """ln E[(1+SNR)^-u] is within 1e-13 relative of a 30-digit quadrature
+    on each route, at one and two peaks, and where it used to underflow."""
+    cfg = LinkConfig(n_elems=n, p_t=p_t)
+    dist = siso_snr_dist(cfg)
+    u = alpha * cfg.bandwidth * cfg.slot / LN2
+    got = dist.ln_mgf(u)
+    want = ln_mgf_reference(dist.beta, dist.lam, u)
+    assert got.route == route
+    assert abs(got.value - want) <= 1e-13 * abs(want)
+
+
+def test_siso_csi_former_underflow_cell_is_finite():
+    """At N=2000, p_t=1e-3, alpha=100 the MGF is e^-941, below the
+    smallest double; the EC comes out finite, below the mean and on
+    the 30-digit value."""
     cfg = LinkConfig(n_elems=2000, p_t=1e-3)
-    with pytest.raises(ArithmeticError, match=r"underflows .* u = "):
-        ec_siso_csi(cfg, 100.0)
+    res = ec_siso_csi(cfg, 100.0)
+    dist = siso_snr_dist(cfg)
+    want = ln_mgf_reference(dist.beta, dist.lam, res.diagnostics["u"])
+    assert res.diagnostics["quad_route"] == "direct"
+    assert res.diagnostics["ln_mgf"] < math.log(sys.float_info.min)
+    assert abs(res.diagnostics["ln_mgf"] - want) <= 1e-13 * abs(want)
+    assert 0.0 < res.ec_bits_per_slot <= mean_service(cfg, "siso_csi")
 
 
 def _fold_density(t, root_lam):
@@ -146,12 +189,13 @@ _GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
 @pytest.mark.parametrize("beta,lam,u", [
     (2.3e-7, 161.0, 0.144), (0.7, 2.5, 1.4e-3), (1e-12, 3.1e5, 14.4), (40.0, 0.01, 1e-6)])
 def test_fold_integrand_is_weight_times_density_bit_for_bit(weight, beta, lam, u):
-    """Writing the density into each integrand keeps every bit of the
-    product weight(t) * density(t) it replaces."""
+    """Writing the density into each integrand of the QUADPACK reference
+    route keeps every bit of the product weight(t) * density(t) it
+    replaces."""
     root_lam = math.sqrt(lam)
-    integrand = eccore._fold_integrand(weight, beta, u, root_lam)
+    integrand = reference_quadpack.fold_integrand(weight, beta, u, root_lam)
     w = _FOLD_WEIGHTS[weight](beta, u)
-    ts = np.concatenate(([0.0], np.linspace(0.0, root_lam + eccore._QUAD_SPAN, 301)[1:],
+    ts = np.concatenate(([0.0], np.linspace(0.0, root_lam + reference_quadpack.QUAD_SPAN, 301)[1:],
                          np.random.default_rng(7).uniform(0.0, root_lam + 12.0, 100)))
     for t in map(float, ts):
         assert integrand(t) == w(t) * _fold_density(t, root_lam), t
@@ -159,13 +203,14 @@ def test_fold_integrand_is_weight_times_density_bit_for_bit(weight, beta, lam, u
 
 def test_fold_integrand_rejects_unknown_weight():
     with pytest.raises(ValueError, match="weight"):
-        eccore._fold_integrand("square", 1.0, 1.0, 1.0)
+        reference_quadpack.fold_integrand("square", 1.0, 1.0, 1.0)
 
 
 def test_fold_quad_matches_scipy_quad_on_the_design_grid():
     """On every single-antenna cell of the design grid, both MGF routes
-    and the mean-service integral give quad's value and abserr, bit for
-    bit, with quad taking the density as a separate factor."""
+    and the mean-service integral of the reference route give quad's
+    value and abserr, bit for bit, with quad taking the density as a
+    separate factor."""
     cells = []
     for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
         cfg = LinkConfig(n_elems=n, p_t=p_t)
@@ -178,34 +223,104 @@ def test_fold_quad_matches_scipy_quad_on_the_design_grid():
     for weight, beta, u, lam in cells:
         root_lam = math.sqrt(lam)
         w = _FOLD_WEIGHTS[weight](beta, u)
-        hi = root_lam + eccore._QUAD_SPAN
+        hi = root_lam + reference_quadpack.QUAD_SPAN
         pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
         ref = quad(lambda t: w(t) * _fold_density(t, root_lam), 0.0, hi, points=pts,
-                   limit=200, epsabs=0.0, epsrel=eccore._QUAD_EPSREL)
-        value, abserr, _ = eccore._fold_quad(weight, beta, u, root_lam)
+                   limit=200, epsabs=0.0, epsrel=reference_quadpack.QUAD_EPSREL)
+        value, abserr, _, _ = reference_quadpack.fold_quad(weight, beta, u, root_lam)
         assert (value, abserr) == ref, (weight, beta, u, lam)
     assert len(cells) == 49 * 15
 
 
+def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
+    """On every single-antenna cell of the design grid, the trapezoid
+    rule's integral lies within the abserr of the folded-normal QUADPACK
+    route, on the route that one takes: 1 - M below its u threshold, M
+    above it, and E[ln(1 + SNR)]. That route returns M = 0 where every
+    one of its nodes underflows: M is below the smallest double, or its
+    mass is a spike at z = 0 narrower than the nodes (N = 100, p_t = 1e3,
+    alpha = 1e3 has ln M = -89). There the rule's ln M is finite, and
+    test_siso_ln_mgf_matches_mpmath checks cells of both kinds."""
+    underflows = 0
+    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+        cfg = LinkConfig(n_elems=n, p_t=p_t)
+        dist = siso_snr_dist(cfg)
+        root_lam = math.sqrt(dist.lam)
+        value, abserr, _, ier = reference_quadpack.fold_quad("log", dist.beta, 0.0, root_lam)
+        assert ier == 0
+        assert abs(dist.mean_log().value - value) <= abserr, (n, p_t)
+        for alpha in _GRID_ALPHA:
+            u = alpha * cfg.bandwidth * cfg.slot / LN2
+            ln_m = dist.ln_mgf(u).value
+            if u < reference_quadpack.SMALL_U:
+                value, abserr, _, ier = reference_quadpack.fold_quad(
+                    "complement", dist.beta, u, root_lam)
+                got = -math.expm1(ln_m)
+            else:
+                value, abserr, _, ier = reference_quadpack.fold_quad(
+                    "direct", dist.beta, u, root_lam)
+                got = math.exp(ln_m)
+                if value == 0.0:
+                    underflows += 1
+                    assert -math.inf < ln_m < 0.0, (n, p_t, alpha)
+                    continue
+            assert ier == 0
+            assert abs(got - value) <= abserr, (n, p_t, alpha)
+    assert underflows < len(_GRID_N) * len(_GRID_P_T) * len(_GRID_ALPHA) // 10
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 20000),
+    log_p_t=st.floats(-9.0, 3.0),
+    log_alpha=st.floats(-6.0, 3.0),
+)
+def test_siso_csi_is_bounded_by_mean_service(n, log_p_t, log_alpha):
+    """Over the design ranges the adaptive single-antenna EC is finite
+    and 0 <= EC <= mean service, to rounding."""
+    cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t)
+    ec = ec_siso_csi(cfg, 10.0 ** log_alpha).ec_bits_per_slot
+    assert math.isfinite(ec)
+    assert 0.0 <= ec <= mean_service(cfg, "siso_csi") * (1.0 + 1e-12)
+
+
 def test_siso_csi_reports_quadrature_health(cfg_siso):
-    res = ec_siso_csi(cfg_siso, 0.1)
-    assert 0.0 < res.diagnostics["quad_abserr"] < 1e-11
-    assert res.diagnostics["quad_neval"] > 0
-    assert res.diagnostics["quad_neval"] % 21 == 0
+    """Each result names its route, the difference of the rule's last
+    two sums (within its 1e-13 relative target) and its evaluations."""
+    for alpha, route in ((0.1, "complement"), (10.0, "direct")):
+        diag = ec_siso_csi(cfg_siso, alpha).diagnostics
+        assert diag["quad_route"] == route
+        integral = -math.expm1(diag["ln_mgf"]) if route == "complement" else math.exp(diag["ln_mgf"])
+        assert 0.0 <= diag["quad_abserr"] <= 1e-13 * integral
+        assert 0 < diag["quad_neval"] < 400
+    mean = siso_snr_dist(cfg_siso).mean_log()
+    assert mean.route == "log"
+    assert 0.0 <= mean.abserr <= 1e-13 * mean.value
 
 
-def test_missed_quadrature_target_warns_with_ier_and_abserr(cfg_siso, monkeypatch):
-    """A quadrature that stops short of its target (here: allowed no
-    bisection past the break points) says so instead of passing silently."""
+def test_siso_ln_mgf_rejects_an_exponent_it_cannot_integrate(cfg_siso):
+    """u must be a positive finite number; a slot * bandwidth that
+    overflows it is a ValueError, not a walk that never ends."""
+    law = siso_snr_dist(cfg_siso)
+    for u in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="u must be positive and finite"):
+            law.ln_mgf(u)
+    with pytest.raises(ValueError, match="u must be positive and finite, got inf"):
+        ec_siso_csi(replace(cfg_siso, slot=1e200, bandwidth=1e200), 1.0)
+
+
+def test_missed_quadrature_target_warns_with_the_estimate(cfg_siso, monkeypatch):
+    """A rule that stops short of its target (here: allowed one step
+    halving) says so, naming its estimate, instead of passing silently."""
     full = ec_siso_csi(cfg_siso, 0.1).diagnostics
-    qagp = eccore.qagp
-    monkeypatch.setattr(eccore, "qagp", lambda f, a, b, pts, epsrel, limit:
-                        qagp(f, a, b, pts, epsrel, len(pts) + 1))
-    with pytest.warns(UserWarning, match=r"ier = 1, abserr = "):
+    monkeypatch.setattr(channel, "_TRAP_HALVINGS", 1)
+    with pytest.warns(UserWarning, match=r"after 1 step halvings: estimate = .*, abserr = "):
         short = ec_siso_csi(cfg_siso, 0.1).diagnostics
     assert short["quad_abserr"] > full["quad_abserr"]
     assert short["quad_neval"] < full["quad_neval"]
-    with pytest.warns(UserWarning, match=r"ier = 1"):
+    with pytest.warns(UserWarning, match=r"ln estimate = "):
+        ec_siso_csi(cfg_siso, 10.0)
+    with pytest.warns(UserWarning, match=r"log integral .* estimate = "):
         mean_service(cfg_siso, "siso_csi")
 
 

@@ -1,4 +1,5 @@
-"""The QUADPACK and Brent ports against the scipy routines they port.
+"""The QUADPACK port of the tests' reference route and the library's
+Brent port against the scipy routines they port.
 
 Each comparison is exact: the ports repeat their model's float
 operations in the same order, so every returned number must carry the
@@ -12,10 +13,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from irsec import numerics
 from irsec.channel import LinkConfig
 from irsec.eccore import _fixed_rate, get_scenario
-from irsec.numerics import minimize_bounded, qagp
+from irsec.numerics import minimize_bounded
+import reference_quadpack
+from reference_quadpack import qagp
 
 # quad reports ier only through its message; these are their openings.
 _QUAD_MESSAGES = {
@@ -105,13 +107,13 @@ def test_qagp_matches_quad_bit_for_bit(name):
 @pytest.mark.parametrize("name", ["log", "power", "cusp", "sin_inverse"])
 def test_singular_integrands_reach_the_extrapolation(name, monkeypatch):
     calls = []
-    qelg = numerics._qelg
+    qelg = reference_quadpack._qelg
 
     def counting(*args):
         calls.append(args[0])
         return qelg(*args)
 
-    monkeypatch.setattr(numerics, "_qelg", counting)
+    monkeypatch.setattr(reference_quadpack, "_qelg", counting)
     f, a, b, points, epsrel, limit, _ = HARD[name]
     qagp(f, a, b, points, epsrel, limit)
     assert len(calls) >= 2
