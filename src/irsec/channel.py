@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,9 @@ _BLOCK_ELEMS = 32_768
 # blocks in all, two threads are no faster than one (N=100 on 2 vCPUs:
 # 1000-2000 slots 0.6-1.3x the one-thread time, 3000-5000 slots 0.6-0.9x).
 _MIN_RUN_BLOCKS = 5
+
+# The least mean beamformed SNR whose reciprocal is finite.
+_MIN_MEAN_SNR = 1.0 / sys.float_info.max
 
 # 64-bit outputs per Philox counter step.
 _PHILOX_BLOCK = 4
@@ -132,8 +136,24 @@ class LinkConfig:
                 raise ValueError("precoder must be finite")
         if len(self.precoder) != self.n_tx:
             raise ValueError("precoder length must equal n_tx")
-        if not self.precoder_power > 0.0:
+        # the link-budget constants, computed once per config; they are
+        # not fields, so equality, hashing and replace() ignore them
+        w = self._equal_power_weight()
+        if all(v == w for v in self.precoder):
+            power = 1.0
+        else:
+            power = math.fsum(abs(v) ** 2 for v in self.precoder)
+        if not power > 0.0:
             raise ValueError("precoder must have positive power")
+        object.__setattr__(self, "_precoder_power", power)
+        aperture = self.x_irs * self.y_irs / (self.d1 * self.d2)
+        try:
+            gain = (self.g_t * self.g_r / (4.0 * math.pi) ** 2
+                    * aperture ** 2 * math.cos(self.phi_inc) ** 2)
+        except OverflowError:
+            raise ValueError(f"x_irs * y_irs / (d1 * d2) = {aperture!r} overflows "
+                             "a double once squared for the pathloss") from None
+        object.__setattr__(self, "_pathloss", gain)
 
     def _equal_power_weight(self) -> complex:
         return complex(1.0 / math.sqrt(self.n_tx), 0.0)
@@ -148,10 +168,7 @@ class LinkConfig:
         rounded squares lands an ulp off for some n_tx. Any other vector
         is summed exactly rounded, independent of element order.
         """
-        w = self._equal_power_weight()
-        if all(v == w for v in self.precoder):
-            return 1.0
-        return math.fsum(abs(v) ** 2 for v in self.precoder)
+        return self._precoder_power
 
 
 # Each SNR law evaluates its CDF by math, one scalar at a time. numpy's
@@ -170,9 +187,15 @@ _TRAP_RTOL = 1e-13
 _TRAP_TAIL = 1e-17
 _TRAP_HALVINGS = 12
 _TRAP_MAX_NODES = 1_000_000
+# A walk ends at |v| = _V_MAX: sinh(v)^2, the SNR, overflows a double
+# a little further out, and its terms would turn to inf - inf.
+_V_MAX = 355.0
 _LN_TRAP_TAIL = math.log(_TRAP_TAIL)
 _LN_HALF_TRAP_TAIL = math.log(0.5 * _TRAP_TAIL)
 _LN_2PI = math.log(2.0 * math.pi)
+# ln_mgf and mean_log take their first-order value where the
+# second-order term is below this share of it.
+_FIRST_ORDER_REL = 2.0 ** -53
 
 
 class LawIntegral(NamedTuple):
@@ -188,7 +211,8 @@ class LawIntegral(NamedTuple):
 
 def _newton_root(p, dp, lo: float, hi: float, z: float) -> float:
     """The root of p in [lo, hi] with p(lo) < 0 < p(hi), by Newton's
-    method from z guarded by bisection."""
+    method from z guarded by bisection; NaN if 200 steps do not reach
+    it, as when the root lies among the subnormal doubles."""
     for _ in range(200):
         f = p(z)
         if f < 0.0:
@@ -202,7 +226,7 @@ def _newton_root(p, dp, lo: float, hi: float, z: float) -> float:
         if abs(nz - z) <= 1e-14 * z or hi - lo <= 1e-14 * hi:
             return nz
         z = nz
-    return z
+    return math.nan
 
 
 def _peak_zs(beta: float, a: float, c: float) -> list[float]:
@@ -212,7 +236,8 @@ def _peak_zs(beta: float, a: float, c: float) -> list[float]:
     Its slope vanishes where p(z) = beta z^3 - a beta z^2 + (1 - c beta) z - a
     does, and p < 0 below each maximum. For c > 0 the one maximum lies in
     (a, a + 1). For c < 0 every root lies in (0, a); there are two maxima,
-    one near 0 and one below a, when p has three real roots.
+    one near 0 and one below a, when p has three real roots. A maximum
+    _newton_root cannot reach is NaN.
     """
     k = 1.0 - c * beta
 
@@ -238,8 +263,10 @@ def _peak_zs(beta: float, a: float, c: float) -> list[float]:
     return [_newton_root(p, dp, 0.0, a, 0.0)]
 
 
-def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, float, int]:
-    """(value, abserr, neval) of E[w(SNR)], SNR = beta Z^2, Z ~ N(sqrt(lam), 1).
+def _trapezoid(law: ScaledNoncentralChiSq, u: float,
+               weight: str) -> tuple[float, float, int]:
+    """(value, abserr, neval) of E[w(SNR)] under the law, SNR = beta Z^2,
+    Z ~ N(sqrt(lam), 1).
 
     weight "direct" is w(x) = (1 + x)^-u, and value is the log of the
     integral; "complement" is 1 - (1 + x)^-u and "log" ln(1 + x), and
@@ -248,9 +275,11 @@ def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, f
     s = sinh(v)/sqrt(beta), a = sqrt(lam), and c = 1 - 2u for "direct"
     (w folded in), 1 otherwise. Each term is shifted by the larger peak
     of that exponent, so no route underflows. A UserWarning names the
-    estimate if _TRAP_HALVINGS halvings do not reach _TRAP_RTOL.
+    estimate if _TRAP_HALVINGS halvings do not reach _TRAP_RTOL, and a
+    ValueError names beta, lam and u if a peak cannot be located or the
+    sum underflows (for "complement" and "log" at beta below ~1e-205).
     """
-    a = math.sqrt(lam)
+    beta, lam, a = law.beta, law.lam, law._root_lam
     rb = math.sqrt(beta)
     half_c = 0.5 - u if weight == "direct" else 0.5
     c = 2.0 * half_c
@@ -260,8 +289,12 @@ def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, f
         d = z - a
         x = beta * z * z
         c_l = half_c * math.log1p(x)
-        peaks.append((math.asinh(rb * z), c_l - 0.5 * d * d,
-                      c / (1.0 + x) - 1.0 / beta - z * z - d * z, c_l))
+        g = c_l - 0.5 * d * d
+        if not -math.inf < g < math.inf:
+            raise ValueError(
+                f"single-antenna {weight} integral: the integrand's peak is out of "
+                f"reach at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+        peaks.append((math.asinh(rb * z), g, c / (1.0 + x) - 1.0 / beta - z * z - d * z, c_l))
     centre, shift, _, _ = max(peaks, key=lambda pk: pk[1])
     # one width of the narrowest peak that matters: 1/sqrt(-G'') in v
     h = min(1.0 / math.sqrt(-g2) for _, g, g2, _ in peaks if g > shift - 40.0)
@@ -304,6 +337,8 @@ def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, f
         part = 0.0
         prev = math.inf
         j = 0
+        # the last node before |v| passes _V_MAX, or the node budget
+        j_end = min(_TRAP_MAX_NODES, int((math.copysign(_V_MAX, dx) - centre - x0) / dx))
         while True:
             # the node centre + x as vh + vl (Knuth's two-sum), so that its
             # spacing stays exact where the peak is narrow against v itself
@@ -334,10 +369,20 @@ def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, f
                     return part
             prev = t
             j += 1
-            if j > _TRAP_MAX_NODES:
-                raise ArithmeticError(
-                    f"single-antenna {weight} integral: a walk found no end in "
-                    f"{_TRAP_MAX_NODES} nodes at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+            if j > j_end:
+                if j_end == _TRAP_MAX_NODES:
+                    raise ArithmeticError(
+                        f"single-antenna {weight} integral: a walk found no end in "
+                        f"{_TRAP_MAX_NODES} nodes at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+                if t > cut:
+                    raise ValueError(
+                        f"single-antenna {weight} integral: the integrand reaches past "
+                        f"the SNR a double holds at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+                # the last term is below the cut, and further out
+                # z = sinh(v)/sqrt(beta) grows like e^|v|, so the Gaussian
+                # factor takes the terms the walk leaves out to 0
+                neval += j
+                return part
 
     scale = shift - ln_mass
     # the direct exponent carries rounding of order eps * |ln M|, so its
@@ -354,6 +399,13 @@ def _trapezoid(beta: float, lam: float, u: float, weight: str) -> tuple[float, f
         est = h * total
         if diff <= rtol * est:
             break
+    if not est >= sys.float_info.min:
+        # a subnormal sum has lost the bits that scaling would restore;
+        # a normal one keeps exp(scale) finite, since k < 1/2 and
+        # mean_log < 710 on the routes that scale it
+        raise ValueError(
+            f"single-antenna {weight} integral: the rule's sum underflows a double "
+            f"at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
     if weight == "complement":
         # the complement's terms carry its weight over u
         scale += math.log(u)
@@ -380,6 +432,8 @@ class ScaledNoncentralChiSq:
             raise ValueError("beta must be positive")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
+        # sqrt(lam), the mean of the unscaled normal; not a field
+        object.__setattr__(self, "_root_lam", math.sqrt(self.lam))
 
     def cdf(self, x: float) -> float:
         """P(SNR <= x) for a scalar x.
@@ -393,30 +447,55 @@ class ScaledNoncentralChiSq:
         x = float(x)
         if x < 0.0:
             raise ValueError("cdf requires x >= 0")
-        a, b = math.sqrt(self.lam), math.sqrt(x / self.beta)
+        a, b = self._root_lam, math.sqrt(x / self.beta)
         if b < a:
             return specfun.gaussian_tail(a - b) - specfun.gaussian_tail(a + b)
         return 1.0 - specfun.marcum_q_half(a, b)
+
+    def _second_order(self) -> float:
+        """beta (lam^2 + 6 lam + 3) / (2 (lam + 1)): E[SNR^2]/2 over
+        E[SNR], the share by which the second-order term of ln(1 + SNR)
+        corrects the first."""
+        lam = self.lam
+        return self.beta * ((lam + 6.0) * lam + 3.0) / (2.0 * (lam + 1.0))
 
     def ln_mgf(self, u: float) -> LawIntegral:
         """ln E[(1 + SNR)^-u] for u > 0.
 
         While u log1p(beta (lam + 1)) < 1/2, Jensen's inequality puts
-        1 - E[(1 + SNR)^-u] below 1/2, and the "complement" route
+        k = 1 - E[(1 + SNR)^-u] below 1/2, and the "complement" route
         integrates that, which keeps its digits as u -> 0. Otherwise the
-        "direct" route integrates (1 + SNR)^-u in the log domain.
+        "direct" route integrates (1 + SNR)^-u in the log domain. k is
+        u beta (lam + 1) less a share (u + 1) _second_order() of it; where
+        that share is below 2^-53, the route is "first_order": k is
+        u beta (lam + 1), with the share of it as its abserr.
         """
         if not 0.0 < u < math.inf:
             raise ValueError(f"u must be positive and finite, got {u!r}")
         if u * math.log1p(self.beta * (self.lam + 1.0)) < 0.5:
-            k, abserr, neval = _trapezoid(self.beta, self.lam, u, "complement")
+            rel = (u + 1.0) * self._second_order()
+            if rel < _FIRST_ORDER_REL:
+                k = u * (self.beta * (self.lam + 1.0))
+                return LawIntegral(math.log1p(-k), rel * k, 0, "first_order")
+            k, abserr, neval = _trapezoid(self, u, "complement")
             return LawIntegral(math.log1p(-k), abserr, neval, "complement")
-        ln_m, abserr, neval = _trapezoid(self.beta, self.lam, u, "direct")
+        ln_m, abserr, neval = _trapezoid(self, u, "direct")
         return LawIntegral(ln_m, abserr, neval, "direct")
 
     def mean_log(self) -> LawIntegral:
-        """E[ln(1 + SNR)], by the rule behind ln_mgf."""
-        value, abserr, neval = _trapezoid(self.beta, self.lam, 0.0, "log")
+        """E[ln(1 + SNR)], by the rule behind ln_mgf.
+
+        ln(1 + x) = x - x^2/2 + ..., so E[ln(1 + SNR)] is beta (lam + 1)
+        less a share _second_order() of it. Where that share is below
+        2^-53, the first term is the value to rounding, and it is returned
+        with the share of it as its abserr, route "first_order"; the rule's
+        sum would underflow there.
+        """
+        rel = self._second_order()
+        if rel < _FIRST_ORDER_REL:
+            first = self.beta * (self.lam + 1.0)
+            return LawIntegral(first, rel * first, 0, "first_order")
+        value, abserr, neval = _trapezoid(self, 0.0, "log")
         return LawIntegral(value, abserr, neval, "log")
 
 
@@ -470,10 +549,10 @@ class SampleBatch:
 
 
 def pathloss(cfg: LinkConfig) -> float:
-    """Two-hop power attenuation through the reflecting surface."""
-    aperture = cfg.x_irs * cfg.y_irs / (cfg.d1 * cfg.d2)
-    return (cfg.g_t * cfg.g_r / (4.0 * math.pi) ** 2
-            * aperture ** 2 * math.cos(cfg.phi_inc) ** 2)
+    """Two-hop power attenuation through the reflecting surface,
+    g_t g_r / (4 pi)^2 * (x_irs y_irs / (d1 d2))^2 * cos(phi_inc)^2,
+    as LinkConfig computed it when the config was made."""
+    return cfg._pathloss
 
 
 def siso_snr_dist(cfg: LinkConfig) -> ScaledNoncentralChiSq:
@@ -487,6 +566,11 @@ def siso_snr_dist(cfg: LinkConfig) -> ScaledNoncentralChiSq:
     n = cfg.n_elems
     lam = n * PI2 / (16.0 - PI2)
     beta = n * cfg.p_t * pathloss(cfg) * (16.0 - PI2) / (4.0 * cfg.sigma2)
+    if not 0.0 < beta < math.inf:
+        raise ValueError(
+            f"the single-antenna SNR scale N p_t pathloss (16 - pi^2) / (4 sigma2) "
+            f"= {beta!r} is out of a double's range at n_elems = {n!r}, "
+            f"p_t = {cfg.p_t!r}, sigma2 = {cfg.sigma2!r}, pathloss = {pathloss(cfg)!r}")
     return ScaledNoncentralChiSq(beta=beta, lam=lam)
 
 
@@ -495,10 +579,19 @@ def _miso_mean_snr(cfg: LinkConfig) -> float:
 
     The surface sums N iid complex Gaussian aggregates with E|z|^2 = 2,
     which is again complex Gaussian with power 2N, so the SNR is exactly
-    exponential with this mean.
+    exponential with this mean. A mean whose reciprocal, the law's rate,
+    would not be a positive finite double is a ValueError naming the
+    budget.
     """
-    return (2.0 * cfg.n_elems * cfg.p_t * pathloss(cfg) * cfg.precoder_power
+    mean = (2.0 * cfg.n_elems * cfg.p_t * pathloss(cfg) * cfg.precoder_power
             / cfg.sigma2)
+    if not _MIN_MEAN_SNR <= mean < math.inf:
+        raise ValueError(
+            f"the beamformed mean SNR 2 N p_t pathloss |f|^2 / sigma2 = {mean!r} is "
+            f"out of a double's range at n_elems = {cfg.n_elems!r}, p_t = {cfg.p_t!r}, "
+            f"sigma2 = {cfg.sigma2!r}, pathloss = {pathloss(cfg)!r}, "
+            f"|f|^2 = {cfg.precoder_power!r}")
+    return mean
 
 
 def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:

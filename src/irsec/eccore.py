@@ -203,9 +203,10 @@ def ec_siso_csi(
     """EC of the rate-adaptive single-antenna link.
 
     The EC is -ln E[(1+SNR)^-u] / alpha from the law's ln_mgf; the
-    diagnostics report its route ("complement" or "direct"), the
-    difference of its last two step halvings and its integrand
-    evaluations as quad_route, quad_abserr and quad_neval. They also carry the interpretable high-SNR
+    diagnostics report its route ("complement", "direct" or
+    "first_order", the last with no evaluations), the difference of its
+    last two step halvings and its integrand evaluations as quad_route,
+    quad_abserr and quad_neval. They also carry the interpretable high-SNR
     closed form (ec_relaxed, ln_mgf_relaxed, relaxed_addends), finite
     only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
     low_snr_prob = P(SNR < RELAX_SNR_FLOOR), the mass on which that form
@@ -362,16 +363,27 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
     return ln_mgf, -ln_mgf / a
 
 
+def _checked_on_off(dist: SnrDistribution, rate: float,
+                    bandwidth: float) -> tuple[float, float]:
+    """(p_on, p_off) of on_off_probs, with p_on checked to lie in [0, 1]:
+    the part of the fixed-rate EC that does not depend on the exponent.
+    It calls on_off_probs by its module name, so that a caller that
+    replaces it (a tracer, a counting test) sees every call."""
+    p_on, p_off = on_off_probs(dist, rate, bandwidth)
+    if not 0.0 <= p_on <= 1.0:
+        raise ValueError("p_on must lie in [0, 1]")
+    return p_on, p_off
+
+
 def _fixed_rate(dist: SnrDistribution, a: float, rate: float, bandwidth: float,
                 slot: float) -> tuple[float, float, float, float]:
     """(p_on, p_off, ln_mgf, ec) of fixed-rate transmission over the law
     dist, for an exponent a already checked by alpha_value: the one
-    fixed-rate EC, behind both no-CSI branches and the rate search. It
-    calls on_off_probs by its module name so that a caller that replaces
-    it (a tracer, a counting test) sees every evaluation."""
-    p_on, p_off = on_off_probs(dist, rate, bandwidth)
-    if not 0.0 <= p_on <= 1.0:
-        raise ValueError("p_on must lie in [0, 1]")
+    fixed-rate EC, _checked_on_off then _on_off_kernel, behind both
+    no-CSI branches and the rate search. The search keeps the first
+    step of its grid points (rateopt.grid_argmax_rate), so a tracer sees
+    every on_off_probs call but not one per evaluation."""
+    p_on, p_off = _checked_on_off(dist, rate, bandwidth)
     ln_mgf, ec = _on_off_kernel(p_on, p_off, a, rate, slot)
     return p_on, p_off, ln_mgf, ec
 
@@ -386,7 +398,7 @@ def ec_siso_nocsi(
     p_on, p_off, ln_mgf, ec = _fixed_rate(dist, alpha_value(alpha), rate,
                                           cfg.bandwidth, cfg.slot)
     diag = {"p_on": p_on, "p_off": p_off, "rate": rate, "slot": cfg.slot,
-            "ln_mgf": ln_mgf, **vars(dist)}
+            "ln_mgf": ln_mgf, "beta": dist.beta, "lam": dist.lam}
     return EcResult(ec_bits_per_slot=ec, scenario="siso_nocsi", diagnostics=diag)
 
 
@@ -401,7 +413,7 @@ def ec_miso_nocsi(
     p_on, p_off, ln_mgf, ec = _fixed_rate(dist, alpha_value(alpha), rate,
                                           cfg.bandwidth, cfg.slot)
     diag = {"p_on": p_on, "p_off": p_off, "rate": rate, "slot": cfg.slot,
-            "ln_mgf": ln_mgf, **vars(dist), "kappa_mode": kappa_mode}
+            "ln_mgf": ln_mgf, "kappa": dist.kappa, "kappa_mode": kappa_mode}
     return EcResult(ec_bits_per_slot=ec, scenario="miso_nocsi", diagnostics=diag)
 
 

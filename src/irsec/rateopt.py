@@ -12,20 +12,27 @@ minimize_scalar(method="bounded") that returns the same x, fun and
 evaluation count, bit for bit. The search runs on Python floats: its
 grid is np.linspace's arithmetic, and each evaluation is eccore's one
 fixed-rate EC with no result object, the function the no-CSI branches
-report from.
+report from. The grid rates and their on/off probabilities depend on
+the link but not on the exponent, so they are kept for the last few
+links searched, and a search at another exponent applies only the
+on/off formula to them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 from irsec import specfun
-from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
+from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
+    _checked_on_off,
     _fixed_rate,
+    _on_off_kernel,
     alpha_value,
     ec_miso_nocsi,
     ec_siso_nocsi,
@@ -60,6 +67,11 @@ _ROOT_RESIDUAL = 1e-10
 # run from ~1e-9 to ~40 bits per slot, so an absolute tolerance would be
 # too coarse at one end or wasted at the other.
 _GRID_XATOL = 1e-9
+
+# Links whose search grids are kept (_grid_on_off): enough for a sweep
+# or a design grid of a few dozen links to run each grid once however
+# its exponents are interleaved, at 24 points about 4 kB per link.
+_GRID_MEMO_LINKS = 64
 
 
 @dataclass(frozen=True)
@@ -183,8 +195,17 @@ def optimize_rate_siso(
 
 
 def _miso_rhs(kappa: float, a: float, bandwidth: float, slot: float) -> float:
-    # log form of the stationarity constant; see solve_rate_miso_exact
-    return math.log(bandwidth * a * slot / (kappa * LN2))
+    """Log of the stationarity constant B alpha T / (kappa ln 2); see
+    solve_rate_miso_exact. A constant below the normal doubles is a
+    ValueError naming its inputs: its log, and the rate root, would have
+    lost their bits or read -inf."""
+    arg = bandwidth * a * slot / (kappa * LN2)
+    if not arg >= sys.float_info.min:
+        raise ValueError(
+            f"bandwidth * alpha * slot / (kappa ln 2) = {arg!r} underflows a double "
+            f"at bandwidth = {bandwidth!r}, alpha = {a!r}, slot = {slot!r}, "
+            f"kappa = {kappa!r}")
+    return math.log(arg)
 
 
 def optimize_rate_miso_closed(
@@ -227,7 +248,9 @@ def solve_rate_miso_exact(
     unique; brackets grow/shrink geometrically until they straddle it.
     Terminates only below a 1e-10 residual; a root the 500 halvings
     cannot reach, past alpha * slot * bandwidth ~ 1e150, is an
-    OverflowError naming slot * bandwidth.
+    OverflowError naming slot * bandwidth, and inputs whose logs would
+    underflow (a tiny alpha, slot or bandwidth, or an infinite kappa)
+    a ValueError naming them.
     """
     a = alpha_value(alpha)
     dist = miso_snr_dist(cfg, mode=kappa_mode)
@@ -241,6 +264,12 @@ def solve_rate_miso_exact(
         return LN2 * r / b + math.log(math.expm1(x))
 
     lo = 1e-6 * b
+    if not a * lo * t > 0.0:
+        # from a first rate with alpha * rate * slot > 0 the halving stops
+        # above rhs's normal constant, before that product reaches 0
+        raise ValueError(
+            f"alpha * rate * slot underflows to 0 at the search's first rate "
+            f"1e-6 * bandwidth = {lo!r}: alpha = {a!r}, slot = {t!r}, bandwidth = {b!r}")
     for _ in range(2000):
         if lhs(lo) < rhs:
             break
@@ -286,6 +315,17 @@ def _rate_grid(r_max: float, points: int) -> list[float]:
     return [start + i * step for i in range(points - 1)] + [r_max]
 
 
+@functools.lru_cache(maxsize=_GRID_MEMO_LINKS)
+def _grid_on_off(dist: SnrDistribution, bandwidth: float, r_max: float,
+                 points: int) -> tuple[tuple[float, float, float], ...]:
+    """(rate, p_on, p_off) at each rate of _rate_grid(r_max, points),
+    by eccore's first fixed-rate step. None of it depends on the
+    exponent, so the last _GRID_MEMO_LINKS grids are kept, keyed by
+    their arguments; a call that raises keeps nothing."""
+    return tuple((r, *_checked_on_off(dist, r, bandwidth))
+                 for r in _rate_grid(r_max, points))
+
+
 def grid_argmax_rate(
     cfg: LinkConfig,
     alpha: float,
@@ -300,7 +340,10 @@ def grid_argmax_rate(
     Brent's bounded minimizer on -EC over the two grid cells around the
     best point ([0, r_1] or [r_{n-2}, r_max] at an edge). Returns the
     better of the refined and the best grid point; iterations counts
-    the EC evaluations.
+    the EC evaluations. The grid's on/off probabilities come from
+    _grid_on_off, computed once per link and kept across exponents, so
+    on_off_probs runs at the grid points only on a link's first search;
+    Brent's evaluations run the whole fixed-rate EC each time.
     """
     if points < 3:
         raise ValueError("points must be >= 3")
@@ -312,13 +355,13 @@ def grid_argmax_rate(
         raise ValueError(f"grid search applies to no-CSI scenarios, not {scenario!r}")
     dist = entry.law(cfg)
     b, t = cfg.bandwidth, cfg.slot
-    rates = _rate_grid(r_max, points)
-    values = [_fixed_rate(dist, a, r, b, t)[3] for r in rates]
+    grid = _grid_on_off(dist, b, r_max, points)
+    values = [_on_off_kernel(p_on, p_off, a, r, t)[1] for r, p_on, p_off in grid]
     ec_best = max(values)
     k = values.index(ec_best)  # the first maximum, as np.argmax
-    r_best = rates[k]
-    lo = rates[k - 1] if k > 0 else 0.0
-    hi = rates[min(k + 1, points - 1)]
+    r_best = grid[k][0]
+    lo = grid[k - 1][0] if k > 0 else 0.0
+    hi = grid[min(k + 1, points - 1)][0]
     x, fun, nfev = minimize_bounded(
         lambda r: -_fixed_rate(dist, a, r, b, t)[3],
         lo, hi, _GRID_XATOL * r_max)

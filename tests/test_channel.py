@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsec import channel
+from irsec import channel, eccore
 from irsec.channel import (
     Exponential,
     LinkConfig,
@@ -127,6 +127,68 @@ def test_precoder_power_order_independent(precoder, rnd):
     assert replace(cfg, precoder=tuple(shuffled)).precoder_power == cfg.precoder_power
 
 
+def _pathloss_formula(cfg):
+    aperture = cfg.x_irs * cfg.y_irs / (cfg.d1 * cfg.d2)
+    return (cfg.g_t * cfg.g_r / (4.0 * math.pi) ** 2
+            * aperture ** 2 * math.cos(cfg.phi_inc) ** 2)
+
+
+def _precoder_power_formula(cfg):
+    w = complex(1.0 / math.sqrt(cfg.n_tx), 0.0)
+    if all(v == w for v in cfg.precoder):
+        return 1.0
+    return math.fsum(abs(v) ** 2 for v in cfg.precoder)
+
+
+_positive = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d1=_positive, d2=_positive, x_irs=_positive, y_irs=_positive,
+       phi_inc=st.floats(0.0, math.pi / 2.0), g_t=_positive, g_r=_positive,
+       precoder=st.one_of(st.none(), st.lists(
+           st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=1, max_size=8)),
+       n_tx=st.integers(1, 8))
+def test_link_budget_constants_are_the_formulas_bit_for_bit(
+        tmp_path_factory, d1, d2, x_irs, y_irs, phi_inc, g_t, g_r, precoder, n_tx):
+    """pathloss and precoder_power, computed once when the config is
+    made, are the formulas' bits, also after dataclasses.replace and a
+    config-file round trip, with the default or an explicit precoder."""
+    if precoder is not None:
+        n_tx = len(precoder)
+        precoder = tuple(precoder)
+    cfg = LinkConfig(d1=d1, d2=d2, x_irs=x_irs, y_irs=y_irs, phi_inc=phi_inc,
+                     g_t=g_t, g_r=g_r, n_tx=n_tx, precoder=precoder)
+    path = tmp_path_factory.mktemp("link") / "link.cfg"
+    write_link_config(cfg, path)
+    moved = replace(cfg, d1=2.0 * d1, phi_inc=phi_inc / 2.0, precoder=cfg.precoder[::-1])
+    for c in (cfg, replace(cfg, p_t=2.5e-3), load_link_config(path), moved):
+        assert pathloss(c).hex() == _pathloss_formula(c).hex()
+        assert c.precoder_power.hex() == _precoder_power_formula(c).hex()
+
+
+def test_aperture_overflow_is_named(tmp_path):
+    """A surface so large that its aperture overflows once squared is a
+    ValueError naming the geometry, and the config file's line, when the
+    config is made, not a raw OverflowError at the first EC."""
+    with pytest.raises(ValueError, match=r"^x_irs \* y_irs / \(d1 \* d2\) = 4e\+196 overflows"):
+        LinkConfig(x_irs=1e200)
+    path = tmp_path / "link.cfg"
+    path.write_text("# link\nx_irs = 1e200\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: x_irs \* y_irs"):
+        load_link_config(path)
+
+
+def test_link_budget_constants_are_not_fields(cfg_miso):
+    """The cached constants stay out of the dataclass: equality, repr and
+    replace() see the fields only, and replace() computes them anew."""
+    names = {f.name for f in fields(LinkConfig)}
+    assert not names & {"_pathloss", "_precoder_power"}
+    assert "_pathloss" not in repr(cfg_miso)
+    assert replace(cfg_miso, d1=cfg_miso.d1) == cfg_miso
+    assert pathloss(replace(cfg_miso, d1=100.0)) == _pathloss_formula(replace(cfg_miso, d1=100.0))
+
+
 def test_siso_dist_reference(cfg_siso):
     d = siso_snr_dist(cfg_siso)
     assert d.lam == pytest.approx(160.99457599185225, rel=1e-14)
@@ -153,6 +215,117 @@ def test_siso_dist_budget_scaling(p_t, sigma2):
 def test_siso_lam_linear_in_elements(n):
     d = siso_snr_dist(LinkConfig(n_elems=n))
     assert d.lam == pytest.approx(n * PI2 / (16.0 - PI2), rel=1e-14)
+
+
+def _names_the_law(exc, beta, lam, u):
+    text = str(exc)
+    return all(f"{name} = {value!r}" in text
+               for name, value in (("beta", beta), ("lam", lam), ("u", u)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_beta=st.floats(-300.0, 300.0), log_lam=st.floats(-8.0, 8.0),
+       log_u=st.floats(-30.0, 300.0))
+def test_siso_law_integrals_keep_their_bounds(log_beta, log_lam, log_u):
+    """Over beta in [1e-300, 1e300], lam in [1e-8, 1e8] and u in
+    [1e-30, 1e300], ln M = ln E[(1 + SNR)^-u] and E[ln(1 + SNR)] either
+    come out with -u E[ln(1 + SNR)] <= ln M <= 0 (Jensen's inequality;
+    both sides carry the rule's 1e-13 relative error, so the lower bound
+    is loosened by 1e-12 of it) or raise a ValueError that names beta,
+    lam and u. No raw OverflowError or empty min(), and no mean read as
+    0 while beta (lam + 1) is a normal double."""
+    beta, lam, u = 10.0 ** log_beta, 10.0 ** log_lam, 10.0 ** log_u
+    law = ScaledNoncentralChiSq(beta, lam)
+    try:
+        mean = law.mean_log().value
+    except ValueError as exc:
+        assert _names_the_law(exc, beta, lam, 0.0), exc
+        return
+    assert mean > 0.0
+    try:
+        ln_m = law.ln_mgf(u).value
+    except ValueError as exc:
+        assert _names_the_law(exc, beta, lam, u), exc
+        return
+    assert ln_m <= 0.0
+    assert ln_m >= -u * mean * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("beta,lam,u", [
+    (1.721793626920314e-290, 0.006438175293600871, 4.389855656259652e+175),
+    (6.666042080841182e-214, 0.0035596401146614784, 2.767679358499522e+183),
+    (1e-240, 161.0, 1e-3),
+])
+def test_siso_law_first_order_where_the_rule_would_underflow(beta, lam, u):
+    """Where the second-order term is below 2^-53 of the first, both
+    integrals are their first-order values: the rule's sum would be
+    subnormal there (it overflowed, read 0 or lost bits before)."""
+    law = ScaledNoncentralChiSq(beta, lam)
+    mean = law.mean_log()
+    assert mean == (beta * (lam + 1.0), mean.abserr, 0, "first_order")
+    assert 0.0 <= mean.abserr <= 2.0 ** -53 * mean.value
+    ln_m = law.ln_mgf(u)
+    assert ln_m.route == "first_order" and ln_m.neval == 0
+    assert ln_m.value == math.log1p(-u * (beta * (lam + 1.0)))
+
+
+def test_siso_law_first_order_meets_the_rule():
+    """Just above the first-order threshold the rule agrees with the
+    two-term value to its 1e-13 target: the switch moves no digit."""
+    lam = 161.0
+    share = (lam * lam + 6.0 * lam + 3.0) / (2.0 * (lam + 1.0))
+    for beta in (2.0 ** -52 / share, 1e-12 / share):
+        law = ScaledNoncentralChiSq(beta, lam)
+        mean = law.mean_log()
+        assert mean.route == "log"
+        two_term = beta * (lam + 1.0) * (1.0 - beta * share)
+        assert abs(mean.value - two_term) <= 1e-13 * two_term
+        ln_m = law.ln_mgf(1e-3)
+        assert ln_m.route == "complement"
+        k = 1e-3 * beta * (lam + 1.0) * (1.0 - 1.001 * beta * share)
+        assert abs(-math.expm1(ln_m.value) - k) <= 1e-13 * k
+
+
+def test_siso_mean_service_is_positive_at_a_tiny_power():
+    """At p_t = 1e-240 the mean service is the first-order value, not 0."""
+    cfg = LinkConfig(p_t=1e-240)
+    dist = siso_snr_dist(cfg)
+    assert dist.mean_log().route == "first_order"
+    want = cfg.slot * cfg.bandwidth * dist.beta * (dist.lam + 1.0) / math.log(2.0)
+    assert eccore.mean_service(cfg, "siso_csi") == want > 0.0
+
+
+def test_siso_law_errors_name_beta_lam_and_u():
+    """A peak Newton cannot reach (it lies among the subnormals) is a
+    ValueError naming the law and exponent, not an empty min()."""
+    beta, lam, u = 2.3088950253043648e+50, 1.6279546415224048e-06, 2.3736775218949763e+257
+    with pytest.raises(ValueError, match="peak is out of reach") as exc:
+        ScaledNoncentralChiSq(beta, lam).ln_mgf(u)
+    assert _names_the_law(exc.value, beta, lam, u)
+
+
+def test_siso_law_walk_stops_where_the_snr_overflows():
+    """At beta = 1e299 and lam ~ 0 the left walk reaches |v| = 355, past
+    which sinh(v)^2 overflows; it stops there instead of summing NaN
+    terms into an OverflowError, and E[ln(1 + SNR)] is ln beta + E[ln Z^2]
+    = ln beta - gamma - ln 2 to the order of lam."""
+    beta, lam = 1.0303415495562854e+299, 1.2134322050214695e-08
+    mean = ScaledNoncentralChiSq(beta, lam).mean_log()
+    want = math.log(beta) - 0.5772156649015329 - math.log(2.0)
+    assert mean.route == "log"
+    assert abs(mean.value - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("p_t, sigma2, value", [(1e300, 1e-300, "inf"), (1e-300, 1e300, "0.0")])
+def test_snr_scale_out_of_range_names_the_budget(p_t, sigma2, value):
+    """A link budget whose SNR scale overflows or underflows a double is a
+    ValueError naming p_t and sigma2, not an inf or 0 law parameter."""
+    cfg = LinkConfig(p_t=p_t, sigma2=sigma2)
+    budget = re.escape(f"p_t = {p_t!r}, sigma2 = {sigma2!r}")
+    with pytest.raises(ValueError, match=rf"SNR scale .* = {value} .*{budget}"):
+        siso_snr_dist(cfg)
+    with pytest.raises(ValueError, match=rf"mean SNR .* = {value} .*{budget}"):
+        miso_snr_dist(replace(cfg, n_tx=4, precoder=None))
 
 
 def test_miso_closed_mode_constant(cfg_miso):

@@ -460,6 +460,36 @@ def test_miso_rate_root_out_of_reach_is_an_error(capsys, flag):
     assert "ec_bits_per_slot" not in out
 
 
+@pytest.mark.parametrize("verb", ["ec", "optimize-rate"])
+@pytest.mark.parametrize("flags, named", [
+    (["--alpha", "1e-320"], "alpha = 1e-320"),
+    (["--alpha", "1", "--bandwidth", "1e-320"], "bandwidth = 1e-320"),
+    (["--alpha", "1", "--slot", "1e-320"], "slot = 1e-320"),
+    (["--alpha", "1", "--sigma2", "1e308"], "sigma2 = 1e+308"),
+])
+def test_miso_nocsi_underflow_names_the_input(capsys, verb, flags, named):
+    """An exponent, bandwidth or slot so small, or a noise so large, that
+    the beamformed rate search's logs would underflow exits 2 naming the
+    input, not with a raw math domain error."""
+    code, out, err = _run(capsys, [verb, "--scenario", "miso_nocsi", "--n-tx", "4", *flags])
+    assert code == 2
+    assert err.startswith("error: ValueError: ") and named in err
+    assert "math domain error" not in err
+    assert "r_star" not in out and "ec_bits_per_slot" not in out
+
+
+def test_siso_csi_budget_overflow_names_the_input(capsys):
+    """A power and noise whose ratio overflows the SNR scale exit 2 naming
+    p_t and sigma2, not an empty min() inside the quadrature."""
+    code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "1",
+                                   "--p-t", "1e300", "--sigma2", "1e-300", "--slot", "1e140"])
+    assert code == 2
+    assert err.startswith("error: ValueError: ")
+    assert "p_t = 1e+300, sigma2 = 1e-300" in err
+    assert "min() arg" not in err
+    assert "ec_bits_per_slot" not in out
+
+
 def test_bad_input_exit_code(capsys):
     code, out, err = _run(capsys, ["ec", "--scenario", "siso_csi", "--alpha", "-0.5"])
     assert code == 2

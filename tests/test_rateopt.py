@@ -7,7 +7,10 @@ grid_argmax_reference, a plain grid with one parabolic step that knows
 nothing about any of them.
 """
 
+import itertools
 import math
+import random
+import re
 import types
 from dataclasses import replace
 
@@ -19,8 +22,8 @@ from scipy.optimize import brentq
 
 from conftest import miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
-from irsec import rateopt
-from irsec.eccore import LN2, on_off_probs
+from irsec import eccore, rateopt
+from irsec.eccore import LN2, _fixed_rate, get_scenario, on_off_probs
 from irsec.rateopt import (
     DescentSettings,
     NonConvergenceError,
@@ -222,6 +225,129 @@ def test_grid_search_pinned_at_design_cells(cell, pinned):
     assert (sol.r_star.hex(), sol.ec_at_r_star.hex(), sol.iterations) == pinned
 
 
+# The benchmark's design grid: element counts, powers and QoS exponents.
+_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
+_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
+_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def _design_cells(scenario):
+    """(cfg, alpha, r_max) of every design cell, in a shuffled order so
+    that a link's solves are interleaved with other links'; r_max is
+    auto_rate's span over twice the mean-SNR Shannon rate."""
+    cells = []
+    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+        if scenario == "siso_nocsi":
+            cfg = LinkConfig(n_elems=n, p_t=p_t)
+            dist = siso_snr_dist(cfg)
+            mean_snr = dist.beta * (1.0 + dist.lam)
+        else:
+            cfg = LinkConfig(n_elems=n, p_t=p_t, n_tx=10)
+            mean_snr = 1.0 / miso_snr_dist(cfg).kappa
+        r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2
+        cells += [(cfg, alpha, r_max) for alpha in _GRID_ALPHA]
+    random.Random(2023).shuffle(cells)
+    return cells
+
+
+def _bits(sol):
+    return sol.r_star.hex(), sol.ec_at_r_star.hex(), sol.iterations, sol.method
+
+
+@pytest.mark.parametrize("scenario", ["siso_nocsi", "miso_nocsi"])
+def test_grid_memo_returns_the_cold_solution_bit_for_bit(scenario):
+    """On all 343 design cells of either link (exact kappa), a search on a
+    warm grid memo returns the RateSolution of a search from a cleared
+    one; each distinct grid misses once (49 single-antenna links; 39
+    beamformed laws, since kappa depends on N p_t only) and every other
+    solve hits. Its EC is the full fixed-rate EC at r_star, bit for bit."""
+    memo = rateopt._grid_on_off
+    cells = _design_cells(scenario)
+    grids = {(get_scenario(scenario).law(cfg), cfg.bandwidth, r_max) for cfg, _, r_max in cells}
+    assert len(grids) == (49 if scenario == "siso_nocsi" else 39)
+    cold = []
+    for cfg, alpha, r_max in cells:
+        memo.cache_clear()
+        cold.append(grid_argmax_rate(cfg, alpha, scenario, r_max, 24))
+    memo.cache_clear()
+    warm = [grid_argmax_rate(cfg, alpha, scenario, r_max, 24) for cfg, alpha, r_max in cells]
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (343 - len(grids), len(grids))
+    assert [_bits(s) for s in warm] == [_bits(s) for s in cold]
+    for (cfg, alpha, _), sol in zip(cells, warm):
+        law = get_scenario(scenario).law(cfg)
+        ec = _fixed_rate(law, alpha, sol.r_star, cfg.bandwidth, cfg.slot)[3]
+        assert ec.hex() == sol.ec_at_r_star.hex()
+
+
+def test_grid_memo_is_keyed_by_law_bandwidth_span_and_points(cfg_siso):
+    """A search at another exponent or slot shares the link's grid; one at
+    another law, bandwidth, r_max or point count does not."""
+    memo = rateopt._grid_on_off
+    memo.cache_clear()
+    grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.5, 24)
+    grid_argmax_rate(cfg_siso, 10.0, "siso_nocsi", 2.5, 24)
+    shared = grid_argmax_rate(replace(cfg_siso, slot=3.0), 0.1, "siso_nocsi", 2.5, 24)
+    assert memo.cache_info()[:2] == (2, 1)  # hits, misses
+    others = [(replace(cfg_siso, p_t=2e-3), 2.5, 24), (replace(cfg_siso, bandwidth=2.0), 2.5, 24),
+              (cfg_siso, math.nextafter(2.5, 3.0), 24), (cfg_siso, 2.5, 25)]
+    for cfg, r_max, points in others:
+        grid_argmax_rate(cfg, 0.1, "siso_nocsi", r_max, points)
+    assert memo.cache_info()[:2] == (2, 1 + len(others))
+    memo.cache_clear()
+    assert _bits(grid_argmax_rate(replace(cfg_siso, slot=3.0), 0.1, "siso_nocsi", 2.5, 24)) \
+        == _bits(shared)
+
+
+def test_grid_memo_calls_on_off_probs_at_the_grid_once_per_link(cfg_siso, monkeypatch):
+    """The first search of a link calls on_off_probs at every grid point
+    and Brent evaluation; the next, at another exponent, in Brent's only."""
+    calls = []
+    on_off_probs = eccore.on_off_probs
+
+    def counted(*args):
+        calls.append(args)
+        return on_off_probs(*args)
+
+    monkeypatch.setattr(eccore, "on_off_probs", counted)
+    rateopt._grid_on_off.cache_clear()
+    first = grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.5, 24)
+    assert len(calls) == first.iterations
+    del calls[:]
+    second = grid_argmax_rate(cfg_siso, 10.0, "siso_nocsi", 2.5, 24)
+    assert 0 < len(calls) == second.iterations - 24
+
+
+def test_grid_memo_keeps_no_failed_grid(cfg_siso, monkeypatch):
+    """A grid whose on/off step raises is not kept: the next search
+    computes it again."""
+    memo = rateopt._grid_on_off
+    memo.cache_clear()
+
+    def broken(*args):
+        raise ZeroDivisionError("broken law")
+
+    with monkeypatch.context() as m:
+        m.setattr(eccore, "on_off_probs", broken)
+        with pytest.raises(ZeroDivisionError):
+            grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.5, 24)
+    assert memo.cache_info().currsize == 0
+    sol = grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.5, 24)
+    assert sol.ec_at_r_star > 0.0
+    assert memo.cache_info()[:2] == (0, 2)
+
+
+def test_grid_memo_is_bounded(cfg_siso):
+    """The memo keeps the last _GRID_MEMO_LINKS grids and no more."""
+    memo = rateopt._grid_on_off
+    memo.cache_clear()
+    for k in range(rateopt._GRID_MEMO_LINKS + 10):
+        grid_argmax_rate(cfg_siso, 0.1, "siso_nocsi", 2.0 + k / 64.0, 24)
+    info = memo.cache_info()
+    assert info.maxsize == rateopt._GRID_MEMO_LINKS
+    assert info.currsize == rateopt._GRID_MEMO_LINKS
+
+
 def test_grid_optimum_decreases_with_qos(cfg_siso):
     ecs = [grid_argmax_rate(cfg_siso, a, "siso_nocsi", 2.5, 1000).ec_at_r_star
            for a in (0.1, 10.0, 100.0)]
@@ -306,6 +432,33 @@ def test_miso_root_out_of_reach_names_slot_bandwidth(cfg_miso, field):
     assert near.ec_at_r_star == pytest.approx(2187.191533398882, rel=1e-12)
     with pytest.raises(OverflowError, match=r"slot \* bandwidth = 1e\+150"):
         solve_rate_miso_exact(replace(cfg_miso, **{field: 1e150}), 0.1)
+
+
+@pytest.mark.parametrize("alpha, field, value", [
+    (1e-320, None, None), (1.0, "bandwidth", 1e-320), (1.0, "slot", 1e-320)])
+def test_miso_root_underflow_names_the_inputs(cfg_miso, alpha, field, value):
+    """A stationarity constant B alpha T / (kappa ln 2) below the normal
+    doubles is a ValueError naming bandwidth, alpha, slot and kappa, for
+    the bisection and the paper's closed form alike, not a raw math
+    domain error from its log."""
+    cfg = cfg_miso if field is None else replace(cfg_miso, **{field: value})
+    kappa = miso_snr_dist(cfg).kappa
+    names = re.escape(f"at bandwidth = {cfg.bandwidth!r}, alpha = {float(alpha)!r}, "
+                      f"slot = {cfg.slot!r}, kappa = {kappa!r}")
+    for solve in (solve_rate_miso_exact, optimize_rate_miso_closed):
+        with pytest.raises(ValueError, match=rf"\(kappa ln 2\) = .* underflows a double {names}$"):
+            solve(cfg, alpha)
+
+
+def test_miso_root_first_rate_underflow_names_the_inputs():
+    """With a normal stationarity constant but a bandwidth so small that
+    the bracket's first rate 1e-6 B underflows to 0 (kappa ~ 7e-11 here),
+    the error names alpha, slot and bandwidth instead of logging 0."""
+    cfg = LinkConfig(n_tx=4, p_t=1e15, bandwidth=2e-318)
+    with pytest.raises(ValueError, match=r"underflows to 0 at the search's first rate "
+                                         r"1e-6 \* bandwidth = 0\.0: alpha = 1\.0, slot = 1\.0, "
+                                         r"bandwidth = 2e-318$"):
+        solve_rate_miso_exact(cfg, 1.0)
 
 
 def test_miso_closed_form_inside_regime():
