@@ -604,7 +604,15 @@ def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:
     """
     if mode == "closed":
         s = cfg.p_t * pathloss(cfg) * cfg.precoder_power
-        kappa = cfg.sigma2 ** 2 / (2.0 * cfg.n_elems ** 2 * s * s)
+        try:
+            kappa = cfg.sigma2 ** 2 / (2.0 * cfg.n_elems ** 2 * s * s)
+        except (OverflowError, ZeroDivisionError):
+            kappa = math.nan
+        if not 0.0 < kappa < math.inf:
+            raise ValueError(
+                "the closed kappa sigma2^2 / (2 N^2 (p_t pathloss |f|^2)^2) is not a positive "
+                f"finite double at n_elems = {cfg.n_elems!r}, p_t = {cfg.p_t!r}, sigma2 = "
+                f"{cfg.sigma2!r}, pathloss = {pathloss(cfg)!r}, |f|^2 = {cfg.precoder_power!r}")
         return Exponential(kappa=kappa)
     if mode != "exact":
         raise ValueError(f"unknown kappa mode {mode!r}")

@@ -60,6 +60,7 @@ KAPPA_WATSON = 14.0
 # The interpretable high-SNR closed form drops the +1 inside the log;
 # its diagnostics report the SNR law's mass below this floor.
 RELAX_SNR_FLOOR = 9.0
+# exp() of an exponent past this is treated as overflow; rateopt shares it.
 _EXP_TAIL = 690.0
 
 

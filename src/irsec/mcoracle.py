@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the closed forms: service samples
 are mapped straight from the physical channel draws, and the EC
-estimator realizes the defining log-MGF limit on finite blocks. A
-fixed-rate link serves either rate*slot bits or none, so its estimate
-needs only the count of slots that support the rate.
+estimator realizes the defining log-MGF limit one slot at a time, as
+the slots are iid. An adaptive-rate link's per-slot service comes
+from service_from_snr. A fixed-rate link serves either rate*slot bits
+or none, so its estimate needs only the count of slots that support
+the rate (on_off_estimate), and no per-slot array.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsec.channel import LinkConfig, SampleBatch
-from irsec.eccore import LN2, alpha_value, get_scenario, snr_threshold
+from irsec.eccore import LN2, alpha_value, snr_threshold
 
 __all__ = [
     "EcEstimate",
@@ -36,97 +38,60 @@ class EcEstimate:
     value: float
     stderr: float
     slots: int
-    blocks: int
 
     def __post_init__(self) -> None:
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
-        if self.blocks < 1 or self.slots % self.blocks != 0:
-            raise ValueError("slots must be a positive multiple of blocks")
 
 
-def empirical_ec(
-    service: SampleBatch,
-    alpha: float,
-    block_length: int = 1,
-) -> EcEstimate:
-    """Estimate EC from service samples via the block log-MGF.
+def empirical_ec(service: SampleBatch, alpha: float) -> EcEstimate:
+    """Estimate EC from per-slot service samples via the one-slot log-MGF.
 
-    Partitions the slots into blocks of block_length (one slot each by
-    default, as the slots are iid), forms the cumulative service S per
-    block, and returns -(1/(alpha*block_length)) ln mean(exp(-alpha S)),
+    Returns -(1/alpha) ln mean(exp(-alpha S)) over the slots' service S,
     stabilized by log-sum-exp. stderr is the delta-method value on the
-    shifted weights w: std(w) / (sqrt(blocks) * mean(w) * alpha *
-    block_length), exactly 0 for constant service.
+    shifted weights w: std(w) / (sqrt(slots) * mean(w) * alpha),
+    exactly 0 for constant service.
     """
     if service.kind != "service_bits":
         raise ValueError("empirical_ec needs a service_bits batch")
-    if block_length < 1:
-        raise ValueError("block_length must be >= 1")
-    n = service.values.size
-    if n % block_length != 0:
-        raise ValueError(
-            f"sample count {n} is not a multiple of block_length {block_length}")
     a = alpha_value(alpha)
-    blocks = n // block_length
+    n = service.values.size
     # a fresh array, shifted and exponentiated in place into the weights
-    w = service.values.reshape(blocks, block_length).sum(axis=1)
-    w *= -a
+    w = service.values * -a
     peak = float(np.max(w))
     if peak < _UNDERFLOW_LOG:
         warnings.warn(
             "every exp(-alpha S) term underflows double precision; "
-            "the estimate is dominated by the single largest block",
+            "the estimate is dominated by the single largest slot",
             UserWarning, stacklevel=2)
     w -= peak
     np.exp(w, out=w)
-    mean = float(np.sum(w)) / blocks
-    scale = a * block_length
+    mean = float(np.sum(w)) / n
     # + 0.0 turns the -0.0 of an all-zero service into 0.0
-    value = -(peak + math.log(mean)) / scale + 0.0
+    value = -(peak + math.log(mean)) / a + 0.0
     stderr = 0.0
-    if blocks > 1:
+    if n > 1:
         w -= mean
-        var = float(np.dot(w, w)) / (blocks - 1)
-        stderr = math.sqrt(var / blocks) / (mean * scale)
-    return EcEstimate(value=value, stderr=stderr, slots=n, blocks=blocks)
+        var = float(np.dot(w, w)) / (n - 1)
+        stderr = math.sqrt(var / n) / (mean * a)
+    return EcEstimate(value=value, stderr=stderr, slots=n)
 
 
-def service_from_snr(
-    snr: SampleBatch,
-    cfg: LinkConfig,
-    scenario: str,
-    rate: float | None,
-) -> SampleBatch:
-    """Per-slot service bits of an SNR batch; the seed carries over.
-
-    CSI scenarios log the adaptive rate slot*B*log2(1+SNR); no-CSI
-    scenarios deliver rate*slot bits exactly when the channel supports
-    the rate and nothing otherwise. One SNR batch can thus serve every
-    rate and exponent evaluated on the same link.
-    """
-    entry = get_scenario(scenario)
-    entry.check_rate(rate)
+def service_from_snr(snr: SampleBatch, cfg: LinkConfig) -> SampleBatch:
+    """Per-slot adaptive-rate service bits slot*B*log2(1+SNR) of an SNR
+    batch; the seed carries over, so one SNR batch can serve every
+    exponent evaluated on the same link."""
     if snr.kind != "snr":
         raise ValueError("service_from_snr needs an snr batch")
-    if entry.adaptive:
-        # one fresh array, scaled in place: the rows of a sweep share snr
-        service = np.log1p(snr.values)
-        service *= cfg.slot * cfg.bandwidth
-        service /= LN2
-    else:
-        threshold = snr_threshold(rate, cfg.bandwidth)
-        service = np.where(snr.values >= threshold, rate * cfg.slot, 0.0)
+    # one fresh array, scaled in place: the rows of a sweep share snr
+    service = np.log1p(snr.values)
+    service *= cfg.slot * cfg.bandwidth
+    service /= LN2
     return SampleBatch(values=service, seed=snr.seed, kind="service_bits")
 
 
-def on_off_estimate(
-    snr: SampleBatch,
-    cfg: LinkConfig,
-    scenario: str,
-    rate: float,
-    alpha: float,
-) -> EcEstimate:
+def on_off_estimate(snr: SampleBatch, cfg: LinkConfig, rate: float,
+                    alpha: float) -> EcEstimate:
     """empirical_ec of the fixed-rate service of an SNR batch, from counts.
 
     With `on` of the n slots supporting the rate, each serving
@@ -134,14 +99,10 @@ def on_off_estimate(
     -ln(1 + q)/alpha with q = (on/n)(e^(-alpha bits) - 1), and its
     delta-method stderr is |e^(-alpha bits) - 1| sqrt(on off/(n-1)) /
     (n (1+q) alpha). Unlike a mean of per-slot weights, the counts carry
-    no summation rounding. The inputs are checked as service_from_snr
-    and empirical_ec check them: bits must be finite and nonnegative
-    when any slot is on, and a rate no slot supports gives 0.
+    no summation rounding. As a service batch and empirical_ec would,
+    it refuses bits that are not finite and nonnegative when any slot
+    is on, and a rate no slot supports gives 0.
     """
-    entry = get_scenario(scenario)
-    if entry.adaptive:
-        raise ValueError(f"{scenario} adapts its rate; its service is not on/off")
-    entry.check_rate(rate)
     if snr.kind != "snr":
         raise ValueError("on_off_estimate needs an snr batch")
     a = alpha_value(alpha)
@@ -154,8 +115,7 @@ def on_off_estimate(
                          "and nonnegative")
     if on in (0, n):
         # constant service; e^(-alpha bits) may underflow, bits cannot
-        return EcEstimate(value=bits + 0.0 if on else 0.0, stderr=0.0,
-                          slots=n, blocks=n)
+        return EcEstimate(value=bits + 0.0 if on else 0.0, stderr=0.0, slots=n)
     off = n - on
     d = math.expm1(-a * bits)
     # 1 + q as a sum of positive terms, so no digits cancel when it nears 0
@@ -163,4 +123,4 @@ def on_off_estimate(
     # log1p keeps the digits of an mgf near 1, log those of one near 0
     ln_mgf = math.log1p(on * d / n) if mgf > 0.5 else math.log(mgf)
     stderr = -d * math.sqrt(on * off / (n - 1)) / (n * mgf * a)
-    return EcEstimate(value=-ln_mgf / a, stderr=stderr, slots=n, blocks=n)
+    return EcEstimate(value=-ln_mgf / a, stderr=stderr, slots=n)

@@ -10,12 +10,12 @@ a uniform grid and refines it with Brent's bounded minimizer,
 numerics.minimize_bounded, a float-only port of scipy's
 minimize_scalar(method="bounded") that returns the same x, fun and
 evaluation count, bit for bit. The search runs on Python floats: its
-grid is np.linspace's arithmetic, and each evaluation is eccore's one
-fixed-rate EC with no result object, the function the no-CSI branches
-report from. The grid rates and their on/off probabilities depend on
-the link but not on the exponent, so they are kept for the last few
-links searched, and a search at another exponent applies only the
-on/off formula to them.
+grid is np.linspace's arithmetic. The grid rates and their on/off
+probabilities depend on the link but not on the exponent, so
+_grid_on_off keeps them for the last few links searched, and each grid
+point applies only eccore's on/off formula (_on_off_kernel) to them.
+Each of Brent's evaluations is eccore's one fixed-rate EC (_fixed_rate)
+with no result object, the function the no-CSI branches report from.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from irsec import specfun
 from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     LN2,
+    _EXP_TAIL,
     _checked_on_off,
     _fixed_rate,
     _on_off_kernel,
@@ -52,10 +53,6 @@ __all__ = [
 ]
 
 _METHODS = ("gradient_descent", "closed_form", "root_find", "grid")
-
-# Beyond this rate/bandwidth ratio every gradient factor has underflowed
-# to zero; returning 0 early avoids overflowing 2^(r/B).
-_RATE_TAIL = 690.0
 
 # Closed-form validity: the approximation drops the -1 in e^(alpha r T)-1,
 # defensible once the exponential dominates by an order of magnitude.
@@ -144,7 +141,8 @@ def siso_ec_gradient(
     a = alpha_value(alpha)
     dist = siso_snr_dist(cfg)
     b = cfg.bandwidth
-    if LN2 * rate / b > _RATE_TAIL:
+    # every gradient factor has underflowed here; stop before 2^(r/B) overflows
+    if LN2 * rate / b > _EXP_TAIL:
         return 0.0
     growth = math.exp(LN2 * rate / b)
     threshold = growth - 1.0
@@ -259,7 +257,7 @@ def solve_rate_miso_exact(
 
     def lhs(r: float) -> float:
         x = a * r * t
-        if x > _RATE_TAIL:
+        if x > _EXP_TAIL:
             return LN2 * r / b + x
         return LN2 * r / b + math.log(math.expm1(x))
 

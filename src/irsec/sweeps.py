@@ -223,10 +223,9 @@ def _run_row(spec: SweepSpec, value: float, alpha: float,
     if spec.mc_slots:
         snr = draw(cfg)
         if entry.adaptive:
-            service = service_from_snr(snr, cfg, spec.scenario, None)
-            estimate = empirical_ec(service, alpha)
+            estimate = empirical_ec(service_from_snr(snr, cfg), alpha)
         else:
-            estimate = on_off_estimate(snr, cfg, spec.scenario, rate, alpha)
+            estimate = on_off_estimate(snr, cfg, rate, alpha)
         ec_oracle, stderr = estimate.value, estimate.stderr
     return SweepRow(sweep_var=spec.sweep_var, value=value, alpha=alpha,
                     ec_analytical=ec, ec_oracle=ec_oracle,

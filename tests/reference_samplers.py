@@ -6,11 +6,11 @@ it bit for bit. `miso_reference` draws the beamformed SNR the long way,
 as the squared magnitude of a sum of N complex Gaussians, so the
 library's one-draw-per-slot reduction stays checked against it.
 
-`bootstrap_stderr_reference` is the spread of the block log-MGF estimate
-under a 200-resample nonparametric bootstrap over blocks, drawn as one
-resamples x blocks index array. It is the oracle of `empirical_ec`'s
-one-pass delta-method stderr, which must track it within resampling
-noise, not bit for bit.
+`bootstrap_stderr_reference` is the spread of the one-slot log-MGF
+estimate under a 200-resample nonparametric bootstrap over slots, drawn
+as one resamples x slots index array. It is the oracle of
+`empirical_ec`'s one-pass delta-method stderr, which must track it
+within resampling noise, not bit for bit.
 
 `cdf_array` evaluates an SNR law's CDF elementwise with numpy, a second
 route beside the library's scalar `math` one; `ks_distance` builds the
@@ -23,8 +23,12 @@ config-file format that `load_link_config` reads.
 `sample_siso_snr`, `sample_miso_snr`, `simulate_snr` and
 `simulate_service` compose the library's steps into the draw a sweep
 row makes: the seeded fading, the link budget and, for service,
-`service_from_snr`. They are what a one-row sweep at that seed samples,
-bit for bit.
+`service_from_snr` on an adaptive-rate link or `on_off_service` on a
+fixed-rate one. They are what a one-row sweep at that seed samples,
+bit for bit. `on_off_service` materializes the per-slot on/off service
+that the library's `on_off_estimate` only counts, and `block_ec` is the
+log-MGF estimator over blocks of several slots, which the library's
+one-slot `empirical_ec` reproduces bit for bit at one slot per block.
 
 `grid_argmax_reference` is the brute-force rate search as it stood
 before Brent's refinement: a uniform grid plus one parabolic step.
@@ -57,8 +61,8 @@ from irsec.channel import (
     siso_snr_from_fading,
     stream_rng,
 )
-from irsec.eccore import _fixed_rate, alpha_value, get_scenario
-from irsec.mcoracle import service_from_snr
+from irsec.eccore import _fixed_rate, alpha_value, get_scenario, snr_threshold
+from irsec.mcoracle import EcEstimate, service_from_snr
 from irsec.rateopt import RateSolution
 
 _SQRT_2 = math.sqrt(2.0)
@@ -130,23 +134,61 @@ def simulate_snr(cfg: LinkConfig, scenario: str, seed: int, slots: int) -> Sampl
     return entry.snr_from_fading(entry.fading(cfg, seed, slots), cfg)
 
 
+def on_off_service(snr: SampleBatch, cfg: LinkConfig, rate: float) -> SampleBatch:
+    """Per-slot fixed-rate service: rate*slot bits in the slots whose SNR
+    supports the rate, none in the others."""
+    service = np.where(snr.values >= snr_threshold(rate, cfg.bandwidth),
+                       rate * cfg.slot, 0.0)
+    return SampleBatch(values=service, seed=snr.seed, kind="service_bits")
+
+
 def simulate_service(cfg: LinkConfig, scenario: str, rate: float | None,
                      seed: int, slots: int) -> SampleBatch:
     """Per-slot service bits of the scenario's seeded channel draw."""
-    return service_from_snr(simulate_snr(cfg, scenario, seed, slots), cfg, scenario, rate)
+    entry = get_scenario(scenario)
+    entry.check_rate(rate)
+    snr = simulate_snr(cfg, scenario, seed, slots)
+    if entry.adaptive:
+        return service_from_snr(snr, cfg)
+    return on_off_service(snr, cfg, rate)
+
+
+def block_ec(service: SampleBatch, alpha: float, block_length: int) -> EcEstimate:
+    """EC over blocks of block_length slots: -(1/(alpha L)) ln mean
+    exp(-alpha S) over the blocks' summed service S, by log-sum-exp, with
+    the delta-method stderr std(w) / (sqrt(blocks) mean(w) alpha L) of
+    the shifted weights w. The slot count must be a multiple of L."""
+    a = alpha_value(alpha)
+    n = service.values.size
+    if block_length < 1 or n % block_length != 0:
+        raise ValueError(f"{n} slots do not split into blocks of {block_length}")
+    blocks = n // block_length
+    w = service.values.reshape(blocks, block_length).sum(axis=1)
+    w *= -a
+    peak = float(np.max(w))
+    w -= peak
+    np.exp(w, out=w)
+    mean = float(np.sum(w)) / blocks
+    scale = a * block_length
+    value = -(peak + math.log(mean)) / scale + 0.0
+    stderr = 0.0
+    if blocks > 1:
+        w -= mean
+        var = float(np.dot(w, w)) / (blocks - 1)
+        stderr = math.sqrt(var / blocks) / (mean * scale)
+    return EcEstimate(value=value, stderr=stderr, slots=n)
 
 
 def bootstrap_stderr_reference(service: SampleBatch, alpha: float,
-                               block_length: int = 1,
                                resamples: int = 200) -> float:
-    blocks = service.values.size // block_length
-    x = -alpha * service.values.reshape(blocks, block_length).sum(axis=1)
+    n = service.values.size
+    x = -alpha * service.values
     rng = stream_rng(service.seed, "mcoracle.bootstrap")
-    idx = rng.integers(0, blocks, size=(resamples, blocks))
+    idx = rng.integers(0, n, size=(resamples, n))
     xs = x[idx]
     m = np.max(xs, axis=1, keepdims=True)
     lme = m + np.log(np.mean(np.exp(xs - m), axis=1, keepdims=True))
-    resampled = -1.0 / (alpha * block_length) * np.squeeze(lme, axis=1)
+    resampled = -1.0 / alpha * np.squeeze(lme, axis=1)
     return float(np.std(resampled, ddof=1))
 
 

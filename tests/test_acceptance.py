@@ -55,6 +55,7 @@ from irsec.rateopt import (
 from irsec.specfun import LN2
 from irsec.sweeps import SweepSpec, auto_rate, run_sweep
 from reference_samplers import (
+    block_ec,
     ec_on_off_spectral,
     grid_argmax_reference,
     ks_distance,
@@ -140,9 +141,8 @@ def test_criterion_02_siso_nocsi_oracle(capsys):
         cfg = LinkConfig(n_elems=n_elems)
         rate = auto_rate(cfg, "siso_nocsi", alpha)
         ec = ec_siso_nocsi(cfg, alpha, rate).ec_bits_per_slot
-        est = empirical_ec(
-            simulate_service(cfg, "siso_nocsi", rate, seed, DRAWS),
-            alpha, block_length=block)
+        est = block_ec(
+            simulate_service(cfg, "siso_nocsi", rate, seed, DRAWS), alpha, block)
         gap = abs(ec - est.value)
         allowed = max(0.03 * abs(est.value), 3.0 * est.stderr)
         ok = gap <= allowed

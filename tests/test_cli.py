@@ -253,6 +253,24 @@ def test_ec_kappa_mode_closed(capsys):
     assert _kv(out)["diag.kappa_mode"] == "'exact'"
 
 
+@pytest.mark.parametrize("scenario, budget", [
+    ("miso_csi", ["--p-t", "1e300", "--sigma2", "1e-300"]),   # kappa underflows to 0
+    ("miso_csi", ["--p-t", "1e-300", "--sigma2", "1e300"]),   # sigma2^2 overflows
+    ("miso_csi", ["--p-t", "1e-158"]),                        # (p_t ...)^2 underflows to 0
+    ("miso_nocsi", ["--p-t", "1e-158"]),
+])
+def test_ec_closed_kappa_out_of_range_names_the_budget(capsys, scenario, budget):
+    """A closed kappa that is not a positive finite double exits 2 with a
+    ValueError naming every input of the expression."""
+    argv = ["ec", "--scenario", scenario, "--alpha", "1", "--kappa-mode", "closed"]
+    code, out, err = _run(capsys, argv + budget)
+    assert code == 2
+    assert err.startswith("error: ValueError: the closed kappa"), err
+    for name in ("n_elems = 100", "p_t = ", "sigma2 = ", "pathloss = ", "|f|^2 = 1.0"):
+        assert name in err, err
+    assert "ec_bits_per_slot" not in out
+
+
 def test_ec_closed_mode_optimizes_rate_under_closed_law(capsys):
     """An omitted rate is optimized under the same kappa the EC uses."""
     mode = ["--scenario", "miso_nocsi", "--alpha", "0.1", "--kappa-mode", "closed"]

@@ -3,9 +3,10 @@
 The estimator is exercised on services whose EC is available in closed
 form, so every assertion has an exact target; stochastic bounds replay
 fixed seeds. Its delta-method stderr is checked against a 200-resample
-bootstrap over the same slots. The fixed-rate count form is checked
-against a 50-digit evaluation of the same counts and against the
-estimator on the materialized on/off service.
+bootstrap over the same slots, and its value and stderr against the
+block estimator at one slot per block, bit for bit. The fixed-rate
+count form is checked against a 50-digit evaluation of the same counts
+and against the estimator on the materialized on/off service.
 """
 
 import itertools
@@ -32,8 +33,10 @@ from irsec.mcoracle import (
     service_from_snr,
 )
 from reference_samplers import (
+    block_ec,
     bootstrap_stderr_reference,
     ks_distance,
+    on_off_service,
     sample_siso_snr,
     simulate_service,
     simulate_snr,
@@ -48,9 +51,7 @@ def _two_point_batch(seed: int, slots: int, p_on: float = 0.7, rate: float = 1.5
 
 def test_ec_estimate_validation():
     with pytest.raises(ValueError):
-        EcEstimate(value=1.0, stderr=-0.1, slots=100, blocks=1)
-    with pytest.raises(ValueError):
-        EcEstimate(value=1.0, stderr=0.0, slots=150, blocks=100)
+        EcEstimate(value=1.0, stderr=-0.1, slots=100)
 
 
 def test_constant_service_is_exact():
@@ -58,7 +59,6 @@ def test_constant_service_is_exact():
     est = empirical_ec(batch, 0.5)
     assert est.value == pytest.approx(0.25, rel=1e-12)
     assert est.stderr == 0.0
-    assert est.blocks == 10_000
     assert est.slots == 10_000
 
 
@@ -118,7 +118,7 @@ def test_underflow_warning():
     batch = SampleBatch(values=np.full(10_000, 15.0), seed=5, kind="service_bits")
     with pytest.warns(UserWarning, match="underflow"):
         est = empirical_ec(batch, 50.0)
-    # constant blocks keep the degenerate estimate exact regardless
+    # constant service keeps the degenerate estimate exact regardless
     assert est.value == pytest.approx(15.0, rel=1e-9)
 
 
@@ -144,8 +144,8 @@ def test_delta_stderr_matches_bootstrap(kind, alpha, seed):
     noise is about 5%."""
     batch = _service(kind, seed)
     est = empirical_ec(batch, alpha)
-    reference = bootstrap_stderr_reference(batch, alpha, block_length=1)
-    assert est.blocks == 10_000
+    reference = bootstrap_stderr_reference(batch, alpha)
+    assert est.slots == 10_000
     assert est.stderr == pytest.approx(reference, rel=0.15)
 
 
@@ -166,11 +166,17 @@ def test_empirical_ec_input_gates():
     snr = SampleBatch(values=np.ones(100), seed=1, kind="snr")
     with pytest.raises(ValueError):
         empirical_ec(snr, 0.5)
-    ragged = SampleBatch(values=np.ones(150), seed=1, kind="service_bits")
-    with pytest.raises(ValueError, match="block_length"):
-        empirical_ec(ragged, 0.5, block_length=100)
-    good = SampleBatch(values=np.ones(150), seed=1, kind="service_bits")
-    assert empirical_ec(good, 0.5, block_length=50).blocks == 3
+
+
+@pytest.mark.parametrize("kind", ["siso_csi", "miso_csi"])
+def test_empirical_ec_is_block_ec_at_one_slot(kind):
+    """The one-slot estimator gives the block estimator's value and
+    stderr at one slot per block, bit for bit."""
+    batch = _service(kind, 15)
+    for alpha in (1e-3, 0.1, 1.0, 10.0, 30.0):
+        est = empirical_ec(batch, alpha)
+        want = block_ec(batch, alpha, 1)
+        assert (est.value, est.stderr, est.slots) == (want.value, want.stderr, want.slots)
 
 
 def test_simulate_service_nocsi_support(cfg_siso):
@@ -203,7 +209,7 @@ def test_simulate_service_argument_gates(cfg_siso):
         simulate_service(cfg_siso, "siso_csi", None, 1, 0)
     service = simulate_service(cfg_siso, "siso_csi", None, 1, 100)
     with pytest.raises(ValueError, match="snr batch"):
-        service_from_snr(service, cfg_siso, "siso_csi", None)
+        service_from_snr(service, cfg_siso)
 
 
 def _counted_snr(cfg: LinkConfig, rate: float, on: int, n: int) -> SampleBatch:
@@ -242,9 +248,9 @@ def test_on_off_estimate_matches_mpmath(on, n, rate, alpha):
     """The count form holds its digits at every count, including an
     e^(-alpha bits) that underflows beside an on count near n."""
     cfg = LinkConfig()
-    est = on_off_estimate(_counted_snr(cfg, rate, on, n), cfg, "siso_nocsi", rate, alpha)
+    est = on_off_estimate(_counted_snr(cfg, rate, on, n), cfg, rate, alpha)
     value, stderr = _on_off_mpmath(on, n, alpha, rate * cfg.slot)
-    assert (est.slots, est.blocks) == (n, n)
+    assert est.slots == n
     assert type(est.value) is float and type(est.stderr) is float
     assert est.value == pytest.approx(value, rel=1e-15, abs=0.0)
     assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
@@ -260,7 +266,7 @@ def test_on_off_estimate_figure_rows_match_mpmath():
     for rate, alpha in itertools.product(rates, (0.1, 1.0)):
         on = int(np.count_nonzero(snr.values >= snr_threshold(rate, cfg.bandwidth)))
         value, stderr = _on_off_mpmath(on, snr.values.size, alpha, rate)
-        est = on_off_estimate(snr, cfg, "siso_nocsi", rate, alpha)
+        est = on_off_estimate(snr, cfg, rate, alpha)
         assert est.value == pytest.approx(value, rel=1e-15, abs=0.0), (rate, alpha)
         assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0), (rate, alpha)
 
@@ -276,38 +282,32 @@ def test_on_off_estimate_matches_empirical_ec(scenario, cfg, rates):
     snr = simulate_snr(cfg, scenario, 41, 20_000)
     for rate in rates:
         for alpha in (0.01, 0.1, 1.0, 10.0):
-            est = on_off_estimate(snr, cfg, scenario, rate, alpha)
-            want = empirical_ec(service_from_snr(snr, cfg, scenario, rate), alpha)
+            est = on_off_estimate(snr, cfg, rate, alpha)
+            want = empirical_ec(on_off_service(snr, cfg, rate), alpha)
             assert est.value == pytest.approx(want.value, rel=1e-11), (rate, alpha)
             assert est.stderr == pytest.approx(want.stderr, rel=1e-11), (rate, alpha)
-            assert (est.slots, est.blocks) == (want.slots, want.blocks)
+            assert est.slots == want.slots
 
 
 def test_on_off_estimate_argument_gates(cfg_siso):
     snr = simulate_snr(cfg_siso, "siso_nocsi", 1, 100)
-    with pytest.raises(ValueError, match="adapts its rate"):
-        on_off_estimate(snr, cfg_siso, "siso_csi", None, 0.1)
-    with pytest.raises(ValueError, match="needs a rate"):
-        on_off_estimate(snr, cfg_siso, "siso_nocsi", None, 0.1)
-    with pytest.raises(ValueError):
-        on_off_estimate(snr, cfg_siso, "mimo_nocsi", 1.0, 0.1)
     service = simulate_service(cfg_siso, "siso_nocsi", 1.0, 1, 100)
     with pytest.raises(ValueError, match="snr batch"):
-        on_off_estimate(service, cfg_siso, "siso_nocsi", 1.0, 0.1)
+        on_off_estimate(service, cfg_siso, 1.0, 0.1)
     for alpha in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="alpha"):
-            on_off_estimate(snr, cfg_siso, "siso_nocsi", 1.0, alpha)
-    # service_from_snr's batch check refuses the bits of the slots that
-    # are on: a negative rate, which every slot supports, or a slot so
-    # long that rate * slot overflows
+            on_off_estimate(snr, cfg_siso, 1.0, alpha)
+    # a service batch refuses the bits of the slots that are on: a
+    # negative rate, which every slot supports, or a slot so long that
+    # rate * slot overflows
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        on_off_estimate(snr, cfg_siso, "siso_nocsi", -1.0, 0.1)
+        on_off_estimate(snr, cfg_siso, -1.0, 0.1)
     long_slot = replace(cfg_siso, slot=1e308)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        on_off_estimate(_counted_snr(long_slot, 2.0, 5, 10), long_slot, "siso_nocsi", 2.0, 0.1)
-    # a rate that no slot supports serves nothing, as service_from_snr's
-    # all-zero service does
-    est = on_off_estimate(snr, cfg_siso, "siso_nocsi", math.inf, 0.1)
+        on_off_estimate(_counted_snr(long_slot, 2.0, 5, 10), long_slot, 2.0, 0.1)
+    # a rate that no slot supports serves nothing, as an all-zero
+    # service does
+    est = on_off_estimate(snr, cfg_siso, math.inf, 0.1)
     assert (est.value, est.stderr) == (0.0, 0.0)
 
 

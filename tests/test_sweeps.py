@@ -34,7 +34,7 @@ def _fresh_oracle(cfg, scenario, rate, alpha, seed, slots):
         est = empirical_ec(simulate_service(cfg, scenario, None, seed, slots), alpha)
     else:
         snr = simulate_snr(cfg, scenario, seed, slots)
-        est = on_off_estimate(snr, cfg, scenario, rate, alpha)
+        est = on_off_estimate(snr, cfg, rate, alpha)
     return est.value, est.stderr
 
 
