@@ -196,6 +196,9 @@ _LN_2PI = math.log(2.0 * math.pi)
 # ln_mgf and mean_log take their first-order value where the
 # second-order term is below this share of it.
 _FIRST_ORDER_REL = 2.0 ** -53
+# The largest u that ln_mgf takes on its direct route, whose exponent
+# 1 - 2u must be a double.
+MAX_MGF_U = 0.5 * sys.float_info.max
 
 
 class LawIntegral(NamedTuple):
@@ -468,7 +471,9 @@ class ScaledNoncentralChiSq:
         "direct" route integrates (1 + SNR)^-u in the log domain. k is
         u beta (lam + 1) less a share (u + 1) _second_order() of it; where
         that share is below 2^-53, the route is "first_order": k is
-        u beta (lam + 1), with the share of it as its abserr.
+        u beta (lam + 1), with the share of it as its abserr. A u past
+        MAX_MGF_U on the direct route is a ValueError naming beta, lam
+        and u.
         """
         if not 0.0 < u < math.inf:
             raise ValueError(f"u must be positive and finite, got {u!r}")
@@ -479,6 +484,10 @@ class ScaledNoncentralChiSq:
                 return LawIntegral(math.log1p(-k), rel * k, 0, "first_order")
             k, abserr, neval = _trapezoid(self, u, "complement")
             return LawIntegral(math.log1p(-k), abserr, neval, "complement")
+        if u > MAX_MGF_U:
+            raise ValueError(
+                f"single-antenna direct integral: the exponent 1 - 2u overflows a double "
+                f"at beta = {self.beta!r}, lam = {self.lam!r}, u = {u!r}")
         ln_m, abserr, neval = _trapezoid(self, u, "direct")
         return LawIntegral(ln_m, abserr, neval, "direct")
 

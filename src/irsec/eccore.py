@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from irsec import specfun
 from irsec.channel import (
+    MAX_MGF_U,
     LinkConfig,
     SampleBatch,
     SnrDistribution,
@@ -212,10 +213,22 @@ def ec_siso_csi(
     only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
     low_snr_prob = P(SNR < RELAX_SNR_FLOOR), the mass on which that form
     undershoots. The closed form is a diagnostic only, never the EC.
+
+    Once u or k = 1 - E[(1+SNR)^-u] is subnormal, -ln M has lost bits
+    that dividing by alpha cannot restore, so the EC takes its
+    first-order value, the mean service, from the law's mean_log, with
+    route "mean_service" (as _on_off_kernel does for a subnormal x). A u
+    past the law's MAX_MGF_U is a ValueError naming alpha, bandwidth and
+    slot.
     """
     dist = siso_snr_dist(cfg)
     a = alpha_value(alpha)
     u = a * cfg.bandwidth * cfg.slot / LN2
+    if not u <= MAX_MGF_U:
+        raise ValueError(
+            f"alpha * bandwidth * slot / ln 2 = {u!r} is past the single-antenna MGF's "
+            f"largest exponent {MAX_MGF_U!r} at alpha = {a!r}, "
+            f"bandwidth = {cfg.bandwidth!r}, slot = {cfg.slot!r}")
     diag: dict = {"beta": dist.beta, "lam": dist.lam, "u": u}
     diag["low_snr_prob"] = dist.cdf(RELAX_SNR_FLOOR)
 
@@ -228,9 +241,16 @@ def ec_siso_csi(
         diag["ln_mgf_relaxed"] = math.nan
         diag["ec_relaxed"] = math.nan
 
-    ln_mgf, diag["quad_abserr"], diag["quad_neval"], diag["quad_route"] = dist.ln_mgf(u)
+    law_int = dist.ln_mgf(u) if u >= sys.float_info.min else None
+    if law_int is not None and -law_int.value >= sys.float_info.min:
+        ln_mgf, diag["quad_abserr"], diag["quad_neval"], diag["quad_route"] = law_int
+        ec = -ln_mgf / a
+    else:
+        mean, abserr, diag["quad_neval"], _ = dist.mean_log()
+        ln_mgf, diag["quad_abserr"], diag["quad_route"] = -u * mean, u * abserr, "mean_service"
+        ec = cfg.slot * cfg.bandwidth * mean / LN2
     diag["ln_mgf"] = ln_mgf
-    return EcResult(ec_bits_per_slot=-ln_mgf / a, scenario="siso_csi", diagnostics=diag)
+    return EcResult(ec_bits_per_slot=ec, scenario="siso_csi", diagnostics=diag)
 
 
 def _sq_log_moment(kappa: float) -> float:
@@ -345,7 +365,9 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
     bits of k, so p_off and p_on exp(-a rate slot) are added in the log
     domain instead. Once x = a rate slot is subnormal it has lost bits
     that dividing by a cannot restore, so EC takes its first-order value
-    p_on rate slot, the mean service.
+    p_on rate slot, the mean service. That is also the EC where x
+    overflows with p_off = 0: every slot serves rate slot, while ln_mgf
+    reads -inf.
     """
     x = a * rate * slot
     k = p_on * (-math.expm1(-x))
@@ -359,7 +381,7 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
             ln_off = math.log(p_off)
             hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
             ln_mgf = hi + math.log1p(math.exp(lo - hi))
-    if x < sys.float_info.min:
+    if x < sys.float_info.min or (x == math.inf and p_off == 0.0):
         return ln_mgf, p_on * rate * slot
     return ln_mgf, -ln_mgf / a
 

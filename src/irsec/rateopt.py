@@ -194,13 +194,15 @@ def optimize_rate_siso(
 
 def _miso_rhs(kappa: float, a: float, bandwidth: float, slot: float) -> float:
     """Log of the stationarity constant B alpha T / (kappa ln 2); see
-    solve_rate_miso_exact. A constant below the normal doubles is a
-    ValueError naming its inputs: its log, and the rate root, would have
-    lost their bits or read -inf."""
+    solve_rate_miso_exact. A constant outside the positive normal doubles
+    is a ValueError naming its inputs: below them its log, and the rate
+    root, would have lost their bits or read -inf, and above them the
+    root would be inf."""
     arg = bandwidth * a * slot / (kappa * LN2)
-    if not arg >= sys.float_info.min:
+    if not sys.float_info.min <= arg <= sys.float_info.max:
         raise ValueError(
-            f"bandwidth * alpha * slot / (kappa ln 2) = {arg!r} underflows a double "
+            f"bandwidth * alpha * slot / (kappa ln 2) = {arg!r} "
+            f"{'overflows' if arg > 1.0 else 'underflows'} a double "
             f"at bandwidth = {bandwidth!r}, alpha = {a!r}, slot = {slot!r}, "
             f"kappa = {kappa!r}")
     return math.log(arg)

@@ -484,15 +484,17 @@ def test_miso_rate_root_out_of_reach_is_an_error(capsys, flag):
     (["--alpha", "1", "--bandwidth", "1e-320"], "bandwidth = 1e-320"),
     (["--alpha", "1", "--slot", "1e-320"], "slot = 1e-320"),
     (["--alpha", "1", "--sigma2", "1e308"], "sigma2 = 1e+308"),
+    (["--alpha", "1e305", "--p-t", "1e3"], "alpha = 1e+305"),
 ])
 def test_miso_nocsi_underflow_names_the_input(capsys, verb, flags, named):
     """An exponent, bandwidth or slot so small, or a noise so large, that
-    the beamformed rate search's logs would underflow exits 2 naming the
-    input, not with a raw math domain error."""
+    the beamformed rate search's logs would underflow, or an exponent so
+    large that its stationarity constant overflows, exits 2 naming the
+    input, not with a raw math domain error or a failed bracket."""
     code, out, err = _run(capsys, [verb, "--scenario", "miso_nocsi", "--n-tx", "4", *flags])
     assert code == 2
     assert err.startswith("error: ValueError: ") and named in err
-    assert "math domain error" not in err
+    assert "math domain error" not in err and "RuntimeError" not in err
     assert "r_star" not in out and "ec_bits_per_slot" not in out
 
 

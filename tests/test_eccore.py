@@ -12,11 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import reference_quadpack
 from conftest import miso_cfg_for_kappa
 from irsec import channel
 from irsec.channel import Exponential, LinkConfig, siso_snr_dist
@@ -184,52 +183,24 @@ _GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
 _GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
 _GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
 
+# The folded-normal window [0, sqrt(lam) + _QUAD_SPAN], the relative
+# target of its quadrature, and the u below which the MGF is taken
+# through its complement 1 - M.
+_QUAD_SPAN = 45.0
+_QUAD_EPSREL = 1e-11
+_SMALL_U = 1e-3
 
-@pytest.mark.parametrize("weight", sorted(_FOLD_WEIGHTS))
-@pytest.mark.parametrize("beta,lam,u", [
-    (2.3e-7, 161.0, 0.144), (0.7, 2.5, 1.4e-3), (1e-12, 3.1e5, 14.4), (40.0, 0.01, 1e-6)])
-def test_fold_integrand_is_weight_times_density_bit_for_bit(weight, beta, lam, u):
-    """Writing the density into each integrand of the QUADPACK reference
-    route keeps every bit of the product weight(t) * density(t) it
-    replaces."""
-    root_lam = math.sqrt(lam)
-    integrand = reference_quadpack.fold_integrand(weight, beta, u, root_lam)
+
+def _fold_quad(weight, beta, u, root_lam):
+    """(value, abserr, ier) of scipy's QUADPACK on weight(t) * density(t)
+    over the folded-normal window, with break points around the ridge at
+    root_lam = sqrt(lam); ier is 0 unless quad returned a message."""
     w = _FOLD_WEIGHTS[weight](beta, u)
-    ts = np.concatenate(([0.0], np.linspace(0.0, root_lam + reference_quadpack.QUAD_SPAN, 301)[1:],
-                         np.random.default_rng(7).uniform(0.0, root_lam + 12.0, 100)))
-    for t in map(float, ts):
-        assert integrand(t) == w(t) * _fold_density(t, root_lam), t
-
-
-def test_fold_integrand_rejects_unknown_weight():
-    with pytest.raises(ValueError, match="weight"):
-        reference_quadpack.fold_integrand("square", 1.0, 1.0, 1.0)
-
-
-def test_fold_quad_matches_scipy_quad_on_the_design_grid():
-    """On every single-antenna cell of the design grid, both MGF routes
-    and the mean-service integral of the reference route give quad's
-    value and abserr, bit for bit, with quad taking the density as a
-    separate factor."""
-    cells = []
-    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
-        cfg = LinkConfig(n_elems=n, p_t=p_t)
-        dist = siso_snr_dist(cfg)
-        cells.append(("log", dist.beta, 0.0, dist.lam))
-        for alpha in _GRID_ALPHA:
-            u = alpha * cfg.bandwidth * cfg.slot / LN2
-            cells += [("complement", dist.beta, u, dist.lam),
-                      ("direct", dist.beta, u, dist.lam)]
-    for weight, beta, u, lam in cells:
-        root_lam = math.sqrt(lam)
-        w = _FOLD_WEIGHTS[weight](beta, u)
-        hi = root_lam + reference_quadpack.QUAD_SPAN
-        pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
-        ref = quad(lambda t: w(t) * _fold_density(t, root_lam), 0.0, hi, points=pts,
-                   limit=200, epsabs=0.0, epsrel=reference_quadpack.QUAD_EPSREL)
-        value, abserr, _, _ = reference_quadpack.fold_quad(weight, beta, u, root_lam)
-        assert (value, abserr) == ref, (weight, beta, u, lam)
-    assert len(cells) == 49 * 15
+    hi = root_lam + _QUAD_SPAN
+    pts = [p for p in (max(root_lam - 8.0, 0.0), root_lam, root_lam + 12.0) if 0.0 < p < hi]
+    out = quad(lambda t: w(t) * _fold_density(t, root_lam), 0.0, hi, points=pts,
+               limit=200, epsabs=0.0, epsrel=_QUAD_EPSREL, full_output=1)
+    return out[0], out[1], int(len(out) > 3)
 
 
 def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
@@ -246,19 +217,17 @@ def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
         cfg = LinkConfig(n_elems=n, p_t=p_t)
         dist = siso_snr_dist(cfg)
         root_lam = math.sqrt(dist.lam)
-        value, abserr, _, ier = reference_quadpack.fold_quad("log", dist.beta, 0.0, root_lam)
+        value, abserr, ier = _fold_quad("log", dist.beta, 0.0, root_lam)
         assert ier == 0
         assert abs(dist.mean_log().value - value) <= abserr, (n, p_t)
         for alpha in _GRID_ALPHA:
             u = alpha * cfg.bandwidth * cfg.slot / LN2
             ln_m = dist.ln_mgf(u).value
-            if u < reference_quadpack.SMALL_U:
-                value, abserr, _, ier = reference_quadpack.fold_quad(
-                    "complement", dist.beta, u, root_lam)
+            if u < _SMALL_U:
+                value, abserr, ier = _fold_quad("complement", dist.beta, u, root_lam)
                 got = -math.expm1(ln_m)
             else:
-                value, abserr, _, ier = reference_quadpack.fold_quad(
-                    "direct", dist.beta, u, root_lam)
+                value, abserr, ier = _fold_quad("direct", dist.beta, u, root_lam)
                 got = math.exp(ln_m)
                 if value == 0.0:
                     underflows += 1
@@ -269,30 +238,63 @@ def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
     assert underflows < len(_GRID_N) * len(_GRID_P_T) * len(_GRID_ALPHA) // 10
 
 
+# log10 of the QoS exponents the bound properties draw: every positive
+# double, with the edges of that range as explicit examples.
+_LOG_ALPHA = st.floats(-323.3, 308.25)
+
+
+def _edge_alphas(**fixed):
+    def decorate(test):
+        for alpha in (5e-324, 1e-320, 7e307, 1e308, 1.7e308):
+            test = example(log_alpha=math.log10(alpha), **fixed)(test)
+        return test
+    return decorate
+
+
+def _assert_bounded_or_names_alpha(ec, alpha, mean):
+    """ec(alpha) is finite with 0 <= EC <= mean() (1 + 1e-12), or raises
+    a ValueError that names alpha."""
+    try:
+        value = ec(alpha).ec_bits_per_slot
+    except ValueError as exc:
+        assert f"alpha = {alpha!r}" in str(exc), exc
+        return
+    assert math.isfinite(value)
+    assert 0.0 <= value <= mean() * (1.0 + 1e-12)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     n=st.integers(1, 20000),
     log_p_t=st.floats(-9.0, 3.0),
-    log_alpha=st.floats(-6.0, 3.0),
+    log_alpha=_LOG_ALPHA,
 )
+@_edge_alphas(n=1, log_p_t=-3.0)
+@_edge_alphas(n=100, log_p_t=-3.0)
 def test_siso_csi_is_bounded_by_mean_service(n, log_p_t, log_alpha):
-    """Over the design ranges the adaptive single-antenna EC is finite
-    and 0 <= EC <= mean service, to rounding."""
+    """Over the design ranges of the link and every positive double as
+    the exponent, the adaptive single-antenna EC is finite and
+    0 <= EC <= mean service, to rounding, or a ValueError names alpha."""
     cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t)
-    ec = ec_siso_csi(cfg, 10.0 ** log_alpha).ec_bits_per_slot
-    assert math.isfinite(ec)
-    assert 0.0 <= ec <= mean_service(cfg, "siso_csi") * (1.0 + 1e-12)
+    _assert_bounded_or_names_alpha(lambda a: ec_siso_csi(cfg, a), 10.0 ** log_alpha,
+                                   lambda: mean_service(cfg, "siso_csi"))
 
 
 def test_siso_csi_reports_quadrature_health(cfg_siso):
     """Each result names its route, the difference of the rule's last
-    two sums (within its 1e-13 relative target) and its evaluations."""
+    two sums (within its 1e-13 relative target) and its evaluations.
+    Where u is subnormal, -ln M / alpha has lost bits that the division
+    cannot restore, and the EC is the mean service."""
     for alpha, route in ((0.1, "complement"), (10.0, "direct")):
         diag = ec_siso_csi(cfg_siso, alpha).diagnostics
         assert diag["quad_route"] == route
         integral = -math.expm1(diag["ln_mgf"]) if route == "complement" else math.exp(diag["ln_mgf"])
         assert 0.0 <= diag["quad_abserr"] <= 1e-13 * integral
         assert 0 < diag["quad_neval"] < 400
+    for cfg, alpha in itertools.product([LinkConfig(n_elems=1), cfg_siso], [1e-315, 1e-320, 5e-324]):
+        res = ec_siso_csi(cfg, alpha)
+        assert res.diagnostics["quad_route"] == "mean_service"
+        assert res.ec_bits_per_slot == mean_service(cfg, "siso_csi")
     mean = siso_snr_dist(cfg_siso).mean_log()
     assert mean.route == "log"
     assert 0.0 <= mean.abserr <= 1e-13 * mean.value
@@ -300,12 +302,14 @@ def test_siso_csi_reports_quadrature_health(cfg_siso):
 
 def test_siso_ln_mgf_rejects_an_exponent_it_cannot_integrate(cfg_siso):
     """u must be a positive finite number; a slot * bandwidth that
-    overflows it is a ValueError, not a walk that never ends."""
+    overflows it is a ValueError naming alpha, bandwidth and slot, not a
+    walk that never ends."""
     law = siso_snr_dist(cfg_siso)
     for u in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="u must be positive and finite"):
             law.ln_mgf(u)
-    with pytest.raises(ValueError, match="u must be positive and finite, got inf"):
+    with pytest.raises(ValueError, match=r"ln 2 = inf is past .* at alpha = 1\.0, "
+                                         r"bandwidth = 1e\+200, slot = 1e\+200$"):
         ec_siso_csi(replace(cfg_siso, slot=1e200, bandwidth=1e200), 1.0)
 
 
@@ -500,21 +504,24 @@ def _mean_snr(dist):
 @given(
     n=st.integers(1, 20000),
     log_p_t=st.floats(-9.0, 3.0),
-    log_alpha=st.floats(-6.0, 3.0),
+    log_alpha=_LOG_ALPHA,
     log_rate_frac=st.floats(-330.0, math.log10(4.0)),
     name=st.sampled_from(["siso_nocsi", "miso_nocsi"]),
 )
+@_edge_alphas(n=20000, log_p_t=3.0, log_rate_frac=-1.0, name="siso_nocsi")
+@_edge_alphas(n=100, log_p_t=-3.0, log_rate_frac=-1.0, name="miso_nocsi")
 def test_fixed_rate_ec_is_bounded_by_mean_service(n, log_p_t, log_alpha,
                                                   log_rate_frac, name):
     """Both no-CSI branches give a finite 0 <= EC <= mean service for
-    rates from the subnormal range up to 4x the mean-SNR Shannon rate."""
+    rates from the subnormal range up to 4x the mean-SNR Shannon rate
+    and every positive double as the exponent, or a ValueError names
+    alpha."""
     entry = SCENARIOS[name]
     cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
                      n_tx=10 if entry.beamformed else 1)
     rate = 10.0 ** log_rate_frac * cfg.bandwidth * math.log1p(_mean_snr(entry.law(cfg))) / LN2
-    ec = entry.ec(cfg, 10.0 ** log_alpha, rate).ec_bits_per_slot
-    assert math.isfinite(ec)
-    assert 0.0 <= ec <= mean_service(cfg, name, rate) * (1.0 + 1e-12)
+    _assert_bounded_or_names_alpha(lambda a: entry.ec(cfg, a, rate), 10.0 ** log_alpha,
+                                   lambda: mean_service(cfg, name, rate))
 
 
 @settings(max_examples=300, deadline=None)

@@ -435,18 +435,19 @@ def test_miso_root_out_of_reach_names_slot_bandwidth(cfg_miso, field):
 
 
 @pytest.mark.parametrize("alpha, field, value", [
-    (1e-320, None, None), (1.0, "bandwidth", 1e-320), (1.0, "slot", 1e-320)])
+    (1e-320, None, None), (1.0, "bandwidth", 1e-320), (1.0, "slot", 1e-320), (1e305, "p_t", 1e3)])
 def test_miso_root_underflow_names_the_inputs(cfg_miso, alpha, field, value):
-    """A stationarity constant B alpha T / (kappa ln 2) below the normal
-    doubles is a ValueError naming bandwidth, alpha, slot and kappa, for
-    the bisection and the paper's closed form alike, not a raw math
-    domain error from its log."""
+    """A stationarity constant B alpha T / (kappa ln 2) outside the
+    positive normal doubles is a ValueError naming bandwidth, alpha, slot
+    and kappa, for the bisection and the paper's closed form alike, not a
+    raw math domain error, a failed bracket or an infinite rate."""
     cfg = cfg_miso if field is None else replace(cfg_miso, **{field: value})
     kappa = miso_snr_dist(cfg).kappa
     names = re.escape(f"at bandwidth = {cfg.bandwidth!r}, alpha = {float(alpha)!r}, "
                       f"slot = {cfg.slot!r}, kappa = {kappa!r}")
+    flows = "overflows" if alpha > 1.0 else "underflows"
     for solve in (solve_rate_miso_exact, optimize_rate_miso_closed):
-        with pytest.raises(ValueError, match=rf"\(kappa ln 2\) = .* underflows a double {names}$"):
+        with pytest.raises(ValueError, match=rf"\(kappa ln 2\) = .* {flows} a double {names}$"):
             solve(cfg, alpha)
 
 
