@@ -356,6 +356,21 @@ def on_off_probs(dist: SnrDistribution, rate: float, bandwidth: float) -> tuple[
     return 1.0 - p_off, p_off
 
 
+def _product(u: float, v: float, w: float) -> float:
+    """u * v * w for finite u, v, w >= 0: the plain product, bit for bit,
+    unless u * v leaves the normal doubles, losing bits or overflowing
+    where w may bring the product back. There the mantissas multiply and
+    one ldexp applies the exponents, inf past the largest double."""
+    uv = u * v
+    if sys.float_info.min <= uv < math.inf or u == 0.0 or v == 0.0:
+        return uv * w
+    (mu, eu), (mv, ev), (mw, ew) = math.frexp(u), math.frexp(v), math.frexp(w)
+    try:
+        return math.ldexp(mu * mv * mw, eu + ev + ew)
+    except OverflowError:
+        return math.inf
+
+
 def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
                    slot: float) -> tuple[float, float]:
     """(ln_mgf, ec) of a two-state service chain with exponent a > 0.
@@ -369,7 +384,7 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
     overflows with p_off = 0: every slot serves rate slot, while ln_mgf
     reads -inf.
     """
-    x = a * rate * slot
+    x = _product(a, rate, slot)
     k = p_on * (-math.expm1(-x))
     if k < 0.5:
         ln_mgf = math.log1p(-k)
@@ -382,7 +397,7 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
             hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
             ln_mgf = hi + math.log1p(math.exp(lo - hi))
     if x < sys.float_info.min or (x == math.inf and p_off == 0.0):
-        return ln_mgf, p_on * rate * slot
+        return ln_mgf, _product(p_on, rate, slot)
     return ln_mgf, -ln_mgf / a
 
 
@@ -452,7 +467,7 @@ def mean_service(
     dist = entry.law(cfg, kappa_mode)
     if not entry.adaptive:
         p_on, _ = on_off_probs(dist, rate, cfg.bandwidth)
-        return p_on * rate * cfg.slot
+        return _product(p_on, rate, cfg.slot)
     if entry.beamformed:
         mu, _, _ = miso_csi_moments(dist.kappa, cfg.bandwidth, cfg.slot)
         return mu

@@ -58,8 +58,6 @@ _METHODS = ("gradient_descent", "closed_form", "root_find", "grid")
 # defensible once the exponential dominates by an order of magnitude.
 _CLOSED_FORM_MIN_GROWTH = 10.0
 
-_ROOT_RESIDUAL = 1e-10
-
 # Brent's rate tolerance as a fraction of the grid's span: optimal rates
 # run from ~1e-9 to ~40 bits per slot, so an absolute tolerance would be
 # too coarse at one end or wasted at the other.
@@ -193,11 +191,11 @@ def optimize_rate_siso(
 
 
 def _miso_rhs(kappa: float, a: float, bandwidth: float, slot: float) -> float:
-    """Log of the stationarity constant B alpha T / (kappa ln 2); see
-    solve_rate_miso_exact. A constant outside the positive normal doubles
-    is a ValueError naming its inputs: below them its log, and the rate
-    root, would have lost their bits or read -inf, and above them the
-    root would be inf."""
+    """Log of the stationarity constant B alpha T / (kappa ln 2), the
+    numerator of the paper's closed-form rate. A constant outside the
+    positive normal doubles is a ValueError naming its inputs: below
+    them its log would have lost its bits or read -inf, and above them
+    the rate would be inf."""
     arg = bandwidth * a * slot / (kappa * LN2)
     if not sys.float_info.min <= arg <= sys.float_info.max:
         raise ValueError(
@@ -236,75 +234,57 @@ def optimize_rate_miso_closed(
                         method="closed_form", closed_form_valid=valid)
 
 
+def _phi(x: float) -> tuple[float, float]:
+    """(phi(x), x phi'(x)) for phi(x) = ln(expm1(x) / x), x > 0: about
+    x/2 for small x and x - ln x for large x."""
+    if x < 1e-4:
+        return x / 2.0 + x * x / 24.0, x / 2.0 + x * x / 12.0
+    if x < 40.0:
+        return math.log(math.expm1(x) / x), x / -math.expm1(-x) - 1.0
+    return x - math.log(x), x - 1.0
+
+
 def solve_rate_miso_exact(
     cfg: LinkConfig,
     alpha: float,
     kappa_mode: str = "exact",
 ) -> RateSolution:
-    """Bisection on the beamformed stationarity equation.
+    """Newton's method in s = ln r on the beamformed stationarity equation.
 
-    (r/B) ln2 + ln(e^(alpha r T) - 1) = ln(B alpha T/(kappa ln2)).
-    The left side is strictly increasing from -inf, so the root is
-    unique; brackets grow/shrink geometrically until they straddle it.
-    Terminates only below a 1e-10 residual; a root the 500 halvings
-    cannot reach, past alpha * slot * bandwidth ~ 1e150, is an
-    OverflowError naming slot * bandwidth, and inputs whose logs would
-    underflow (a tiny alpha, slot or bandwidth, or an infinite kappa)
-    a ValueError naming them.
+    (r/B) ln2 + ln(e^(alpha r T) - 1) = ln(B alpha T/(kappa ln2)) less
+    ln(alpha T r) is F(s) = A e^s + s + phi(D e^s) - K = 0, A = ln2/B,
+    D = alpha T, K = ln(B/(kappa ln2)), phi of _phi. F' = A e^s + 1 +
+    x phi'(x) >= 1 (x = D e^s) grows with s, so F is convex and Newton
+    from any F(s) >= 0 falls monotonically onto the root. With s_lo =
+    min(K, -ln(A + D)) - 1, where F < 0, and L = K - s_lo, F >= 0 at K,
+    ln(L/A) and ln((L + ln L + 2)/D); from the least of them A e^s <= L
+    and D e^s <= L + ln L + 2, so nothing overflows. A root past the
+    largest double is a ValueError naming bandwidth, alpha, slot and
+    kappa; one below the least subnormal is rate 0, with EC 0.
     """
     a = alpha_value(alpha)
-    dist = miso_snr_dist(cfg, mode=kappa_mode)
+    kappa = miso_snr_dist(cfg, mode=kappa_mode).kappa
     b, t = cfg.bandwidth, cfg.slot
-    rhs = _miso_rhs(dist.kappa, a, b, t)
-
-    def lhs(r: float) -> float:
-        x = a * r * t
-        if x > _EXP_TAIL:
-            return LN2 * r / b + x
-        return LN2 * r / b + math.log(math.expm1(x))
-
-    lo = 1e-6 * b
-    if not a * lo * t > 0.0:
-        # from a first rate with alpha * rate * slot > 0 the halving stops
-        # above rhs's normal constant, before that product reaches 0
+    ln_a, ln_d = math.log(LN2) - math.log(b), math.log(a) + math.log(t)
+    k = -ln_a - math.log(kappa)
+    # ln(A + D) as a log-sum, since alpha T alone can overflow
+    s_lo = min(k, -max(ln_a, ln_d) - math.log1p(math.exp(-abs(ln_a - ln_d)))) - 1.0
+    span = k - s_lo
+    s = min(k, math.log(span) - ln_a, math.log(span + math.log(span) + 2.0) - ln_d)
+    steps, step = 0, math.inf
+    while step > 1e-8:  # F'' <= F', so the error after a step h is at most 2 h^2
+        phi, dphi = _phi(math.exp(ln_d + s))
+        grow = math.exp(ln_a + s)
+        step = (s - k + grow + phi) / (grow + 1.0 + dphi)
+        s, steps = s - step, steps + 1
+    try:
+        r = math.exp(s)
+    except OverflowError:
         raise ValueError(
-            f"alpha * rate * slot underflows to 0 at the search's first rate "
-            f"1e-6 * bandwidth = {lo!r}: alpha = {a!r}, slot = {t!r}, bandwidth = {b!r}")
-    for _ in range(2000):
-        if lhs(lo) < rhs:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError("could not bracket the rate root from below")
-    hi = b
-    for _ in range(300):
-        if lhs(hi) > rhs:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("could not bracket the rate root from above")
-
-    mid = lo
-    for it in range(1, 501):
-        mid = 0.5 * (lo + hi)
-        residual = lhs(mid) - rhs
-        if abs(residual) <= _ROOT_RESIDUAL:
-            break
-        if residual < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        # the root sits about alpha*slot*bandwidth times below the
-        # bandwidth (to a log factor): past ~1e150 that is more halvings
-        # than the loop allows
-        raise OverflowError(
-            f"the rate root is out of the bisection's reach at slot * bandwidth "
-            f"= {t * b!r}, alpha = {a!r} (residual {residual!r} at rate {mid!r})")
-
-    ec = ec_miso_nocsi(cfg, alpha, mid, kappa_mode=kappa_mode).ec_bits_per_slot
-    return RateSolution(r_star=mid, ec_at_r_star=ec, iterations=it,
-                        method="root_find")
+            f"the rate root e^{s!r} overflows a double at bandwidth = {b!r}, "
+            f"alpha = {a!r}, slot = {t!r}, kappa = {kappa!r}") from None
+    ec = ec_miso_nocsi(cfg, alpha, r, kappa_mode=kappa_mode).ec_bits_per_slot
+    return RateSolution(r_star=r, ec_at_r_star=ec, iterations=steps, method="root_find")
 
 
 def _rate_grid(r_max: float, points: int) -> list[float]:

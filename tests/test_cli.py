@@ -1,5 +1,6 @@
 """Command-line verbs, driven in-process through main()."""
 
+import math
 import os
 import re
 import shlex
@@ -11,8 +12,8 @@ import pytest
 
 import irsec
 from irsec.channel import LinkConfig
-from irsec.cli import build_parser, main
-from irsec.eccore import SCENARIOS
+from irsec.cli import _build_config, build_parser, main
+from irsec.eccore import SCENARIOS, mean_service
 from irsec.mcoracle import empirical_ec
 from irsec.sweeps import CSV_HEADER, auto_rate
 from reference_samplers import simulate_service, write_link_config
@@ -147,8 +148,8 @@ _RATE_LINES = {
         "iterations = 33"],
     ("miso_nocsi", "10", ()): [
         "scenario = miso_nocsi", "alpha = 10.0", "method = root_find",
-        "r_star = 0.019581951515758523", "ec_at_r_star = 0.007511620381766675",
-        "iterations = 38"],
+        "r_star = 0.01958195151707016", "ec_at_r_star = 0.007511620381766675",
+        "iterations = 4"],
 }
 
 
@@ -358,14 +359,14 @@ NOCSI_EC_LINES = {
         "diag.slot = 1.0",
     ],
     "miso_nocsi": [
-        "rate = 0.021577540042878703",
-        "ec_bits_per_slot = 0.008000354034445439",
+        "rate = 0.021577540044086827",
+        "ec_bits_per_slot = 0.008000354034445436",
         "diag.kappa = 65.79736267392904",
         "diag.kappa_mode = 'exact'",
-        "diag.ln_mgf = -0.0008000354034445439",
-        "diag.p_off = 0.6289759797643948",
-        "diag.p_on = 0.3710240202356052",
-        "diag.rate = 0.021577540042878703",
+        "diag.ln_mgf = -0.0008000354034445437",
+        "diag.p_off = 0.628975979785146",
+        "diag.p_on = 0.37102402021485403",
+        "diag.rate = 0.021577540044086827",
         "diag.slot = 1.0",
     ],
 }
@@ -466,16 +467,13 @@ def test_miso_csi_moment_overflow_is_an_error(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--slot", "--bandwidth"])
-def test_miso_rate_root_out_of_reach_is_an_error(capsys, flag):
-    """A slot or bandwidth so long that the beamformed rate root lies past
-    the bisection's reach exits 2 naming slot * bandwidth, not blaming a
-    stalled bisection."""
+def test_miso_rate_root_answers_at_long_slot_bandwidth(capsys, flag):
+    """A slot or bandwidth of 1e300, far past where a bisection from the
+    bandwidth ran out of halvings, is answered by the root in ln r."""
     code, out, err = _run(capsys, ["ec", "--scenario", "miso_nocsi", "--alpha", "0.1",
                                    flag, "1e300"])
-    assert code == 2
-    assert err.startswith("error: OverflowError: ")
-    assert "slot * bandwidth = 1e+300" in err
-    assert "ec_bits_per_slot" not in out
+    assert code == 0 and err == ""
+    assert float(_kv(out)["ec_bits_per_slot"]) == pytest.approx(6781.225044812646, rel=1e-12)
 
 
 @pytest.mark.parametrize("verb", ["ec", "optimize-rate"])
@@ -487,15 +485,30 @@ def test_miso_rate_root_out_of_reach_is_an_error(capsys, flag):
     (["--alpha", "1e305", "--p-t", "1e3"], "alpha = 1e+305"),
 ])
 def test_miso_nocsi_underflow_names_the_input(capsys, verb, flags, named):
-    """An exponent, bandwidth or slot so small, or a noise so large, that
-    the beamformed rate search's logs would underflow, or an exponent so
-    large that its stationarity constant overflows, exits 2 naming the
-    input, not with a raw math domain error or a failed bracket."""
-    code, out, err = _run(capsys, [verb, "--scenario", "miso_nocsi", "--n-tx", "4", *flags])
-    assert code == 2
-    assert err.startswith("error: ValueError: ") and named in err
-    assert "math domain error" not in err and "RuntimeError" not in err
-    assert "r_star" not in out and "ec_bits_per_slot" not in out
+    """A noise so large that the beamformed mean SNR underflows exits 2
+    naming it. An exponent, bandwidth or slot so small, or an exponent so
+    large, that the stationarity constant B alpha T / (kappa ln 2) leaves
+    the doubles is answered by the root in ln r, with a finite EC no
+    larger than the mean service; optimize-rate then prints the paper's
+    closed form, which needs that constant, as a paper.error naming the
+    input. None ends in a raw math domain or range error."""
+    argv = [verb, "--scenario", "miso_nocsi", "--n-tx", "4", *flags]
+    code, out, err = _run(capsys, argv)
+    assert "math domain error" not in err + out and "math range error" not in err + out
+    if "--sigma2" in flags:
+        assert code == 2
+        assert err.startswith("error: ValueError: ") and named in err
+        assert "r_star" not in out and "ec_bits_per_slot" not in out
+        return
+    assert code == 0 and err == ""
+    kv = _kv(out)
+    if verb == "ec":
+        ec, rate = float(kv["ec_bits_per_slot"]), float(kv["rate"])
+    else:
+        ec, rate = float(kv["ec_at_r_star"]), float(kv["r_star"])
+        assert kv["paper.error"].startswith("ValueError: ") and named in kv["paper.error"]
+    cfg = _build_config(build_parser().parse_args(argv), "miso_nocsi")
+    assert 0.0 < ec <= mean_service(cfg, "miso_nocsi", rate) < math.inf
 
 
 def test_siso_csi_budget_overflow_names_the_input(capsys):

@@ -10,6 +10,7 @@ import math
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -485,6 +486,37 @@ def test_on_off_ec_at_a_subnormal_rate_is_the_mean_service():
     rate = 4.259943321122834e-309
     ec = ec_siso_nocsi(cfg, 1e-4, rate).ec_bits_per_slot
     assert ec == mean_service(cfg, "siso_nocsi", rate)
+
+
+@pytest.mark.parametrize("link, mode, alpha, rate", [
+    # alpha * rate overflows, though alpha * rate * slot = 18.35
+    (dict(p_t=1e31, bandwidth=1e305, slot=1e-307), "closed", 10.0, 1.83538958513824e307),
+    # alpha * rate is subnormal, though alpha * rate * slot = 1e-248
+    (dict(slot=1e70), "closed", 1e-248, 1e-70),
+    # p_on * rate is subnormal, though the mean service is 1.9e-308
+    (dict(p_t=1.0, bandwidth=1e-313, slot=1e5), "exact", 1.0, 2.91238949437e-313),
+])
+def test_on_off_ec_past_a_partial_product_out_of_range(link, mode, alpha, rate):
+    """The fixed-rate EC and the mean service keep their bits where a
+    partial product of alpha, rate and slot (or p_on, rate and slot)
+    leaves the normal doubles but the whole product does not: the EC is
+    within 1e-13 of its 40-digit value and no larger than the mean
+    service. A plain left-to-right product read 2.029 for the first
+    link's EC, above its mean service of 1.835."""
+    cfg = LinkConfig(n_tx=4, **link)
+    res = ec_miso_nocsi(cfg, alpha, rate, kappa_mode=mode)
+    p_on, p_off = res.diagnostics["p_on"], res.diagnostics["p_off"]
+    with mpmath.workdps(40):
+        # the kernel's two forms of the log-MGF at the exact x
+        x = mpmath.mpf(alpha) * rate * cfg.slot
+        k = p_on * -mpmath.expm1(-x)
+        ln_mgf = mpmath.log1p(-k) if k < 0.5 else mpmath.log(p_off + p_on * mpmath.exp(-x))
+        want = -ln_mgf / alpha
+        mean = mpmath.mpf(p_on) * rate * cfg.slot
+        assert abs(res.ec_bits_per_slot - want) <= 1e-13 * want
+        assert mean_service(cfg, "miso_nocsi", rate, kappa_mode=mode) == pytest.approx(
+            float(mean), rel=1e-15)
+    assert 0.0 < res.ec_bits_per_slot <= mean_service(cfg, "miso_nocsi", rate, kappa_mode=mode)
 
 
 def test_snr_threshold_turns_infinite_past_the_exponent_tail():

@@ -1,4 +1,5 @@
-"""scripts/run_figure_sweeps.py end to end: its files and its fading draws."""
+"""The scripts end to end: the figure set's files and fading draws, and the
+output snapshot."""
 
 import csv
 import importlib.util
@@ -46,3 +47,23 @@ def test_figure_set_draws_each_element_count_once(figure_script, fading_calls):
     for spec in figure_script.build_specs(12345, mc_slots=200).values():
         run_sweep(spec)
     assert fading_calls == ["siso_fading"] * 7 + ["miso_fading"]
+
+
+def test_snapshot_writes_every_output(tmp_path, monkeypatch, capsys):
+    """scripts/snapshot_outputs.py writes both figure sets, validate's
+    output and each ec and optimize-rate run, each command exiting 0."""
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    spec = importlib.util.spec_from_file_location(
+        "snapshot_outputs", SCRIPT.parent / "snapshot_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main([str(tmp_path)]) == 0
+    runs = ([f"ec_{s}_alpha{a}.txt" for s in ("miso_csi", "miso_nocsi", "siso_csi", "siso_nocsi")
+             for a in ("0.1", "10")]
+            + [f"optimize-rate_{s}_alpha{a}.txt" for s in ("miso_nocsi", "siso_nocsi")
+               for a in ("0.1", "10")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["figures_mc0", "figures_mc2000", "validate.txt", *runs])
+    for name in ("validate.txt", *runs):
+        assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[1] == "exit = 0"
+    assert len(list((tmp_path / "figures_mc2000").glob("*.csv"))) == 6

@@ -11,19 +11,21 @@ import itertools
 import math
 import random
 import re
+import sys
 import types
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec import eccore, rateopt
-from irsec.eccore import LN2, _fixed_rate, get_scenario, on_off_probs
+from irsec.eccore import LN2, _fixed_rate, get_scenario, mean_service, on_off_probs
 from irsec.rateopt import (
     DescentSettings,
     NonConvergenceError,
@@ -423,15 +425,21 @@ def test_miso_root_small_alpha_hits_ergodic_argmax():
 
 
 @pytest.mark.parametrize("field", ["slot", "bandwidth"])
-def test_miso_root_out_of_reach_names_slot_bandwidth(cfg_miso, field):
-    """At slot * bandwidth = 1e100 the rate root still lies within 500
-    halvings of the bandwidth; at 1e150 it does not, which is an
-    OverflowError naming slot * bandwidth."""
+def test_miso_root_answers_at_long_slot_bandwidth(cfg_miso, field):
+    """At slot * bandwidth = 1e100 the EC keeps its pinned digits, and at
+    1e150, where a bisection from the bandwidth ran out of halvings, the
+    root in ln r answers in a few steps."""
     near = solve_rate_miso_exact(replace(cfg_miso, **{field: 1e100}), 0.1)
-    assert near.iterations < 500
+    assert near.iterations <= 10
     assert near.ec_at_r_star == pytest.approx(2187.191533398882, rel=1e-12)
-    with pytest.raises(OverflowError, match=r"slot \* bandwidth = 1e\+150"):
-        solve_rate_miso_exact(replace(cfg_miso, **{field: 1e150}), 0.1)
+    far = solve_rate_miso_exact(replace(cfg_miso, **{field: 1e150}), 0.1)
+    assert far.iterations <= 10
+    assert far.ec_at_r_star == pytest.approx(3334.353869651042, rel=1e-12)
+
+
+# 40-digit roots of the stationarity equation at the inputs below
+_UNDERFLOW_ROOTS = {None: 0.021600492652121214, "bandwidth": 2.1600252177782561e-322,
+                    "slot": 0.021600492652121214, "p_t": 7.1228389708514523e-303}
 
 
 @pytest.mark.parametrize("alpha, field, value", [
@@ -439,27 +447,82 @@ def test_miso_root_out_of_reach_names_slot_bandwidth(cfg_miso, field):
 def test_miso_root_underflow_names_the_inputs(cfg_miso, alpha, field, value):
     """A stationarity constant B alpha T / (kappa ln 2) outside the
     positive normal doubles is a ValueError naming bandwidth, alpha, slot
-    and kappa, for the bisection and the paper's closed form alike, not a
-    raw math domain error, a failed bracket or an infinite rate."""
+    and kappa for the paper's closed form, not a raw math domain error or
+    an infinite rate. The root in ln r never forms that constant: it
+    answers within 1e-13 of the 40-digit root (to the subnormal spacing),
+    with an EC no larger than the mean service."""
     cfg = cfg_miso if field is None else replace(cfg_miso, **{field: value})
     kappa = miso_snr_dist(cfg).kappa
     names = re.escape(f"at bandwidth = {cfg.bandwidth!r}, alpha = {float(alpha)!r}, "
                       f"slot = {cfg.slot!r}, kappa = {kappa!r}")
     flows = "overflows" if alpha > 1.0 else "underflows"
-    for solve in (solve_rate_miso_exact, optimize_rate_miso_closed):
-        with pytest.raises(ValueError, match=rf"\(kappa ln 2\) = .* {flows} a double {names}$"):
-            solve(cfg, alpha)
+    with pytest.raises(ValueError, match=rf"\(kappa ln 2\) = .* {flows} a double {names}$"):
+        optimize_rate_miso_closed(cfg, alpha)
+    sol = solve_rate_miso_exact(cfg, alpha)
+    assert sol.r_star == pytest.approx(_UNDERFLOW_ROOTS[field], rel=1e-13, abs=5e-324)
+    assert 0.0 < sol.ec_at_r_star <= mean_service(cfg, "miso_nocsi", sol.r_star)
 
 
-def test_miso_root_first_rate_underflow_names_the_inputs():
-    """With a normal stationarity constant but a bandwidth so small that
-    the bracket's first rate 1e-6 B underflows to 0 (kappa ~ 7e-11 here),
-    the error names alpha, slot and bandwidth instead of logging 0."""
-    cfg = LinkConfig(n_tx=4, p_t=1e15, bandwidth=2e-318)
-    with pytest.raises(ValueError, match=r"underflows to 0 at the search's first rate "
-                                         r"1e-6 \* bandwidth = 0\.0: alpha = 1\.0, slot = 1\.0, "
-                                         r"bandwidth = 2e-318$"):
-        solve_rate_miso_exact(cfg, 1.0)
+def _mp_stationarity(kappa, alpha, bandwidth, slot):
+    """F(s) = A e^s + s + phi(D e^s) - K in 40-digit mpmath, the
+    stationarity equation solve_rate_miso_exact solves in s = ln r."""
+    ln2 = mpmath.log(2)
+    a, d = ln2 / mpmath.mpf(bandwidth), mpmath.mpf(alpha) * mpmath.mpf(slot)
+    k = mpmath.log(mpmath.mpf(bandwidth) / (mpmath.mpf(kappa) * ln2))
+
+    def f(s):
+        x = d * mpmath.exp(s)
+        phi = (mpmath.log(mpmath.expm1(x) / x) if x <= 1
+               else x + mpmath.log(-mpmath.expm1(-x)) - mpmath.log(x))
+        return a * mpmath.exp(s) + s + phi - k
+    return f
+
+
+_LG = st.floats(-323.0, 308.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lg_p_t=_LG, lg_alpha=_LG, lg_bandwidth=_LG, lg_slot=_LG,
+       mode=st.sampled_from(["exact", "closed"]))
+@example(lg_p_t=-145.0, lg_alpha=0.0, lg_bandwidth=0.0, lg_slot=0.0, mode="exact")
+@example(lg_p_t=-3.0, lg_alpha=-320.0, lg_bandwidth=0.0, lg_slot=0.0, mode="exact")
+@example(lg_p_t=-3.0, lg_alpha=0.0, lg_bandwidth=0.0, lg_slot=-320.0, mode="exact")
+@example(lg_p_t=3.0, lg_alpha=305.0, lg_bandwidth=0.0, lg_slot=0.0, mode="exact")
+@example(lg_p_t=-3.0, lg_alpha=-1.0, lg_bandwidth=0.0, lg_slot=150.0, mode="exact")
+@example(lg_p_t=-3.0, lg_alpha=-1.0, lg_bandwidth=0.0, lg_slot=100.0, mode="exact")
+@example(lg_p_t=305.0, lg_alpha=-320.0, lg_bandwidth=308.0, lg_slot=0.0, mode="exact")
+def test_miso_root_answers_or_names_the_inputs(lg_p_t, lg_alpha, lg_bandwidth,
+                                               lg_slot, mode):
+    """Over the whole positive double range of p_t, alpha, bandwidth and
+    slot, the root in ln r either answers, in at most 10 Newton steps,
+    with a rate the 40-digit F changes sign across (where it is a normal
+    double) and an EC no larger than the mean service, or, only where the
+    root lies past the largest double, is a ValueError naming bandwidth,
+    alpha, slot and kappa."""
+    alpha = 10.0 ** lg_alpha
+    try:
+        cfg = LinkConfig(n_tx=4, p_t=10.0 ** lg_p_t, bandwidth=10.0 ** lg_bandwidth,
+                         slot=10.0 ** lg_slot)
+        kappa = miso_snr_dist(cfg, mode=mode).kappa
+    except ValueError:
+        assume(False)
+    with mpmath.workdps(40):
+        f = _mp_stationarity(kappa, alpha, cfg.bandwidth, cfg.slot)
+        past_max = f(mpmath.log(sys.float_info.max)) < 0
+        try:
+            sol = solve_rate_miso_exact(cfg, alpha, kappa_mode=mode)
+        except ValueError as exc:
+            assert past_max, exc
+            assert f"at bandwidth = {cfg.bandwidth!r}, alpha = {alpha!r}, slot = " \
+                   f"{cfg.slot!r}, kappa = {kappa!r}" in str(exc)
+            return
+        assert math.isfinite(sol.r_star) and sol.r_star >= 0.0
+        assert sol.iterations <= 10
+        mean = mean_service(cfg, "miso_nocsi", sol.r_star, kappa_mode=mode)
+        assert sol.ec_at_r_star <= mean * (1.0 + 1e-12)
+        if sol.r_star >= sys.float_info.min:
+            r = mpmath.mpf(sol.r_star)
+            assert f(mpmath.log(r * (1 - 1e-12))) < 0 < f(mpmath.log(r * (1 + 1e-12)))
 
 
 def test_miso_closed_form_inside_regime():
