@@ -181,8 +181,12 @@ class LinkConfig:
 # (1 + SNR)^-u at Im v = +-pi/2 for every beta, and the integrand decays
 # like a Gaussian in z, so the rule converges exponentially as its step
 # shrinks (Takahasi and Mori 1974; Trefethen and Weideman, SIAM Review 2014).
-# The step halves until two sums agree to _TRAP_RTOL; each sum walks out
-# from the peak until what it leaves out is below _TRAP_TAIL of the total.
+# The first step is 1/sqrt(2) of the narrowest peak's width sigma: on a
+# Gaussian peak the rule's error is about 2 exp(-2 pi^2 sigma^2 / h^2),
+# 2 exp(-4 pi^2) ~ 1.5e-17 there, so where the peak's width sets the
+# error the first halving already meets _TRAP_RTOL. The step halves until
+# two sums agree to _TRAP_RTOL; each sum walks out from the peak until
+# what it leaves out is below _TRAP_TAIL of the total.
 _TRAP_RTOL = 1e-13
 _TRAP_TAIL = 1e-17
 _TRAP_HALVINGS = 12
@@ -299,8 +303,8 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
                 f"reach at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
         peaks.append((math.asinh(rb * z), g, c / (1.0 + x) - 1.0 / beta - z * z - d * z, c_l))
     centre, shift, _, _ = max(peaks, key=lambda pk: pk[1])
-    # one width of the narrowest peak that matters: 1/sqrt(-G'') in v
-    h = min(1.0 / math.sqrt(-g2) for _, g, g2, _ in peaks if g > shift - 40.0)
+    # 1/sqrt(2) of the narrowest width that matters, 1/sqrt(-G'') in v
+    h = min(math.sqrt(-0.5 / g2) for _, g, g2, _ in peaks if g > shift - 40.0)
     # for c <= 0, c L(v) falls from the last peak on, and the Gaussian
     # factor integrates to at most sqrt(2 pi beta) over v
     v_last, _, _, c_l_last = max(peaks)
@@ -311,24 +315,32 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
     z_monotone = -3.0 / a if c > 0.0 else 0.0
     neval = 0
 
-    def left_done(v, z, ln_t, geometric, ln_cut):
+    def ln(x):
+        return math.log(x) if x > 0.0 else -math.inf
+
+    # each stop test bounds what a walk leaves out of the integral by a
+    # log, compared with ln(_TRAP_TAIL h summed), and takes a log only
+    # where no cheaper condition decides
+    def left_done(v, z, t, geometric, summed, ln_h):
         if v > 0.0:
             # [-v, v] lies below the larger of the term and the peaks left
             # of v; below -v lies the mirror image of the right side, damped
             # by exp(-2 a z)
-            ln_top = max([g for vp, g in peaks if vp < v] + [ln_t])
-            return math.log(4.0 * v) + ln_top <= ln_cut and -2.0 * a * z <= _LN_HALF_TRAP_TAIL
+            if -2.0 * a * z > _LN_HALF_TRAP_TAIL:
+                return False
+            ln_top = max([g for vp, g in peaks if vp < v] + [ln(t)])
+            return math.log(4.0 * v) + ln_top <= _LN_TRAP_TAIL + ln(summed) + ln_h
         return 2.0 * a * z <= _LN_TRAP_TAIL or (z <= z_monotone and geometric)
 
-    def right_done(v, ln_t, geometric, ln_cut):
+    def right_done(v, t, geometric, summed, ln_h):
         # peaks lie ahead only for c < 0, where the walk starts on the
         # one near 0: up to the last peak the terms lie below the larger
         # of the term and those peaks
         ahead = [g for vp, g in peaks if vp > v]
         if not ahead:
             return geometric
-        ln_left_out = max(math.log(v_last - v) + max(ahead + [ln_t]), ln_past_last)
-        return ln_left_out + math.log(2.0) <= ln_cut
+        ln_left_out = max(math.log(v_last - v) + max(ahead + [ln(t)]), ln_past_last)
+        return ln_left_out + math.log(2.0) <= _LN_TRAP_TAIL + ln(summed) + ln_h
 
     sinh, sqrt, log1p, exp, expm1 = math.sinh, math.sqrt, math.log1p, math.exp, math.expm1
     complement, log_weight = weight == "complement", weight == "log"
@@ -363,11 +375,8 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
             if t <= cut:
                 # a falling geometric tail from here stays below the cut
                 geometric = t == 0.0 or (t < prev and t <= cut * (1.0 - t / prev))
-                ln_t = math.log(t) if t > 0.0 else -math.inf
-                ln_sum = math.log(total + part) if total + part > 0.0 else -math.inf
-                ln_cut = _LN_TRAP_TAIL + ln_sum + ln_h
-                if (right_done(vh, ln_t, geometric, ln_cut) if dx > 0.0
-                        else left_done(vh, sh / rb, ln_t, geometric, ln_cut)):
+                if (right_done(vh, t, geometric, total + part, ln_h) if dx > 0.0
+                        else left_done(vh, sh / rb, t, geometric, total + part, ln_h)):
                     neval += j + 1
                     return part
             prev = t
@@ -393,7 +402,7 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
     rtol = _TRAP_RTOL * (max(1.0, abs(scale)) if weight == "direct" else 1.0)
     total = walk(0.0, h, 0.0, math.log(h))
     total += walk(-h, -h, total, math.log(h))
-    est = h * total
+    est, diff = h * total, math.inf
     for _ in range(_TRAP_HALVINGS):
         h *= 0.5
         total += walk(h, 2.0 * h, total, math.log(h))

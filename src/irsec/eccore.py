@@ -382,7 +382,8 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
     that dividing by a cannot restore, so EC takes its first-order value
     p_on rate slot, the mean service. That is also the EC where x
     overflows with p_off = 0: every slot serves rate slot, while ln_mgf
-    reads -inf.
+    reads -inf. An EC past the largest double is a ValueError naming
+    alpha, rate and slot.
     """
     x = _product(a, rate, slot)
     k = p_on * (-math.expm1(-x))
@@ -397,8 +398,14 @@ def _on_off_kernel(p_on: float, p_off: float, a: float, rate: float,
             hi, lo = max(ln_on, ln_off), min(ln_on, ln_off)
             ln_mgf = hi + math.log1p(math.exp(lo - hi))
     if x < sys.float_info.min or (x == math.inf and p_off == 0.0):
-        return ln_mgf, _product(p_on, rate, slot)
-    return ln_mgf, -ln_mgf / a
+        ec = _product(p_on, rate, slot)
+    else:
+        ec = -ln_mgf / a
+    if not ec < math.inf:
+        raise ValueError(
+            f"the fixed-rate EC overflows a double at alpha = {a!r}, rate = {rate!r}, "
+            f"slot = {slot!r}")
+    return ln_mgf, ec
 
 
 def _checked_on_off(dist: SnrDistribution, rate: float,

@@ -466,6 +466,18 @@ def test_miso_csi_moment_overflow_is_an_error(capsys):
     assert "ec_bits_per_slot" not in out
 
 
+def test_fixed_rate_ec_overflow_is_an_error(capsys):
+    """A rate * slot past the largest double, at an exponent so small
+    that -ln M / alpha overflows, exits 2 naming alpha instead of
+    printing an infinite EC."""
+    code, out, err = _run(capsys, ["ec", "--scenario", "miso_nocsi", "--n-tx", "4",
+                                   "--p-t", "1e-103", "--alpha", "1e-319",
+                                   "--bandwidth", "1e295", "--slot", "1e256"])
+    assert code == 2
+    assert err.startswith("error: ValueError: ") and "alpha = 1e-319" in err
+    assert "ec_bits_per_slot" not in out
+
+
 @pytest.mark.parametrize("flag", ["--slot", "--bandwidth"])
 def test_miso_rate_root_answers_at_long_slot_bandwidth(capsys, flag):
     """A slot or bandwidth of 1e300, far past where a bisection from the

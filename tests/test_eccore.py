@@ -120,8 +120,9 @@ def test_siso_csi_unknown_method(cfg_siso):
 # Design cells (N, p_t, alpha) for the 30-digit check of the trapezoid
 # rule, with the route each takes: the reference link; the complement
 # route at tiny u and at the low-SNR cells whose EC used to exceed the
-# mean; the direct route at high SNR; cells with two peaks; and cells
-# whose direct-route MGF used to underflow.
+# mean; the direct route at high SNR; cells with two peaks; cells whose
+# direct-route MGF used to underflow; and the cells that take the most
+# nodes on each route.
 MPMATH_CELLS = (
     (100, 1e-3, 0.1, "complement"),
     (100, 1e-3, 10.0, "direct"),
@@ -136,6 +137,8 @@ MPMATH_CELLS = (
     (2000, 1e-3, 100.0, "direct"),
     (20000, 1e-7, 1e3, "direct"),
     (100, 1e3, 1e3, "direct"),
+    (16, 1e3, 1e-6, "complement"),
+    (2000, 0.1, 100.0, "direct"),
 )
 
 
@@ -239,6 +242,20 @@ def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
     assert underflows < len(_GRID_N) * len(_GRID_P_T) * len(_GRID_ALPHA) // 10
 
 
+def test_trapezoid_node_budget_on_the_design_grid():
+    """The rule starts at 1/sqrt(2) of the narrowest peak's width, where
+    its error is about 2 exp(-4 pi^2), so most design cells stop at the
+    first halving: the 343 cells take at most 26,000 nodes in all, where
+    a start at one full width takes 33,023."""
+    nodes = 0
+    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+        cfg = LinkConfig(n_elems=n, p_t=p_t)
+        dist = siso_snr_dist(cfg)
+        for alpha in _GRID_ALPHA:
+            nodes += dist.ln_mgf(alpha * cfg.bandwidth * cfg.slot / LN2).neval
+    assert nodes <= 26_000
+
+
 # log10 of the QoS exponents the bound properties draw: every positive
 # double, with the edges of that range as explicit examples.
 _LOG_ALPHA = st.floats(-323.3, 308.25)
@@ -315,11 +332,12 @@ def test_siso_ln_mgf_rejects_an_exponent_it_cannot_integrate(cfg_siso):
 
 
 def test_missed_quadrature_target_warns_with_the_estimate(cfg_siso, monkeypatch):
-    """A rule that stops short of its target (here: allowed one step
-    halving) says so, naming its estimate, instead of passing silently."""
+    """A rule that stops short of its target (here: allowed no step
+    halving, so it has one sum and no difference to test) says so,
+    naming its estimate, instead of passing silently."""
     full = ec_siso_csi(cfg_siso, 0.1).diagnostics
-    monkeypatch.setattr(channel, "_TRAP_HALVINGS", 1)
-    with pytest.warns(UserWarning, match=r"after 1 step halvings: estimate = .*, abserr = "):
+    monkeypatch.setattr(channel, "_TRAP_HALVINGS", 0)
+    with pytest.warns(UserWarning, match=r"after 0 step halvings: estimate = .*, abserr = "):
         short = ec_siso_csi(cfg_siso, 0.1).diagnostics
     assert short["quad_abserr"] > full["quad_abserr"]
     assert short["quad_neval"] < full["quad_neval"]
@@ -447,6 +465,21 @@ def test_ec_on_off_degenerate_chains():
     assert _on_off_kernel(1.0, 0.0, 0.7, 2.0, 1.5)[1] == pytest.approx(3.0, rel=1e-14)
     assert _on_off_kernel(1.0, 0.0, 0.7, 0.0, 1.0)[1] == 0.0
     assert _on_off_kernel(0.0, 1.0, 0.7, 5.0, 1.0)[1] == 0.0
+
+
+def test_ec_on_off_overflow_names_alpha_rate_and_slot():
+    """An EC past the largest double is a ValueError naming alpha, rate
+    and slot, both where -ln M / alpha overflows and where the mean
+    service rate * slot it takes does."""
+    for args in ((0.9, 0.1, 1e-319, 3e65, 1e256), (1.0, 0.0, 10.0, 1e300, 1e10)):
+        _, _, alpha, rate, slot = args
+        with pytest.raises(ValueError) as exc:
+            _on_off_kernel(*args)
+        for named in (f"alpha = {alpha!r}", f"rate = {rate!r}", f"slot = {slot!r}"):
+            assert named in str(exc.value)
+    cfg = LinkConfig(n_tx=4, p_t=1e-103, bandwidth=1e295, slot=1e256)
+    with pytest.raises(ValueError, match=r"overflows a double at alpha = 1e-319, rate = "):
+        ec_miso_nocsi(cfg, 1e-319, 3e65)
 
 
 def test_ec_on_off_small_alpha_limit():

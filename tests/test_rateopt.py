@@ -491,14 +491,16 @@ _LG = st.floats(-323.0, 308.0)
 @example(lg_p_t=-3.0, lg_alpha=-1.0, lg_bandwidth=0.0, lg_slot=150.0, mode="exact")
 @example(lg_p_t=-3.0, lg_alpha=-1.0, lg_bandwidth=0.0, lg_slot=100.0, mode="exact")
 @example(lg_p_t=305.0, lg_alpha=-320.0, lg_bandwidth=308.0, lg_slot=0.0, mode="exact")
+@example(lg_p_t=-103.0, lg_alpha=-319.0, lg_bandwidth=295.0, lg_slot=256.0, mode="exact")
 def test_miso_root_answers_or_names_the_inputs(lg_p_t, lg_alpha, lg_bandwidth,
                                                lg_slot, mode):
     """Over the whole positive double range of p_t, alpha, bandwidth and
     slot, the root in ln r either answers, in at most 10 Newton steps,
     with a rate the 40-digit F changes sign across (where it is a normal
-    double) and an EC no larger than the mean service, or, only where the
-    root lies past the largest double, is a ValueError naming bandwidth,
-    alpha, slot and kappa."""
+    double) and an EC no larger than the mean service, or is a ValueError:
+    one naming bandwidth, alpha, slot and kappa only where the root lies
+    past the largest double, or one naming alpha, the root and slot only
+    where the root's rate * slot, and with it the EC, is past it."""
     alpha = 10.0 ** lg_alpha
     try:
         cfg = LinkConfig(n_tx=4, p_t=10.0 ** lg_p_t, bandwidth=10.0 ** lg_bandwidth,
@@ -512,9 +514,16 @@ def test_miso_root_answers_or_names_the_inputs(lg_p_t, lg_alpha, lg_bandwidth,
         try:
             sol = solve_rate_miso_exact(cfg, alpha, kappa_mode=mode)
         except ValueError as exc:
-            assert past_max, exc
-            assert f"at bandwidth = {cfg.bandwidth!r}, alpha = {alpha!r}, slot = " \
-                   f"{cfg.slot!r}, kappa = {kappa!r}" in str(exc)
+            if past_max:
+                assert f"at bandwidth = {cfg.bandwidth!r}, alpha = {alpha!r}, slot = " \
+                       f"{cfg.slot!r}, kappa = {kappa!r}" in str(exc)
+                return
+            named = re.search(rf"at alpha = {re.escape(repr(alpha))}, rate = (\S+), "
+                              rf"slot = {re.escape(repr(cfg.slot))}$", str(exc))
+            assert named, exc
+            r = mpmath.mpf(float(named.group(1)))
+            assert r * cfg.slot > sys.float_info.max
+            assert f(mpmath.log(r * (1 - 1e-12))) < 0 < f(mpmath.log(r * (1 + 1e-12)))
             return
         assert math.isfinite(sol.r_star) and sol.r_star >= 0.0
         assert sol.iterations <= 10
