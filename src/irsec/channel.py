@@ -11,12 +11,15 @@ convention, which is what the fading draws implement.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
+import struct
 import sys
+import threading
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -154,6 +157,10 @@ class LinkConfig:
             raise ValueError(f"x_irs * y_irs / (d1 * d2) = {aperture!r} overflows "
                              "a double once squared for the pathloss") from None
         object.__setattr__(self, "_pathloss", gain)
+        # the SNR laws siso_snr_dist and miso_snr_dist build for this
+        # config: the single-antenna one, and the beamformed one by mode
+        object.__setattr__(self, "_siso_law", None)
+        object.__setattr__(self, "_miso_laws", {})
 
     def _equal_power_weight(self) -> complex:
         return complex(1.0 / math.sqrt(self.n_tx), 0.0)
@@ -197,6 +204,15 @@ _V_MAX = 355.0
 _LN_TRAP_TAIL = math.log(_TRAP_TAIL)
 _LN_HALF_TRAP_TAIL = math.log(0.5 * _TRAP_TAIL)
 _LN_2PI = math.log(2.0 * math.pi)
+# Links whose exponent-free work the memos keep: the single-antenna
+# rule's frame and nodes here, the beamformed service moments in eccore
+# and the rate grids in rateopt. Enough for a sweep or a design grid of
+# a few dozen links to do that work once however its exponents
+# interleave.
+_GRID_MEMO_LINKS = 64
+# Nodes kept per law by _unit_rule, 32 bytes each: a design-grid law
+# takes at most ~400, and a longer walk is computed but not all kept.
+_LAW_MEMO_NODES = 2048
 # ln_mgf and mean_log take their first-order value where the
 # second-order term is below this share of it.
 _FIRST_ORDER_REL = 2.0 ** -53
@@ -207,8 +223,9 @@ MAX_MGF_U = 0.5 * sys.float_info.max
 
 class LawIntegral(NamedTuple):
     """An integral over an SNR law, with the health of the rule behind it:
-    the difference of its last two step halvings and its integrand
-    evaluations, and the route, which names what was integrated."""
+    the difference of its last two step halvings (on the log of the
+    integral for the "direct" route) and its integrand evaluations, and
+    the route, which names what was integrated."""
 
     value: float
     abserr: float
@@ -270,25 +287,15 @@ def _peak_zs(beta: float, a: float, c: float) -> list[float]:
     return [_newton_root(p, dp, 0.0, a, 0.0)]
 
 
-def _trapezoid(law: ScaledNoncentralChiSq, u: float,
-               weight: str) -> tuple[float, float, int]:
-    """(value, abserr, neval) of E[w(SNR)] under the law, SNR = beta Z^2,
-    Z ~ N(sqrt(lam), 1).
-
-    weight "direct" is w(x) = (1 + x)^-u, and value is the log of the
-    integral; "complement" is 1 - (1 + x)^-u and "log" ln(1 + x), and
-    value is the integral itself. In v the integrand is
-    w exp(c L(v) - (s - a)^2/2) / sqrt(2 pi beta), with L = ln cosh v,
-    s = sinh(v)/sqrt(beta), a = sqrt(lam), and c = 1 - 2u for "direct"
-    (w folded in), 1 otherwise. Each term is shifted by the larger peak
-    of that exponent, so no route underflows. A UserWarning names the
-    estimate if _TRAP_HALVINGS halvings do not reach _TRAP_RTOL, and a
-    ValueError names beta, lam and u if a peak cannot be located or the
-    sum underflows (for "complement" and "log" at beta below ~1e-205).
-    """
-    beta, lam, a = law.beta, law.lam, law._root_lam
+def _frame(law: ScaledNoncentralChiSq, half_c: float) -> tuple | None:
+    """What the rule needs of the law at exponent c = 2 half_c before it
+    walks, or None if a peak cannot be located: the centre and shift of
+    the larger peak, the first step, the peaks as (v, ln height less
+    shift), the last peak's v and the bound on what lies past it, the z
+    below which the negative-z side falls monotonically, and
+    ln sqrt(2 pi beta)."""
+    beta, a = law.beta, law._root_lam
     rb = math.sqrt(beta)
-    half_c = 0.5 - u if weight == "direct" else 0.5
     c = 2.0 * half_c
     ln_mass = 0.5 * (_LN_2PI + math.log(beta))
     peaks = []
@@ -298,9 +305,7 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         c_l = half_c * math.log1p(x)
         g = c_l - 0.5 * d * d
         if not -math.inf < g < math.inf:
-            raise ValueError(
-                f"single-antenna {weight} integral: the integrand's peak is out of "
-                f"reach at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+            return None
         peaks.append((math.asinh(rb * z), g, c / (1.0 + x) - 1.0 / beta - z * z - d * z, c_l))
     centre, shift, _, _ = max(peaks, key=lambda pk: pk[1])
     # 1/sqrt(2) of the narrowest width that matters, 1/sqrt(-G'') in v
@@ -308,12 +313,93 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
     # for c <= 0, c L(v) falls from the last peak on, and the Gaussian
     # factor integrates to at most sqrt(2 pi beta) over v
     v_last, _, _, c_l_last = max(peaks)
-    ln_past_last = ln_mass + c_l_last - shift
-    peaks = [(v, g - shift) for v, g, _, _ in peaks]
     # below z = -3/a the negative-z side falls monotonically outwards for
     # every weight; for c <= 0 it does from z = 0
-    z_monotone = -3.0 / a if c > 0.0 else 0.0
+    return (centre, shift, h, [(v, g - shift) for v, g, _, _ in peaks], v_last,
+            ln_mass + c_l_last - shift, -3.0 / a if c > 0.0 else 0.0, ln_mass)
+
+
+_NO_NODES = array("d")
+# one node's (v, z, ln(1 + x), unweighted term) as the bytes of four doubles
+_pack_node = struct.Struct("4d").pack
+_PUBLISH_LOCK = threading.Lock()
+
+
+class _UnitRule:
+    """The rule's c = 1 frame of one law, shared by the "complement" and
+    "log" weights at every exponent, and the nodes its walks have
+    computed: per walk, keyed (x0, dx), one array holding v, z,
+    ln(1 + x) and the unweighted term of each node in turn. A rule reads
+    each walk's array as it stands and at its end publishes longer ones
+    whole, under a lock, so threads never see a part-written one; at
+    most _LAW_MEMO_NODES nodes are kept in all."""
+
+    __slots__ = ("frame", "walks", "kept")
+
+    def __init__(self, frame: tuple):
+        self.frame = frame
+        self.walks: dict[tuple[float, float], array] = {}
+        self.kept = 0
+
+    def publish(self, grown: list[tuple[tuple[float, float], array, bytearray]]) -> None:
+        """Keep, for each (walk, known nodes, fresh nodes) of one rule,
+        the known nodes and the fresh ones after them, where that is more
+        than is kept for the walk, up to the cap."""
+        grown = [(key, known + array("d", fresh)) for key, known, fresh in grown]
+        with _PUBLISH_LOCK:
+            for key, nodes in grown:
+                old = self.walks.get(key, _NO_NODES)
+                room = 4 * _LAW_MEMO_NODES - (self.kept - len(old))
+                if len(nodes) > room:
+                    nodes = nodes[:room]
+                if len(nodes) > len(old):
+                    self.walks[key] = nodes
+                    self.kept += len(nodes) - len(old)
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_LINKS)
+def _unit_rule(law: ScaledNoncentralChiSq) -> _UnitRule | None:
+    """The law's _UnitRule, kept for the last _GRID_MEMO_LINKS laws;
+    None if a peak cannot be located."""
+    frame = _frame(law, 0.5)
+    return None if frame is None else _UnitRule(frame)
+
+
+def _trapezoid(law: ScaledNoncentralChiSq, u: float,
+               weight: str) -> tuple[float, float, int]:
+    """(value, abserr, neval) of E[w(SNR)] under the law, SNR = beta Z^2,
+    Z ~ N(sqrt(lam), 1).
+
+    weight "direct" is w(x) = (1 + x)^-u, and value is the log of the
+    integral, with abserr on that log; "complement" is 1 - (1 + x)^-u
+    and "log" ln(1 + x), and value is the integral itself. In v the
+    integrand is w exp(c L(v) - (s - a)^2/2) / sqrt(2 pi beta), with
+    L = ln cosh v, s = sinh(v)/sqrt(beta), a = sqrt(lam), and c = 1 - 2u
+    for "direct" (w folded in), 1 otherwise. Each term is shifted by the
+    larger peak of that exponent, so no route underflows. With c = 1
+    nothing but the weight depends on u, so the frame and the node
+    values come from _unit_rule, and a later u applies only its weight
+    to them; the bits are those of computing each node afresh. A
+    UserWarning names the estimate if _TRAP_HALVINGS halvings do not
+    reach _TRAP_RTOL, and a ValueError names beta, lam and u if a peak
+    cannot be located or the sum underflows (for "complement" and "log"
+    at beta below ~1e-205).
+    """
+    beta, lam, a = law.beta, law.lam, law._root_lam
+    rb = math.sqrt(beta)
+    if weight == "direct":
+        half_c, memo = 0.5 - u, None
+        frame = _frame(law, half_c)
+    else:
+        half_c, memo = 0.5, _unit_rule(law)
+        frame = None if memo is None else memo.frame
+    if frame is None:
+        raise ValueError(
+            f"single-antenna {weight} integral: the integrand's peak is out of "
+            f"reach at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
+    centre, shift, h, peaks, v_last, ln_past_last, z_monotone, ln_mass = frame
     neval = 0
+    grown = []  # the walks that computed nodes to keep
 
     def ln(x):
         return math.log(x) if x > 0.0 else -math.inf
@@ -343,7 +429,7 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         return ln_left_out + math.log(2.0) <= _LN_TRAP_TAIL + ln(summed) + ln_h
 
     sinh, sqrt, log1p, exp, expm1 = math.sinh, math.sqrt, math.log1p, math.exp, math.expm1
-    complement, log_weight = weight == "complement", weight == "log"
+    complement, weighted = weight == "complement", weight != "direct"
 
     def walk(x0, dx, total, ln_h):
         """Sum of the terms at centre + x0 + j dx, j = 0, 1, ..., until
@@ -354,6 +440,29 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         j = 0
         # the last node before |v| passes _V_MAX, or the node budget
         j_end = min(_TRAP_MAX_NODES, int((math.copysign(_V_MAX, dx) - centre - x0) / dx))
+        keep, fresh = 0, b""
+        if memo is not None:
+            # the nodes an earlier walk kept, summed by the steps of the loop
+            # below, so that the direct route pays nothing for the memo
+            known = memo.walks.get((x0, dx), _NO_NODES)
+            nodes = iter(known)
+            for vh, z, lg, t in zip(nodes, nodes, nodes, nodes):
+                t *= -expm1(-u * lg) / u if complement else lg
+                part += t
+                cut = _TRAP_TAIL * (total + part)
+                if t <= cut:
+                    geometric = t == 0.0 or (t < prev and t <= cut * (1.0 - t / prev))
+                    if (right_done(vh, t, geometric, total + part, ln_h) if dx > 0.0
+                            else left_done(vh, z, t, geometric, total + part, ln_h)):
+                        neval += j + 1
+                        return part
+                prev = t
+                j += 1
+            # the nodes computed past the known ones, as doubles, up to keep;
+            # packing each node keeps no float alive, which costs less than
+            # a list. No node at or past j_end is kept, so the walk goes on
+            # below.
+            keep, fresh = min(_LAW_MEMO_NODES, j_end), bytearray()
         while True:
             # the node centre + x as vh + vl (Knuth's two-sum), so that its
             # spacing stays exact where the peak is narrow against v itself
@@ -364,20 +473,23 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
             sh = sinh(vh)
             sh += sqrt(1.0 + sh * sh) * vl
             lg = log1p(sh * sh)
-            d = sh / rb - a
+            z = sh / rb
+            d = z - a
             t = exp(half_c * lg - 0.5 * d * d - shift)
-            if complement:
-                t *= -expm1(-u * lg) / u
-            elif log_weight:
-                t *= lg
+            if weighted:
+                if j < keep:
+                    fresh += _pack_node(vh, z, lg, t)
+                t *= -expm1(-u * lg) / u if complement else lg
             part += t
             cut = _TRAP_TAIL * (total + part)
             if t <= cut:
                 # a falling geometric tail from here stays below the cut
                 geometric = t == 0.0 or (t < prev and t <= cut * (1.0 - t / prev))
                 if (right_done(vh, t, geometric, total + part, ln_h) if dx > 0.0
-                        else left_done(vh, sh / rb, t, geometric, total + part, ln_h)):
+                        else left_done(vh, z, t, geometric, total + part, ln_h)):
                     neval += j + 1
+                    if fresh:
+                        grown.append(((x0, dx), known, fresh))
                     return part
             prev = t
             j += 1
@@ -394,6 +506,8 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
                 # z = sinh(v)/sqrt(beta) grows like e^|v|, so the Gaussian
                 # factor takes the terms the walk leaves out to 0
                 neval += j
+                if fresh:
+                    grown.append(((x0, dx), known, fresh))
                 return part
 
     scale = shift - ln_mass
@@ -411,6 +525,8 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         est = h * total
         if diff <= rtol * est:
             break
+    if grown:
+        memo.publish(grown)
     if not est >= sys.float_info.min:
         # a subnormal sum has lost the bits that scaling would restore;
         # a normal one keeps exp(scale) finite, since k < 1/2 and
@@ -418,11 +534,15 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         raise ValueError(
             f"single-antenna {weight} integral: the rule's sum underflows a double "
             f"at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
-    if weight == "complement":
-        # the complement's terms carry its weight over u
-        scale += math.log(u)
-    value = scale + math.log(est) if weight == "direct" else math.exp(scale) * est
-    abserr = math.exp(scale) * diff
+    if weight == "direct":
+        # on ln M: exp(scale) diff would underflow with M itself
+        value, abserr = scale + math.log(est), diff / est
+    else:
+        if complement:
+            # the complement's terms carry its weight over u
+            scale += math.log(u)
+        value = math.exp(scale) * est
+        abserr = math.exp(scale) * diff
     if not diff <= rtol * est:
         name = "ln estimate" if weight == "direct" else "estimate"
         warnings.warn(
@@ -577,8 +697,12 @@ def siso_snr_dist(cfg: LinkConfig) -> ScaledNoncentralChiSq:
     """Analytical SNR law of the single-antenna link.
 
     lam = N pi^2/(16 - pi^2) collects the coherent mean power of the N
-    aligned element products; beta carries the link budget.
+    aligned element products; beta carries the link budget. The law is
+    built once per config and kept on it; a refused budget is refused at
+    every call.
     """
+    if cfg._siso_law is not None:
+        return cfg._siso_law
     if cfg.n_tx != 1:
         raise ValueError("siso_snr_dist requires n_tx == 1")
     n = cfg.n_elems
@@ -589,7 +713,9 @@ def siso_snr_dist(cfg: LinkConfig) -> ScaledNoncentralChiSq:
             f"the single-antenna SNR scale N p_t pathloss (16 - pi^2) / (4 sigma2) "
             f"= {beta!r} is out of a double's range at n_elems = {n!r}, "
             f"p_t = {cfg.p_t!r}, sigma2 = {cfg.sigma2!r}, pathloss = {pathloss(cfg)!r}")
-    return ScaledNoncentralChiSq(beta=beta, lam=lam)
+    law = ScaledNoncentralChiSq(beta=beta, lam=lam)
+    object.__setattr__(cfg, "_siso_law", law)
+    return law
 
 
 def _miso_mean_snr(cfg: LinkConfig) -> float:
@@ -619,7 +745,13 @@ def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:
     sigma^2 / (2 N p_t zeta sum|f_j|^2); mode="closed" evaluates the
     paper's constant sigma^4 / (2 N^2 (p_t zeta sum|f_j|^2)^2), kept
     selectable for side-by-side reporting because the two disagree.
+    Each mode's law is built once per config and kept on it.
     """
+    if mode not in ("exact", "closed"):
+        raise ValueError(f"unknown kappa mode {mode!r}")
+    law = cfg._miso_laws.get(mode)
+    if law is not None:
+        return law
     if mode == "closed":
         s = cfg.p_t * pathloss(cfg) * cfg.precoder_power
         try:
@@ -631,10 +763,10 @@ def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:
                 "the closed kappa sigma2^2 / (2 N^2 (p_t pathloss |f|^2)^2) is not a positive "
                 f"finite double at n_elems = {cfg.n_elems!r}, p_t = {cfg.p_t!r}, sigma2 = "
                 f"{cfg.sigma2!r}, pathloss = {pathloss(cfg)!r}, |f|^2 = {cfg.precoder_power!r}")
-        return Exponential(kappa=kappa)
-    if mode != "exact":
-        raise ValueError(f"unknown kappa mode {mode!r}")
-    return Exponential(kappa=1.0 / _miso_mean_snr(cfg))
+    else:
+        kappa = 1.0 / _miso_mean_snr(cfg)
+    law = cfg._miso_laws[mode] = Exponential(kappa=kappa)
+    return law
 
 
 def _skipped(bitgen: np.random.Philox, k: int) -> np.random.Philox:
@@ -675,8 +807,9 @@ def _siso_rows(runs, n_el: int, rows: int) -> None:
     per-slot sums s, in row blocks of `rows` and two block buffers of its
     own.
 
-    Runs on a worker thread: it calls nothing in __all__, whose names a
-    tracer may wrap, and only numpy fills and ufuncs that drop the GIL.
+    Runs on the caller's thread and on worker threads: it calls nothing
+    in __all__, whose names a tracer may wrap, and only numpy fills and
+    ufuncs that drop the GIL.
     """
     buf_a = np.empty(rows * n_el)
     buf_b = np.empty(rows * n_el)
@@ -725,13 +858,27 @@ def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
                 np.random.Generator(_skipped(bitgen, (2 * pos + s0) * n_el)),
                 np.random.Generator(_skipped(bitgen, (2 * pos + m + s0) * n_el)),
                 out[pos + s0:pos + s1]))
-    if workers == 1:
+    # the caller fills the first run and a thread each of the others,
+    # joined before any error (the first, in run order) is raised again
+    errors = [None] * workers
+
+    def fill(k):
+        try:
+            _siso_rows(runs[k], n_el, rows)
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
         _siso_rows(runs[0], n_el, rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fills = [pool.submit(_siso_rows, r, n_el, rows) for r in runs]
-        for fill in fills:
-            fill.result()  # re-raises a worker's error
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
 
 

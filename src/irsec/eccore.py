@@ -13,6 +13,7 @@ mean_log), a trapezoid rule that halves its step until two sums agree.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 from irsec import specfun
 from irsec.channel import (
+    _GRID_MEMO_LINKS,
     MAX_MGF_U,
     LinkConfig,
     SampleBatch,
@@ -207,7 +209,8 @@ def ec_siso_csi(
     The EC is -ln E[(1+SNR)^-u] / alpha from the law's ln_mgf; the
     diagnostics report its route ("complement", "direct" or
     "first_order", the last with no evaluations), the difference of its
-    last two step halvings and its integrand evaluations as quad_route,
+    last two step halvings (on ln M for "direct", which stays finite
+    where M underflows) and its integrand evaluations as quad_route,
     quad_abserr and quad_neval. They also carry the interpretable high-SNR
     closed form (ec_relaxed, ln_mgf_relaxed, relaxed_addends), finite
     only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
@@ -287,11 +290,22 @@ def miso_csi_moments(
     bandwidth: float = 1.0,
     slot: float = 1.0,
 ) -> tuple[float, float, float]:
-    """(mean, second moment, variance) of per-slot beamformed service."""
+    """(mean, second moment, variance) of per-slot beamformed service.
+
+    None of it depends on the exponent, so _service_moments keeps it
+    for the last _GRID_MEMO_LINKS (kappa, bandwidth, slot), bit for bit.
+    """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     if not bandwidth > 0.0 or not slot > 0.0:
         raise ValueError("bandwidth and slot must be positive")
+    return _service_moments(kappa, bandwidth, slot)
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_LINKS)
+def _service_moments(kappa: float, bandwidth: float,
+                     slot: float) -> tuple[float, float, float]:
+    """miso_csi_moments for checked arguments."""
     scale = slot * bandwidth / LN2
     mu = scale * specfun.expint_e1_scaled(kappa)
     eta = scale * scale * _sq_log_moment(kappa)

@@ -13,9 +13,12 @@ evaluation count, bit for bit. The search runs on Python floats: its
 grid is np.linspace's arithmetic. The grid rates and their on/off
 probabilities depend on the link but not on the exponent, so
 _grid_on_off keeps them for the last few links searched, and each grid
-point applies only eccore's on/off formula (_on_off_kernel) to them.
-Each of Brent's evaluations is eccore's one fixed-rate EC (_fixed_rate)
-with no result object, the function the no-CSI branches report from.
+point applies only eccore's on/off formula (_on_off_kernel) to them,
+and only where its mean service p_on r slot could reach the best EC so
+far. Each of Brent's evaluations is eccore's one fixed-rate EC
+(_fixed_rate) with no result object, the function the no-CSI branches
+report from. A grid search's iterations count its grid points plus
+Brent's evaluations.
 """
 
 from __future__ import annotations
@@ -27,13 +30,20 @@ import warnings
 from dataclasses import dataclass
 
 from irsec import specfun
-from irsec.channel import LinkConfig, SnrDistribution, miso_snr_dist, siso_snr_dist
+from irsec.channel import (
+    _GRID_MEMO_LINKS,
+    LinkConfig,
+    SnrDistribution,
+    miso_snr_dist,
+    siso_snr_dist,
+)
 from irsec.eccore import (
     LN2,
     _EXP_TAIL,
     _checked_on_off,
     _fixed_rate,
     _on_off_kernel,
+    _product,
     alpha_value,
     ec_miso_nocsi,
     ec_siso_nocsi,
@@ -62,11 +72,6 @@ _CLOSED_FORM_MIN_GROWTH = 10.0
 # run from ~1e-9 to ~40 bits per slot, so an absolute tolerance would be
 # too coarse at one end or wasted at the other.
 _GRID_XATOL = 1e-9
-
-# Links whose search grids are kept (_grid_on_off): enough for a sweep
-# or a design grid of a few dozen links to run each grid once however
-# its exponents are interleaved, at 24 points about 4 kB per link.
-_GRID_MEMO_LINKS = 64
 
 
 @dataclass(frozen=True)
@@ -318,12 +323,16 @@ def grid_argmax_rate(
     Evaluates the exact no-CSI EC under the scenario's law (the exact
     kappa for the beamformed link) at `points` rates in (0, r_max], then runs
     Brent's bounded minimizer on -EC over the two grid cells around the
-    best point ([0, r_1] or [r_{n-2}, r_max] at an edge). Returns the
-    better of the refined and the best grid point; iterations counts
-    the EC evaluations. The grid's on/off probabilities come from
-    _grid_on_off, computed once per link and kept across exponents, so
-    on_off_probs runs at the grid points only on a link's first search;
-    Brent's evaluations run the whole fixed-rate EC each time.
+    first best point ([0, r_1] or [r_{n-2}, r_max] at an edge). Returns
+    the better of the refined and the best grid point; iterations counts
+    the grid points plus Brent's evaluations. The grid's on/off
+    probabilities come from _grid_on_off, computed once per link and
+    kept across exponents, so on_off_probs runs at the grid points only
+    on a link's first search; Brent's evaluations run the whole
+    fixed-rate EC each time. EC never exceeds the mean service
+    p_on r slot but by rounding, so a grid point whose mean service,
+    raised by 1e-12 of itself, is below the best EC so far cannot be the
+    first maximum, and _on_off_kernel is skipped there.
     """
     if points < 3:
         raise ValueError("points must be >= 3")
@@ -336,9 +345,13 @@ def grid_argmax_rate(
     dist = entry.law(cfg)
     b, t = cfg.bandwidth, cfg.slot
     grid = _grid_on_off(dist, b, r_max, points)
-    values = [_on_off_kernel(p_on, p_off, a, r, t)[1] for r, p_on, p_off in grid]
-    ec_best = max(values)
-    k = values.index(ec_best)  # the first maximum, as np.argmax
+    ec_best, k = -math.inf, 0
+    for j, (r, p_on, p_off) in enumerate(grid):
+        if _product(p_on, r, t) * (1.0 + 1e-12) < ec_best:
+            continue
+        ec = _on_off_kernel(p_on, p_off, a, r, t)[1]
+        if ec > ec_best:  # the first maximum, as np.argmax
+            ec_best, k = ec, j
     r_best = grid[k][0]
     lo = grid[k - 1][0] if k > 0 else 0.0
     hi = grid[min(k + 1, points - 1)][0]

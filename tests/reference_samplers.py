@@ -33,7 +33,11 @@ one-slot `empirical_ec` reproduces bit for bit at one slot per block.
 `grid_argmax_reference` is the brute-force rate search as it stood
 before Brent's refinement: a uniform grid plus one parabolic step.
 It is the oracle of the analytic optimizers and of the library's own
-grid search, which must reach its peak.
+grid search, which must reach its peak. `grid_argmax_exhaustive` is
+the library's grid search with the on/off formula applied at every
+grid point and no kept grid: the library skips the points whose mean
+service cannot reach the best EC so far, and must return the same
+RateSolution, bit for bit, or raise the same error.
 
 `ln_mgf_reference` is ln E[(1 + SNR)^-u] of the single-antenna law to
 30 digits: mpmath's tanh-sinh quadrature in z itself, not in the
@@ -61,9 +65,17 @@ from irsec.channel import (
     siso_snr_from_fading,
     stream_rng,
 )
-from irsec.eccore import _fixed_rate, alpha_value, get_scenario, snr_threshold
+from irsec.eccore import (
+    _checked_on_off,
+    _fixed_rate,
+    _on_off_kernel,
+    alpha_value,
+    get_scenario,
+    snr_threshold,
+)
 from irsec.mcoracle import EcEstimate, service_from_snr
-from irsec.rateopt import RateSolution
+from irsec.numerics import minimize_bounded
+from irsec.rateopt import _GRID_XATOL, RateSolution, _rate_grid
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -272,6 +284,28 @@ def grid_argmax_reference(
                 r_best, ec_best = r_ref, ec_ref
     return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
                         iterations=points, method="grid")
+
+
+def grid_argmax_exhaustive(cfg: LinkConfig, alpha: float, scenario: str,
+                           r_max: float, points: int) -> RateSolution:
+    """rateopt.grid_argmax_rate with _on_off_kernel at every grid point:
+    the first maximum of all grid values, then the same Brent step."""
+    a = alpha_value(alpha)
+    dist = get_scenario(scenario).law(cfg)
+    b, t = cfg.bandwidth, cfg.slot
+    grid = [(r, *_checked_on_off(dist, r, b)) for r in _rate_grid(r_max, points)]
+    values = [_on_off_kernel(p_on, p_off, a, r, t)[1] for r, p_on, p_off in grid]
+    ec_best = max(values)
+    k = values.index(ec_best)
+    r_best = grid[k][0]
+    lo = grid[k - 1][0] if k > 0 else 0.0
+    hi = grid[min(k + 1, points - 1)][0]
+    x, fun, nfev = minimize_bounded(
+        lambda r: -_fixed_rate(dist, a, r, b, t)[3], lo, hi, _GRID_XATOL * r_max)
+    if -fun > ec_best:
+        r_best, ec_best = x, -fun
+    return RateSolution(r_star=r_best, ec_at_r_star=ec_best,
+                        iterations=points + nfev, method="grid")
 
 
 def write_link_config(cfg: LinkConfig, path) -> None:

@@ -5,7 +5,9 @@ makes them bit-reproducible, so the bounds below are exact replays of
 measured values, not flaky statistical gambles.
 """
 
+import itertools
 import math
+import random
 import re
 import sys
 import threading
@@ -190,6 +192,141 @@ def test_link_budget_constants_are_not_fields(cfg_miso):
     assert pathloss(replace(cfg_miso, d1=100.0)) == _pathloss_formula(replace(cfg_miso, d1=100.0))
 
 
+def test_config_keeps_its_laws(cfg_siso, cfg_miso):
+    """Each config builds its single-antenna law and each mode's
+    beamformed law once: repeat calls return the same object, replace()
+    builds a fresh, equal one, and equality, hashing and repr of the
+    config are those of its fields."""
+    for cfg, build in ((cfg_siso, siso_snr_dist),
+                       (cfg_miso, miso_snr_dist),
+                       (cfg_miso, lambda c: miso_snr_dist(c, mode="closed"))):
+        text, key = repr(cfg), hash(cfg)
+        law = build(cfg)
+        assert build(cfg) is law
+        fresh = replace(cfg)
+        assert build(fresh) is not law and build(fresh) == law
+        assert (repr(cfg), hash(cfg)) == (text, key)
+        assert cfg == fresh and repr(fresh) == text and hash(fresh) == key
+    assert miso_snr_dist(cfg_miso) is not miso_snr_dist(cfg_miso, mode="closed")
+    assert "law" not in repr(cfg_miso)
+    with pytest.raises(ValueError, match="requires n_tx == 1"):
+        siso_snr_dist(cfg_miso)
+
+
+def _law_bits(res):
+    return res.value.hex(), res.abserr.hex(), res.neval, res.route
+
+
+# The benchmark's design grid: element counts, powers and QoS exponents.
+_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
+_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
+_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def test_unit_rule_memo_keeps_every_bit_on_the_design_grid():
+    """Over the 343 design cells in shuffled order, ln_mgf and mean_log
+    from a warm memo return the value, abserr, neval and route of a
+    cleared one. The complement and log routes reach the memo 539 times
+    on the 49 laws: each law misses once and every other call hits."""
+    memo = channel._unit_rule
+    cells = [(siso_snr_dist(LinkConfig(n_elems=n, p_t=p_t)), alpha / math.log(2.0))
+             for n, p_t, alpha in itertools.product(_GRID_N, _GRID_P_T, _GRID_ALPHA)]
+    random.Random(28).shuffle(cells)
+    cold = []
+    for law, u in cells:
+        memo.cache_clear()
+        got = [law.ln_mgf(u)]
+        memo.cache_clear()
+        cold.append([_law_bits(got[0]), _law_bits(law.mean_log())])
+    memo.cache_clear()
+    warm = [[_law_bits(law.ln_mgf(u)), _law_bits(law.mean_log())] for law, u in cells]
+    assert warm == cold
+    ruled = [(law, bits) for (law, _), pair in zip(cells, warm) for bits in pair
+             if bits[3] in ("complement", "log")]
+    assert len({law for law, _ in ruled}) == 49
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (len(ruled) - 49, 49) == (490, 49)
+
+
+def test_unit_rule_memo_is_thread_safe():
+    """Four threads that interleave exponents on one law, the memo
+    cleared between rounds and the switch interval shortened, get the
+    values of a cold memo."""
+    law = siso_snr_dist(LinkConfig(n_elems=16, p_t=1e3))
+    exponents = [1e-6, 1e-4, 1e-3, 0.005, 0.01, None]  # None: mean_log
+    assert {law.ln_mgf(u).route for u in exponents[:-1]} == {"complement"}
+
+    def results(order):
+        return [_law_bits(law.ln_mgf(u)) if u else _law_bits(law.mean_log()) for u in order]
+
+    cold = {}
+    for u in exponents:
+        channel._unit_rule.cache_clear()
+        cold[u] = results([u])[0]
+    orders = [exponents[k:] + exponents[:k] for k in (0, 2, 4)] + [exponents[::-1]]
+    rounds = 30
+    got = [[] for _ in orders]
+    barrier = threading.Barrier(len(orders), timeout=60)
+
+    def run(k):
+        for _ in range(rounds):
+            barrier.wait()
+            got[k].append(results(orders[k]))
+            if barrier.wait() == 0:
+                channel._unit_rule.cache_clear()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for order, rounds_got in zip(orders, got):
+        assert rounds_got == [[cold[u] for u in order]] * rounds
+
+
+def test_unit_rule_memo_keeps_at_most_its_cap(monkeypatch):
+    """A law keeps at most _LAW_MEMO_NODES nodes over all its walks; the
+    nodes past the cap are computed, not kept, and change no bit."""
+    laws = [siso_snr_dist(LinkConfig(n_elems=n, p_t=1e3)) for n in (1, 16, 2000)]
+    us = [1e-6, 1e-3, 0.02]
+    channel._unit_rule.cache_clear()
+    cold = [[_law_bits(law.ln_mgf(u)) for u in us] + [_law_bits(law.mean_log())]
+            for law in laws]
+    channel._unit_rule.cache_clear()
+    monkeypatch.setattr(channel, "_LAW_MEMO_NODES", 30)
+    warm = [[_law_bits(law.ln_mgf(u)) for u in us] + [_law_bits(law.mean_log())]
+            for law in laws]
+    assert warm == cold
+    for law in laws:
+        rule = channel._unit_rule(law)
+        assert rule.kept == sum(len(nodes) for nodes in rule.walks.values()) == 4 * 30
+    channel._unit_rule.cache_clear()
+
+
+def test_unit_rule_memo_keeps_no_walks_last_node(monkeypatch):
+    """Where the left walks run out to |v| = _V_MAX, a walk keeps its
+    nodes up to, not including, the last one it may take, so a warm
+    call computes that node afresh and ends the walk there as a cold one
+    does, with the same bits."""
+    monkeypatch.setattr(channel, "_LAW_MEMO_NODES", 100_000)
+    law = ScaledNoncentralChiSq(1.0303415495562854e+299, 1.2134322050214695e-08)
+    channel._unit_rule.cache_clear()
+    cold = [_law_bits(law.mean_log()), _law_bits(law.ln_mgf(1e-5))]
+    assert [_law_bits(law.mean_log()), _law_bits(law.ln_mgf(1e-5))] == cold
+    rule = channel._unit_rule(law)
+    centre = rule.frame[0]
+    ends = [int((math.copysign(channel._V_MAX, dx) - centre - x0) / dx) - len(nodes) // 4
+            for (x0, dx), nodes in rule.walks.items()]
+    assert min(ends) == 0
+    channel._unit_rule.cache_clear()
+
+
 def test_siso_dist_reference(cfg_siso):
     d = siso_snr_dist(cfg_siso)
     assert d.lam == pytest.approx(160.99457599185225, rel=1e-14)
@@ -355,7 +492,7 @@ def test_miso_oracle_fit_close_to_sampled_mean(cfg_miso):
 
 def test_miso_oracle_fit_memoized(cfg_miso):
     """Equal configs give the identical rate: kappa is a pure function of
-    the config, with no fit or cache behind it."""
+    the config, with no fit behind it."""
     k1 = miso_snr_dist(cfg_miso).kappa
     k2 = miso_snr_dist(replace(cfg_miso, d1=cfg_miso.d1)).kappa
     assert k1 == k2
@@ -381,8 +518,9 @@ def test_miso_kappa_precoder_norm_only(cfg_miso):
 
 
 def test_miso_mode_validation(cfg_miso):
-    with pytest.raises(ValueError):
-        miso_snr_dist(cfg_miso, mode="guess")
+    for mode in ("guess", ["exact"]):
+        with pytest.raises(ValueError, match="unknown kappa mode"):
+            miso_snr_dist(cfg_miso, mode=mode)
 
 
 def test_sampler_determinism(cfg_siso, cfg_miso):
@@ -652,6 +790,24 @@ def test_siso_sampler_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(channel, "_workers", lambda: 3)
     before = threading.active_count()
     sample_siso_snr(LinkConfig(), 1234, 10_000)
+    assert threading.active_count() == before
+
+
+def test_siso_sampler_worker_error_reaches_the_caller(monkeypatch):
+    """An error raised on a worker thread is raised again in the caller,
+    after every worker has been joined."""
+    monkeypatch.setattr(channel, "_workers", lambda: 3)
+    rows = channel._siso_rows
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        rows(*args)
+
+    monkeypatch.setattr(channel, "_siso_rows", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        sample_siso_snr(LinkConfig(), 1234, 10_000)
     assert threading.active_count() == before
 
 

@@ -7,7 +7,9 @@ log-moment integrals) and frozen here as decimal literals.
 
 import itertools
 import math
+import random
 import sys
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import miso_cfg_for_kappa
-from irsec import channel
-from irsec.channel import Exponential, LinkConfig, siso_snr_dist
+from irsec import channel, eccore
+from irsec.channel import Exponential, LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     SCENARIOS,
     EcResult,
@@ -300,15 +302,24 @@ def test_siso_csi_is_bounded_by_mean_service(n, log_p_t, log_alpha):
 
 def test_siso_csi_reports_quadrature_health(cfg_siso):
     """Each result names its route, the difference of the rule's last
-    two sums (within its 1e-13 relative target) and its evaluations.
-    Where u is subnormal, -ln M / alpha has lost bits that the division
-    cannot restore, and the EC is the mean service."""
-    for alpha, route in ((0.1, "complement"), (10.0, "direct")):
-        diag = ec_siso_csi(cfg_siso, alpha).diagnostics
+    two sums (within its 1e-13 relative target) and its evaluations: on
+    1 - M for the complement route, on ln M for the direct one, where M
+    itself may lie below the smallest double (N = 2000, p_t = 1e-3,
+    alpha = 100 has ln M = -941). Where u is subnormal, -ln M / alpha
+    has lost bits that the division cannot restore, and the EC is the
+    mean service."""
+    deep = LinkConfig(n_elems=2000, p_t=1e-3)
+    for cfg, alpha, route in ((cfg_siso, 0.1, "complement"), (cfg_siso, 10.0, "direct"),
+                              (deep, 100.0, "direct")):
+        diag = ec_siso_csi(cfg, alpha).diagnostics
         assert diag["quad_route"] == route
-        integral = -math.expm1(diag["ln_mgf"]) if route == "complement" else math.exp(diag["ln_mgf"])
-        assert 0.0 <= diag["quad_abserr"] <= 1e-13 * integral
+        if route == "complement":
+            bound = 1e-13 * -math.expm1(diag["ln_mgf"])
+        else:
+            bound = 1e-13 * max(1.0, -diag["ln_mgf"])
+        assert 0.0 <= diag["quad_abserr"] <= bound
         assert 0 < diag["quad_neval"] < 400
+    assert ec_siso_csi(deep, 100.0).diagnostics["quad_abserr"] > 0.0
     for cfg, alpha in itertools.product([LinkConfig(n_elems=1), cfg_siso], [1e-315, 1e-320, 5e-324]):
         res = ec_siso_csi(cfg, alpha)
         assert res.diagnostics["quad_route"] == "mean_service"
@@ -361,6 +372,34 @@ def test_miso_moments_scale_with_slot_and_bandwidth():
     assert mu2 == pytest.approx(6.0 * mu1, rel=1e-14)
     assert eta2 == pytest.approx(36.0 * eta1, rel=1e-14)
     assert var2 == pytest.approx(36.0 * var1, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["exact", "closed"])
+def test_miso_moment_memo_keeps_every_bit_on_the_design_grid(mode):
+    """Over the 343 design cells in shuffled order, the beamformed CSI
+    branch's moments and EC from a warm memo are those of a cleared one;
+    each (kappa, bandwidth, slot) misses once."""
+    memo = eccore._service_moments
+    cells = [(LinkConfig(n_elems=n, p_t=p_t, n_tx=10), alpha)
+             for n, p_t, alpha in itertools.product(_GRID_N, _GRID_P_T, _GRID_ALPHA)]
+    random.Random(28).shuffle(cells)
+
+    def bits(cfg, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the clamp to 0
+            res = ec_miso_csi(cfg, alpha, kappa_mode=mode)
+        return [res.ec_bits_per_slot.hex()] + [res.diagnostics[k].hex()
+                                               for k in ("mu", "eta", "sigma2")]
+
+    cold = []
+    for cfg, alpha in cells:
+        memo.cache_clear()
+        cold.append(bits(cfg, alpha))
+    memo.cache_clear()
+    assert [bits(cfg, alpha) for cfg, alpha in cells] == cold
+    links = {(miso_snr_dist(cfg, mode).kappa, cfg.bandwidth, cfg.slot) for cfg, _ in cells}
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (343 - len(links), len(links))
 
 
 def test_miso_moments_validation():

@@ -3,6 +3,7 @@ output snapshot."""
 
 import csv
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,8 @@ def test_figure_set_draws_each_element_count_once(figure_script, fading_calls):
 
 def test_snapshot_writes_every_output(tmp_path, monkeypatch, capsys):
     """scripts/snapshot_outputs.py writes both figure sets, validate's
-    output and each ec and optimize-rate run, each command exiting 0."""
+    output, each ec and optimize-rate run, each command exiting 0, and
+    the design grid's 343 cells x 4 scenarios, each with an EC and rate."""
     monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location(
         "snapshot_outputs", SCRIPT.parent / "snapshot_outputs.py")
@@ -63,7 +65,12 @@ def test_snapshot_writes_every_output(tmp_path, monkeypatch, capsys):
             + [f"optimize-rate_{s}_alpha{a}.txt" for s in ("miso_nocsi", "siso_nocsi")
                for a in ("0.1", "10")])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["figures_mc0", "figures_mc2000", "validate.txt", *runs])
+        ["figures_mc0", "figures_mc2000", "validate.txt", "design_grid.txt", *runs])
     for name in ("validate.txt", *runs):
         assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[1] == "exit = 0"
     assert len(list((tmp_path / "figures_mc2000").glob("*.csv"))) == 6
+    grid = (tmp_path / "design_grid.txt").read_text(encoding="utf-8").splitlines()
+    assert len(grid) == 343 * 4
+    assert all(re.fullmatch(r"N = \d+, p_t = \S+, alpha = \S+, \w+: ec = \S+, rate = \S+", line)
+               for line in grid)
+    assert sum(line.endswith("rate = None") for line in grid) == 343 * 2

@@ -37,7 +37,7 @@ from irsec.rateopt import (
     siso_ec_gradient,
     solve_rate_miso_exact,
 )
-from reference_samplers import grid_argmax_reference
+from reference_samplers import grid_argmax_exhaustive, grid_argmax_reference
 
 CRIT = DescentSettings(r0=1.0, step=0.5, conv_tol=1e-3)
 
@@ -348,6 +348,81 @@ def test_grid_memo_is_bounded(cfg_siso):
     info = memo.cache_info()
     assert info.maxsize == rateopt._GRID_MEMO_LINKS
     assert info.currsize == rateopt._GRID_MEMO_LINKS
+
+
+def _outcome(search, cfg, alpha, scenario, r_max):
+    """The bits of a search's RateSolution, or the type and message of
+    the error it raises."""
+    try:
+        return _bits(search(cfg, alpha, scenario, r_max, 24))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("scenario", ["siso_nocsi", "miso_nocsi"])
+def test_pruned_grid_matches_the_exhaustive_pass_on_the_design_grid(scenario, monkeypatch):
+    """Skipping the on/off formula where a grid point's mean service is
+    below the best EC so far returns the RateSolution of applying it at
+    every point, on all 343 design cells of either link, while the
+    bound does rule points out."""
+    calls = []
+    kernel = rateopt._on_off_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # the exhaustive pass calls eccore's formula, not rateopt's name for it
+    monkeypatch.setattr(rateopt, "_on_off_kernel", counted)
+    for cfg, alpha, r_max in _design_cells(scenario):
+        want = _bits(grid_argmax_exhaustive(cfg, alpha, scenario, r_max, 24))
+        assert _bits(grid_argmax_rate(cfg, alpha, scenario, r_max, 24)) == want, (cfg, alpha)
+    assert len(calls) < 343 * 24
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beamformed=st.booleans(),
+    n=st.integers(1, 20000),
+    log_p_t=st.floats(-9.0, 3.0),
+    log_bandwidth=st.floats(-300.0, 300.0),
+    log_slot=st.floats(-300.0, 300.0),
+    log_alpha=st.floats(-323.0, 308.0),
+    log_r_max=st.floats(-300.0, 300.0),
+)
+# the on/off formula's named overflow ValueError, on either link
+@example(beamformed=False, n=10000, log_p_t=0.0, log_bandwidth=192.0, log_slot=232.0,
+         log_alpha=144.0, log_r_max=math.log10(3e185))
+@example(beamformed=True, n=100, log_p_t=-3.0, log_bandwidth=300.0, log_slot=100.0,
+         log_alpha=-320.0, log_r_max=300.0)
+def test_pruned_grid_matches_the_exhaustive_pass(beamformed, n, log_p_t, log_bandwidth,
+                                                 log_slot, log_alpha, log_r_max):
+    """Over budgets, bandwidths, slots, exponents and spans far beyond
+    the design grid, the pruned search returns the exhaustive pass's
+    RateSolution bit for bit, or raises its error, such as the on/off
+    formula's "overflows a double"."""
+    try:
+        cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t, n_tx=4 if beamformed else 1,
+                         bandwidth=10.0 ** log_bandwidth, slot=10.0 ** log_slot)
+        scenario = "miso_nocsi" if beamformed else "siso_nocsi"
+        get_scenario(scenario).law(cfg)
+    except ValueError:
+        assume(False)
+    alpha, r_max = 10.0 ** log_alpha, 10.0 ** log_r_max
+    assume(alpha > 0.0)
+    want = _outcome(grid_argmax_exhaustive, cfg, alpha, scenario, r_max)
+    assert _outcome(grid_argmax_rate, cfg, alpha, scenario, r_max) == want
+
+
+def test_pruned_grid_raises_the_named_overflow():
+    """The explicit examples above do reach the on/off formula's error."""
+    for scenario, cfg, alpha, r_max in (
+            ("siso_nocsi", LinkConfig(n_elems=10000, p_t=1.0, bandwidth=1e192, slot=1e232),
+             1e144, 10.0 ** math.log10(3e185)),
+            ("miso_nocsi", LinkConfig(n_elems=100, n_tx=4, bandwidth=1e300, slot=1e100),
+             1e-320, 1e300)):
+        with pytest.raises(ValueError, match="the fixed-rate EC overflows a double"):
+            grid_argmax_rate(cfg, alpha, scenario, r_max, 24)
 
 
 def test_grid_optimum_decreases_with_qos(cfg_siso):
