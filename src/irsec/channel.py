@@ -14,12 +14,10 @@ import cmath
 import functools
 import math
 import os
-import struct
 import sys
 import threading
 import warnings
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -118,36 +116,37 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        for name in ("d1", "d2", "x_irs", "y_irs", "g_t", "g_r", "p_t",
-                     "sigma2", "bandwidth", "slot"):
-            if not getattr(self, name) > 0.0:
+            if not value > 0.0 and name != "phi_inc":
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 <= self.phi_inc <= math.pi / 2.0:
             raise ValueError("phi_inc must lie in [0, pi/2]")
-        for name in ("n_elems", "n_tx"):
+        for name in _INT_FIELDS:
             value = getattr(self, name)
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(value))
+        # the equal-power weight; that vector's power is 1.0 exactly
+        w = complex(1.0 / math.sqrt(self.n_tx), 0.0)
         if self.precoder is None:
-            object.__setattr__(self, "precoder", (self._equal_power_weight(),) * self.n_tx)
+            object.__setattr__(self, "precoder", (w,) * self.n_tx)
+            power = 1.0
         else:
             object.__setattr__(self, "precoder", tuple(complex(v) for v in self.precoder))
             if not all(map(cmath.isfinite, self.precoder)):
                 raise ValueError("precoder must be finite")
+            if all(v == w for v in self.precoder):
+                power = 1.0
+            else:
+                power = math.fsum(abs(v) ** 2 for v in self.precoder)
         if len(self.precoder) != self.n_tx:
             raise ValueError("precoder length must equal n_tx")
-        # the link-budget constants, computed once per config; they are
-        # not fields, so equality, hashing and replace() ignore them
-        w = self._equal_power_weight()
-        if all(v == w for v in self.precoder):
-            power = 1.0
-        else:
-            power = math.fsum(abs(v) ** 2 for v in self.precoder)
         if not power > 0.0:
             raise ValueError("precoder must have positive power")
+        # the link-budget constants, computed once per config; they are
+        # not fields, so equality, hashing and replace() ignore them
         object.__setattr__(self, "_precoder_power", power)
         aperture = self.x_irs * self.y_irs / (self.d1 * self.d2)
         try:
@@ -161,9 +160,6 @@ class LinkConfig:
         # config: the single-antenna one, and the beamformed one by mode
         object.__setattr__(self, "_siso_law", None)
         object.__setattr__(self, "_miso_laws", {})
-
-    def _equal_power_weight(self) -> complex:
-        return complex(1.0 / math.sqrt(self.n_tx), 0.0)
 
     @property
     def precoder_power(self) -> float:
@@ -205,14 +201,11 @@ _LN_TRAP_TAIL = math.log(_TRAP_TAIL)
 _LN_HALF_TRAP_TAIL = math.log(0.5 * _TRAP_TAIL)
 _LN_2PI = math.log(2.0 * math.pi)
 # Links whose exponent-free work the memos keep: the single-antenna
-# rule's frame and nodes here, the beamformed service moments in eccore
+# rule's c = 1 frame here, the beamformed service moments in eccore
 # and the rate grids in rateopt. Enough for a sweep or a design grid of
 # a few dozen links to do that work once however its exponents
 # interleave.
 _GRID_MEMO_LINKS = 64
-# Nodes kept per law by _unit_rule, 32 bytes each: a design-grid law
-# takes at most ~400, and a longer walk is computed but not all kept.
-_LAW_MEMO_NODES = 2048
 # ln_mgf and mean_log take their first-order value where the
 # second-order term is below this share of it.
 _FIRST_ORDER_REL = 2.0 ** -53
@@ -319,50 +312,12 @@ def _frame(law: ScaledNoncentralChiSq, half_c: float) -> tuple | None:
             ln_mass + c_l_last - shift, -3.0 / a if c > 0.0 else 0.0, ln_mass)
 
 
-_NO_NODES = array("d")
-# one node's (v, z, ln(1 + x), unweighted term) as the bytes of four doubles
-_pack_node = struct.Struct("4d").pack
-_PUBLISH_LOCK = threading.Lock()
-
-
-class _UnitRule:
-    """The rule's c = 1 frame of one law, shared by the "complement" and
-    "log" weights at every exponent, and the nodes its walks have
-    computed: per walk, keyed (x0, dx), one array holding v, z,
-    ln(1 + x) and the unweighted term of each node in turn. A rule reads
-    each walk's array as it stands and at its end publishes longer ones
-    whole, under a lock, so threads never see a part-written one; at
-    most _LAW_MEMO_NODES nodes are kept in all."""
-
-    __slots__ = ("frame", "walks", "kept")
-
-    def __init__(self, frame: tuple):
-        self.frame = frame
-        self.walks: dict[tuple[float, float], array] = {}
-        self.kept = 0
-
-    def publish(self, grown: list[tuple[tuple[float, float], array, bytearray]]) -> None:
-        """Keep, for each (walk, known nodes, fresh nodes) of one rule,
-        the known nodes and the fresh ones after them, where that is more
-        than is kept for the walk, up to the cap."""
-        grown = [(key, known + array("d", fresh)) for key, known, fresh in grown]
-        with _PUBLISH_LOCK:
-            for key, nodes in grown:
-                old = self.walks.get(key, _NO_NODES)
-                room = 4 * _LAW_MEMO_NODES - (self.kept - len(old))
-                if len(nodes) > room:
-                    nodes = nodes[:room]
-                if len(nodes) > len(old):
-                    self.walks[key] = nodes
-                    self.kept += len(nodes) - len(old)
-
-
 @functools.lru_cache(maxsize=_GRID_MEMO_LINKS)
-def _unit_rule(law: ScaledNoncentralChiSq) -> _UnitRule | None:
-    """The law's _UnitRule, kept for the last _GRID_MEMO_LINKS laws;
-    None if a peak cannot be located."""
-    frame = _frame(law, 0.5)
-    return None if frame is None else _UnitRule(frame)
+def _unit_rule(law: ScaledNoncentralChiSq) -> tuple | None:
+    """The law's c = 1 frame, shared by the "complement" and "log"
+    weights at every exponent and kept for the last _GRID_MEMO_LINKS
+    laws; None if a peak cannot be located."""
+    return _frame(law, 0.5)
 
 
 def _trapezoid(law: ScaledNoncentralChiSq, u: float,
@@ -377,29 +332,25 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
     L = ln cosh v, s = sinh(v)/sqrt(beta), a = sqrt(lam), and c = 1 - 2u
     for "direct" (w folded in), 1 otherwise. Each term is shifted by the
     larger peak of that exponent, so no route underflows. With c = 1
-    nothing but the weight depends on u, so the frame and the node
-    values come from _unit_rule, and a later u applies only its weight
-    to them; the bits are those of computing each node afresh. A
-    UserWarning names the estimate if _TRAP_HALVINGS halvings do not
-    reach _TRAP_RTOL, and a ValueError names beta, lam and u if a peak
-    cannot be located or the sum underflows (for "complement" and "log"
-    at beta below ~1e-205).
+    nothing but the weight depends on u, so the frame comes from
+    _unit_rule, once per law. A UserWarning names the estimate if
+    _TRAP_HALVINGS halvings do not reach _TRAP_RTOL, and a ValueError
+    names beta, lam and u if a peak cannot be located or the sum
+    underflows (for "complement" and "log" at beta below ~1e-205).
     """
     beta, lam, a = law.beta, law.lam, law._root_lam
     rb = math.sqrt(beta)
     if weight == "direct":
-        half_c, memo = 0.5 - u, None
+        half_c = 0.5 - u
         frame = _frame(law, half_c)
     else:
-        half_c, memo = 0.5, _unit_rule(law)
-        frame = None if memo is None else memo.frame
+        half_c, frame = 0.5, _unit_rule(law)
     if frame is None:
         raise ValueError(
             f"single-antenna {weight} integral: the integrand's peak is out of "
             f"reach at beta = {beta!r}, lam = {lam!r}, u = {u!r}")
     centre, shift, h, peaks, v_last, ln_past_last, z_monotone, ln_mass = frame
     neval = 0
-    grown = []  # the walks that computed nodes to keep
 
     def ln(x):
         return math.log(x) if x > 0.0 else -math.inf
@@ -429,7 +380,7 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         return ln_left_out + math.log(2.0) <= _LN_TRAP_TAIL + ln(summed) + ln_h
 
     sinh, sqrt, log1p, exp, expm1 = math.sinh, math.sqrt, math.log1p, math.exp, math.expm1
-    complement, weighted = weight == "complement", weight != "direct"
+    complement, log_weight = weight == "complement", weight == "log"
 
     def walk(x0, dx, total, ln_h):
         """Sum of the terms at centre + x0 + j dx, j = 0, 1, ..., until
@@ -440,29 +391,6 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         j = 0
         # the last node before |v| passes _V_MAX, or the node budget
         j_end = min(_TRAP_MAX_NODES, int((math.copysign(_V_MAX, dx) - centre - x0) / dx))
-        keep, fresh = 0, b""
-        if memo is not None:
-            # the nodes an earlier walk kept, summed by the steps of the loop
-            # below, so that the direct route pays nothing for the memo
-            known = memo.walks.get((x0, dx), _NO_NODES)
-            nodes = iter(known)
-            for vh, z, lg, t in zip(nodes, nodes, nodes, nodes):
-                t *= -expm1(-u * lg) / u if complement else lg
-                part += t
-                cut = _TRAP_TAIL * (total + part)
-                if t <= cut:
-                    geometric = t == 0.0 or (t < prev and t <= cut * (1.0 - t / prev))
-                    if (right_done(vh, t, geometric, total + part, ln_h) if dx > 0.0
-                            else left_done(vh, z, t, geometric, total + part, ln_h)):
-                        neval += j + 1
-                        return part
-                prev = t
-                j += 1
-            # the nodes computed past the known ones, as doubles, up to keep;
-            # packing each node keeps no float alive, which costs less than
-            # a list. No node at or past j_end is kept, so the walk goes on
-            # below.
-            keep, fresh = min(_LAW_MEMO_NODES, j_end), bytearray()
         while True:
             # the node centre + x as vh + vl (Knuth's two-sum), so that its
             # spacing stays exact where the peak is narrow against v itself
@@ -476,10 +404,10 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
             z = sh / rb
             d = z - a
             t = exp(half_c * lg - 0.5 * d * d - shift)
-            if weighted:
-                if j < keep:
-                    fresh += _pack_node(vh, z, lg, t)
-                t *= -expm1(-u * lg) / u if complement else lg
+            if complement:
+                t *= -expm1(-u * lg) / u
+            elif log_weight:
+                t *= lg
             part += t
             cut = _TRAP_TAIL * (total + part)
             if t <= cut:
@@ -488,8 +416,6 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
                 if (right_done(vh, t, geometric, total + part, ln_h) if dx > 0.0
                         else left_done(vh, z, t, geometric, total + part, ln_h)):
                     neval += j + 1
-                    if fresh:
-                        grown.append(((x0, dx), known, fresh))
                     return part
             prev = t
             j += 1
@@ -506,8 +432,6 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
                 # z = sinh(v)/sqrt(beta) grows like e^|v|, so the Gaussian
                 # factor takes the terms the walk leaves out to 0
                 neval += j
-                if fresh:
-                    grown.append(((x0, dx), known, fresh))
                 return part
 
     scale = shift - ln_mass
@@ -525,8 +449,6 @@ def _trapezoid(law: ScaledNoncentralChiSq, u: float,
         est = h * total
         if diff <= rtol * est:
             break
-    if grown:
-        memo.publish(grown)
     if not est >= sys.float_info.min:
         # a subnormal sum has lost the bits that scaling would restore;
         # a normal one keeps exp(scale) finite, since k < 1/2 and

@@ -16,7 +16,7 @@ import sys
 import warnings
 from dataclasses import replace
 
-from irsec.channel import LinkConfig, load_link_config
+from irsec.channel import _FLOAT_FIELDS, _INT_FIELDS, LinkConfig, load_link_config
 from irsec.eccore import SCENARIOS, ec_siso_csi
 from irsec.rateopt import (
     NonConvergenceError,
@@ -42,9 +42,8 @@ SEED_ENV_VAR = "IRS_EC_SEED"
 # explicit antenna count from flag or config file.
 MISO_DEFAULT_N_TX = 10
 
-_FLOAT_FLAGS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
-                "g_t_db", "g_r_db", "p_t", "sigma2", "bandwidth", "slot")
-_INT_FLAGS = ("n_elems", "n_tx")
+# one flag per link field, and the gains in dB
+_FLOAT_FLAGS = _FLOAT_FIELDS + ("g_t_db", "g_r_db")
 
 # argparse reads a token that starts with "-" as an option unless it is a
 # plain negative number such as -1 or -.5, so "--values -1,0.1" and
@@ -60,7 +59,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for name in _FLOAT_FLAGS:
         p.add_argument("--" + name.replace("_", "-"), type=float,
                        default=None, dest=name)
-    for name in _INT_FLAGS:
+    for name in _INT_FIELDS:
         p.add_argument("--" + name.replace("_", "-"), type=int,
                        default=None, dest=name)
     p.add_argument("--precoder", default=None,
@@ -70,7 +69,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _build_config(args, scenario: str | None = None) -> LinkConfig:
     cfg = load_link_config(args.config) if args.config else LinkConfig()
     overrides = {}
-    for name in _FLOAT_FLAGS + _INT_FLAGS:
+    for name in _FLOAT_FLAGS + _INT_FIELDS:
         value = getattr(args, name)
         if value is None:
             continue

@@ -7,6 +7,11 @@ import pytest
 from irsec import eccore, sweeps
 from irsec.channel import LinkConfig, pathloss
 
+# The benchmark's design grid: element counts, powers and QoS exponents.
+GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
+GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
+GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
 
 @pytest.fixture(scope="session")
 def cfg_siso():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GRID_ALPHA, GRID_N, GRID_P_T
 from irsec import channel, eccore
 from irsec.channel import (
     Exponential,
@@ -75,6 +76,10 @@ def test_link_config_validation():
         LinkConfig(sigma2=-1.0)
     with pytest.raises(ValueError):
         LinkConfig(phi_inc=2.0)
+    # phi_inc is held to [0, pi/2], not to positivity
+    assert LinkConfig(phi_inc=0.0).phi_inc == 0.0
+    with pytest.raises(ValueError, match=r"^phi_inc must lie in \[0, pi/2\]$"):
+        LinkConfig(phi_inc=-0.1)
     with pytest.raises(ValueError):
         LinkConfig(n_elems=0)
     with pytest.raises(ValueError):
@@ -90,6 +95,15 @@ def test_link_config_rejects_nonfinite_floats(field, value):
     """inf and nan are refused as input in every float field; an infinite
     power used to pass the positivity check and fail in the quadrature."""
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        LinkConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(LinkConfig)
+                                   if f.type == "float" and f.name != "phi_inc"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_link_config_rejects_nonpositive_floats(field, value):
+    """Every float field but phi_inc must be strictly positive."""
+    with pytest.raises(ValueError, match=f"^{field} must be strictly positive$"):
         LinkConfig(**{field: value})
 
 
@@ -217,20 +231,17 @@ def _law_bits(res):
     return res.value.hex(), res.abserr.hex(), res.neval, res.route
 
 
-# The benchmark's design grid: element counts, powers and QoS exponents.
-_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
-_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
-_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
-
-
 def test_unit_rule_memo_keeps_every_bit_on_the_design_grid():
     """Over the 343 design cells in shuffled order, ln_mgf and mean_log
-    from a warm memo return the value, abserr, neval and route of a
-    cleared one. The complement and log routes reach the memo 539 times
-    on the 49 laws: each law misses once and every other call hits."""
+    from a warm frame memo return the value, abserr, neval and route of
+    a cleared one. The complement and log routes reach the memo 539
+    times on the 49 laws: each law misses once and every other call
+    hits. One more law's left walks run out to |v| = _V_MAX."""
     memo = channel._unit_rule
+    far = ScaledNoncentralChiSq(1.0303415495562854e+299, 1.2134322050214695e-08)
     cells = [(siso_snr_dist(LinkConfig(n_elems=n, p_t=p_t)), alpha / math.log(2.0))
-             for n, p_t, alpha in itertools.product(_GRID_N, _GRID_P_T, _GRID_ALPHA)]
+             for n, p_t, alpha in itertools.product(GRID_N, GRID_P_T, GRID_ALPHA)]
+    cells.append((far, 1e-5))
     random.Random(28).shuffle(cells)
     cold = []
     for law, u in cells:
@@ -242,89 +253,13 @@ def test_unit_rule_memo_keeps_every_bit_on_the_design_grid():
     warm = [[_law_bits(law.ln_mgf(u)), _law_bits(law.mean_log())] for law, u in cells]
     assert warm == cold
     ruled = [(law, bits) for (law, _), pair in zip(cells, warm) for bits in pair
-             if bits[3] in ("complement", "log")]
+             if bits[3] in ("complement", "log") and law is not far]
     assert len({law for law, _ in ruled}) == 49
+    assert [bits[3] for (law, _), pair in zip(cells, warm) if law is far
+            for bits in pair] == ["complement", "log"]
     info = memo.cache_info()
-    assert (info.hits, info.misses) == (len(ruled) - 49, 49) == (490, 49)
-
-
-def test_unit_rule_memo_is_thread_safe():
-    """Four threads that interleave exponents on one law, the memo
-    cleared between rounds and the switch interval shortened, get the
-    values of a cold memo."""
-    law = siso_snr_dist(LinkConfig(n_elems=16, p_t=1e3))
-    exponents = [1e-6, 1e-4, 1e-3, 0.005, 0.01, None]  # None: mean_log
-    assert {law.ln_mgf(u).route for u in exponents[:-1]} == {"complement"}
-
-    def results(order):
-        return [_law_bits(law.ln_mgf(u)) if u else _law_bits(law.mean_log()) for u in order]
-
-    cold = {}
-    for u in exponents:
-        channel._unit_rule.cache_clear()
-        cold[u] = results([u])[0]
-    orders = [exponents[k:] + exponents[:k] for k in (0, 2, 4)] + [exponents[::-1]]
-    rounds = 30
-    got = [[] for _ in orders]
-    barrier = threading.Barrier(len(orders), timeout=60)
-
-    def run(k):
-        for _ in range(rounds):
-            barrier.wait()
-            got[k].append(results(orders[k]))
-            if barrier.wait() == 0:
-                channel._unit_rule.cache_clear()
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
-    for order, rounds_got in zip(orders, got):
-        assert rounds_got == [[cold[u] for u in order]] * rounds
-
-
-def test_unit_rule_memo_keeps_at_most_its_cap(monkeypatch):
-    """A law keeps at most _LAW_MEMO_NODES nodes over all its walks; the
-    nodes past the cap are computed, not kept, and change no bit."""
-    laws = [siso_snr_dist(LinkConfig(n_elems=n, p_t=1e3)) for n in (1, 16, 2000)]
-    us = [1e-6, 1e-3, 0.02]
-    channel._unit_rule.cache_clear()
-    cold = [[_law_bits(law.ln_mgf(u)) for u in us] + [_law_bits(law.mean_log())]
-            for law in laws]
-    channel._unit_rule.cache_clear()
-    monkeypatch.setattr(channel, "_LAW_MEMO_NODES", 30)
-    warm = [[_law_bits(law.ln_mgf(u)) for u in us] + [_law_bits(law.mean_log())]
-            for law in laws]
-    assert warm == cold
-    for law in laws:
-        rule = channel._unit_rule(law)
-        assert rule.kept == sum(len(nodes) for nodes in rule.walks.values()) == 4 * 30
-    channel._unit_rule.cache_clear()
-
-
-def test_unit_rule_memo_keeps_no_walks_last_node(monkeypatch):
-    """Where the left walks run out to |v| = _V_MAX, a walk keeps its
-    nodes up to, not including, the last one it may take, so a warm
-    call computes that node afresh and ends the walk there as a cold one
-    does, with the same bits."""
-    monkeypatch.setattr(channel, "_LAW_MEMO_NODES", 100_000)
-    law = ScaledNoncentralChiSq(1.0303415495562854e+299, 1.2134322050214695e-08)
-    channel._unit_rule.cache_clear()
-    cold = [_law_bits(law.mean_log()), _law_bits(law.ln_mgf(1e-5))]
-    assert [_law_bits(law.mean_log()), _law_bits(law.ln_mgf(1e-5))] == cold
-    rule = channel._unit_rule(law)
-    centre = rule.frame[0]
-    ends = [int((math.copysign(channel._V_MAX, dx) - centre - x0) / dx) - len(nodes) // 4
-            for (x0, dx), nodes in rule.walks.items()]
-    assert min(ends) == 0
-    channel._unit_rule.cache_clear()
+    # the far law misses once and hits once
+    assert (info.hits - 1, info.misses - 1) == (len(ruled) - 49, 49) == (490, 49)
 
 
 def test_siso_dist_reference(cfg_siso):

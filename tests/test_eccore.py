@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import miso_cfg_for_kappa
+from conftest import GRID_ALPHA, GRID_N, GRID_P_T, miso_cfg_for_kappa
 from irsec import channel, eccore
 from irsec.channel import Exponential, LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
@@ -184,11 +184,6 @@ _FOLD_WEIGHTS = {
     "log": lambda beta, u: lambda t: math.log1p(beta * t * t),
 }
 
-# The benchmark's design grid: element counts, powers and QoS exponents.
-_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
-_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
-_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
-
 # The folded-normal window [0, sqrt(lam) + _QUAD_SPAN], the relative
 # target of its quadrature, and the u below which the MGF is taken
 # through its complement 1 - M.
@@ -219,14 +214,14 @@ def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
     alpha = 1e3 has ln M = -89). There the rule's ln M is finite, and
     test_siso_ln_mgf_matches_mpmath checks cells of both kinds."""
     underflows = 0
-    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+    for n, p_t in itertools.product(GRID_N, GRID_P_T):
         cfg = LinkConfig(n_elems=n, p_t=p_t)
         dist = siso_snr_dist(cfg)
         root_lam = math.sqrt(dist.lam)
         value, abserr, ier = _fold_quad("log", dist.beta, 0.0, root_lam)
         assert ier == 0
         assert abs(dist.mean_log().value - value) <= abserr, (n, p_t)
-        for alpha in _GRID_ALPHA:
+        for alpha in GRID_ALPHA:
             u = alpha * cfg.bandwidth * cfg.slot / LN2
             ln_m = dist.ln_mgf(u).value
             if u < _SMALL_U:
@@ -241,7 +236,7 @@ def test_trapezoid_rule_is_within_the_quadpack_abserr_on_the_design_grid():
                     continue
             assert ier == 0
             assert abs(got - value) <= abserr, (n, p_t, alpha)
-    assert underflows < len(_GRID_N) * len(_GRID_P_T) * len(_GRID_ALPHA) // 10
+    assert underflows < len(GRID_N) * len(GRID_P_T) * len(GRID_ALPHA) // 10
 
 
 def test_trapezoid_node_budget_on_the_design_grid():
@@ -250,10 +245,10 @@ def test_trapezoid_node_budget_on_the_design_grid():
     first halving: the 343 cells take at most 26,000 nodes in all, where
     a start at one full width takes 33,023."""
     nodes = 0
-    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+    for n, p_t in itertools.product(GRID_N, GRID_P_T):
         cfg = LinkConfig(n_elems=n, p_t=p_t)
         dist = siso_snr_dist(cfg)
-        for alpha in _GRID_ALPHA:
+        for alpha in GRID_ALPHA:
             nodes += dist.ln_mgf(alpha * cfg.bandwidth * cfg.slot / LN2).neval
     assert nodes <= 26_000
 
@@ -381,7 +376,7 @@ def test_miso_moment_memo_keeps_every_bit_on_the_design_grid(mode):
     each (kappa, bandwidth, slot) misses once."""
     memo = eccore._service_moments
     cells = [(LinkConfig(n_elems=n, p_t=p_t, n_tx=10), alpha)
-             for n, p_t, alpha in itertools.product(_GRID_N, _GRID_P_T, _GRID_ALPHA)]
+             for n, p_t, alpha in itertools.product(GRID_N, GRID_P_T, GRID_ALPHA)]
     random.Random(28).shuffle(cells)
 
     def bits(cfg, alpha):

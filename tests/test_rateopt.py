@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import miso_cfg_for_kappa
+from conftest import GRID_ALPHA, GRID_N, GRID_P_T, miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec import eccore, rateopt
 from irsec.eccore import LN2, _fixed_rate, get_scenario, mean_service, on_off_probs
@@ -227,18 +227,13 @@ def test_grid_search_pinned_at_design_cells(cell, pinned):
     assert (sol.r_star.hex(), sol.ec_at_r_star.hex(), sol.iterations) == pinned
 
 
-# The benchmark's design grid: element counts, powers and QoS exponents.
-_GRID_N = (1, 4, 16, 100, 400, 2000, 20000)
-_GRID_P_T = (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1e1, 1e3)
-_GRID_ALPHA = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
-
 
 def _design_cells(scenario):
     """(cfg, alpha, r_max) of every design cell, in a shuffled order so
     that a link's solves are interleaved with other links'; r_max is
     auto_rate's span over twice the mean-SNR Shannon rate."""
     cells = []
-    for n, p_t in itertools.product(_GRID_N, _GRID_P_T):
+    for n, p_t in itertools.product(GRID_N, GRID_P_T):
         if scenario == "siso_nocsi":
             cfg = LinkConfig(n_elems=n, p_t=p_t)
             dist = siso_snr_dist(cfg)
@@ -247,7 +242,7 @@ def _design_cells(scenario):
             cfg = LinkConfig(n_elems=n, p_t=p_t, n_tx=10)
             mean_snr = 1.0 / miso_snr_dist(cfg).kappa
         r_max = 2.0 * cfg.bandwidth * math.log1p(mean_snr) / LN2
-        cells += [(cfg, alpha, r_max) for alpha in _GRID_ALPHA]
+        cells += [(cfg, alpha, r_max) for alpha in GRID_ALPHA]
     random.Random(2023).shuffle(cells)
     return cells
 
