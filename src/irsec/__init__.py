@@ -5,8 +5,8 @@ knowledge, fixed-rate optimization, and an independent Monte Carlo
 oracle for cross-checking every analytical result.
 """
 
-from irsec import channel, eccore, mcoracle, rateopt, specfun, sweeps
+from irsec import channel, eccore, mcoracle, paper, rateopt, specfun, sweeps
 
-__all__ = ["channel", "eccore", "mcoracle", "rateopt", "specfun", "sweeps"]
+__all__ = ["channel", "eccore", "mcoracle", "paper", "rateopt", "specfun", "sweeps"]
 
 __version__ = "0.1.0"

@@ -16,14 +16,10 @@ import sys
 import warnings
 from dataclasses import replace
 
+from irsec import paper
 from irsec.channel import _FLOAT_FIELDS, _INT_FIELDS, LinkConfig, load_link_config
-from irsec.eccore import SCENARIOS, ec_siso_csi
-from irsec.rateopt import (
-    NonConvergenceError,
-    RateSolution,
-    optimize_rate_miso_closed,
-    optimize_rate_siso,
-)
+from irsec.eccore import SCENARIOS
+from irsec.rateopt import RateSolution
 from irsec.sweeps import (
     SWEEP_VARS,
     SweepSpec,
@@ -127,12 +123,15 @@ def _cmd_ec(args) -> int:
     if not entry.adaptive and rate is None:
         rate = auto_rate(cfg, args.scenario, args.alpha, kappa_mode=args.kappa_mode)
     res = entry.ec(cfg, args.alpha, rate, kappa_mode=args.kappa_mode)
+    diag = res.diagnostics
+    if args.scenario == "siso_csi":  # the paper's closed form beside the EC
+        diag = {**diag, **paper.siso_csi_relaxed(cfg, args.alpha)}
     print(f"scenario = {args.scenario}")
     print(f"alpha = {args.alpha!r}")
     if rate is not None:
         print(f"rate = {rate!r}")
     print(f"ec_bits_per_slot = {res.ec_bits_per_slot!r}")
-    _print_diag(res.diagnostics)
+    _print_diag(diag)
     return 0
 
 
@@ -182,14 +181,14 @@ def _cmd_optimize_rate(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # closed_form_valid says it
             if SCENARIOS[args.scenario].beamformed:
-                paper = optimize_rate_miso_closed(cfg, args.alpha,
-                                                  kappa_mode=args.kappa_mode)
+                form = paper.optimize_rate_miso_closed(cfg, args.alpha,
+                                                       kappa_mode=args.kappa_mode)
             else:
-                paper = optimize_rate_siso(cfg, args.alpha)
-    except (ValueError, NonConvergenceError) as exc:
+                form = paper.optimize_rate_siso(cfg, args.alpha)
+    except (ValueError, paper.NonConvergenceError) as exc:
         print(f"paper.error = {type(exc).__name__}: {exc}")
         return 0
-    _print_solution("paper.", paper)
+    _print_solution("paper.", form)
     return 0
 
 
@@ -200,6 +199,7 @@ def _cmd_validate(args) -> int:
     alpha = args.alpha
     print(f"alpha = {alpha!r}")
     print(f"mc_slots = {args.mc_slots}")
+    analytic = {}
     for scenario in SCENARIOS:
         # each branch is a one-row alpha sweep at seed; the CSI and no-CSI
         # branches of one link share its fading draw (see run_sweep)
@@ -210,21 +210,20 @@ def _cmd_validate(args) -> int:
             print(f"error: {row.error}", file=sys.stderr)
             return 2
         ec, oracle = row.ec_analytical, row.ec_oracle
+        analytic[scenario] = ec
         rel = abs(ec - oracle) / max(abs(oracle), 1e-300)
         line = (f"{scenario}: analytic = {ec:.6f}, oracle = {oracle:.6f}, "
                 f"stderr = {row.oracle_stderr:.2g}, rel_err = {rel:.3%}")
         if row.r_star is not None:
             line += f", r_star = {row.r_star:.6f}"
         print(line)
-    cfg = _build_config(args, "siso_csi")
-    res = ec_siso_csi(cfg, alpha)
-    relaxed = res.diagnostics["ec_relaxed"]
-    exact = res.ec_bits_per_slot
+    form = paper.siso_csi_relaxed(_build_config(args, "siso_csi"), alpha)
+    relaxed, exact = form["ec_relaxed"], analytic["siso_csi"]
     if relaxed == relaxed:  # NaN where the closed form diverges
         bias = (relaxed - exact) / exact
         print(f"siso_csi high-SNR closed form: relaxed = {relaxed:.6f}, "
               f"exact = {exact:.6f}, systematic_bias = {bias:.2%}, "
-              f"low_snr_prob = {res.diagnostics['low_snr_prob']:.3f}")
+              f"low_snr_prob = {form['low_snr_prob']:.3f}")
     else:
         print("siso_csi high-SNR closed form: divergent at this alpha "
               "(alpha*bandwidth*slot/ln2 >= 1/2)")

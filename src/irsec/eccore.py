@@ -49,7 +49,6 @@ __all__ = [
     "miso_csi_moments",
     "mean_service",
     "KAPPA_WATSON",
-    "RELAX_SNR_FLOOR",
 ]
 
 LN2 = math.log(2.0)
@@ -60,10 +59,7 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 # at optimal truncation is far better. Crossover measured near 14.
 KAPPA_WATSON = 14.0
 
-# The interpretable high-SNR closed form drops the +1 inside the log;
-# its diagnostics report the SNR law's mass below this floor.
-RELAX_SNR_FLOOR = 9.0
-# exp() of an exponent past this is treated as overflow; rateopt shares it.
+# exp() of an exponent past this is treated as overflow; paper shares it.
 _EXP_TAIL = 690.0
 
 
@@ -131,8 +127,7 @@ class Scenario:
         kappa_mode applies to the beamformed link. A rate given to an
         adaptive branch, or a kappa_mode other than "exact" on the
         single-antenna link, is a ValueError rather than ignored.
-        siso_csi's high-SNR closed form is a diagnostic of its result,
-        never the EC.
+        siso_csi's high-SNR closed form (irsec.paper) is never the EC.
         """
         self._check_kappa_mode(kappa_mode)
         self.check_rate(rate)
@@ -187,19 +182,6 @@ class EcResult:
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
 
-def _ln_mgf_siso_relaxed(beta: float, lam: float, u: float) -> tuple[float, dict]:
-    """High-SNR form: ln E[(beta X)^{-u}], finite only for u < 1/2."""
-    addends = {
-        "neg_u_ln_beta": -u * math.log(beta),
-        "neg_u_ln2": -u * LN2,
-        "neg_half_lam": -0.5 * lam,
-        "ln_gamma_half_minus_u": math.lgamma(0.5 - u),
-        "neg_half_ln_pi": -0.5 * math.log(math.pi),
-        "ln_hyp1f1": specfun.ln_hyp1f1(0.5 - u, 0.5, 0.5 * lam),
-    }
-    return math.fsum(addends.values()), addends
-
-
 def ec_siso_csi(
     cfg: LinkConfig,
     alpha: float,
@@ -211,11 +193,8 @@ def ec_siso_csi(
     "first_order", the last with no evaluations), the difference of its
     last two step halvings (on ln M for "direct", which stays finite
     where M underflows) and its integrand evaluations as quad_route,
-    quad_abserr and quad_neval. They also carry the interpretable high-SNR
-    closed form (ec_relaxed, ln_mgf_relaxed, relaxed_addends), finite
-    only for alpha * bandwidth * slot / ln 2 < 1/2 and NaN beyond, and
-    low_snr_prob = P(SNR < RELAX_SNR_FLOOR), the mass on which that form
-    undershoots. The closed form is a diagnostic only, never the EC.
+    quad_abserr and quad_neval. The paper's high-SNR closed form is
+    irsec.paper.siso_csi_relaxed, never the EC.
 
     Once u or k = 1 - E[(1+SNR)^-u] is subnormal, -ln M has lost bits
     that dividing by alpha cannot restore, so the EC takes its
@@ -233,17 +212,6 @@ def ec_siso_csi(
             f"largest exponent {MAX_MGF_U!r} at alpha = {a!r}, "
             f"bandwidth = {cfg.bandwidth!r}, slot = {cfg.slot!r}")
     diag: dict = {"beta": dist.beta, "lam": dist.lam, "u": u}
-    diag["low_snr_prob"] = dist.cdf(RELAX_SNR_FLOOR)
-
-    if u < 0.5:
-        ln_mgf_relaxed, addends = _ln_mgf_siso_relaxed(dist.beta, dist.lam, u)
-        diag["ln_mgf_relaxed"] = ln_mgf_relaxed
-        diag["ec_relaxed"] = -ln_mgf_relaxed / a
-        diag["relaxed_addends"] = addends
-    else:
-        diag["ln_mgf_relaxed"] = math.nan
-        diag["ec_relaxed"] = math.nan
-
     law_int = dist.ln_mgf(u) if u >= sys.float_info.min else None
     if law_int is not None and -law_int.value >= sys.float_info.min:
         ln_mgf, diag["quad_abserr"], diag["quad_neval"], diag["quad_route"] = law_int

@@ -2,8 +2,7 @@
 
 Everything here is a pure function of its float arguments, safe to call
 from any thread. Infinite series stop at SERIES_REL_TOL within a fixed
-term budget, SERIES_MAX_TERMS; the 1F1 branch threshold is a module
-constant with its rationale noted next to it.
+term budget, SERIES_MAX_TERMS.
 """
 
 from __future__ import annotations
@@ -14,18 +13,11 @@ __all__ = [
     "ConvergenceError",
     "gaussian_tail",
     "marcum_q_half",
-    "marcum_q_half_ddb",
-    "ln_hyp1f1",
     "hyp3f3_unit",
     "expint_e1_scaled",
 ]
 
-LN2 = math.log(2.0)
 EULER_GAMMA = 0.57721566490153286061
-
-# 1F1 switches from the plain series to the large-x asymptotic here.
-# Both branches were overlap-tested on x in [25, 35]; see the tests.
-HYP1F1_ASYMPTOTIC_SWITCH = 30.0
 
 # Truncation budget for every infinite series here: stop once a term
 # falls below SERIES_REL_TOL of the running sum, fail past the budget.
@@ -33,7 +25,6 @@ SERIES_MAX_TERMS = 10000
 SERIES_REL_TOL = 1e-12
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class ConvergenceError(ArithmeticError):
@@ -57,20 +48,6 @@ def marcum_q_half(a: float, b: float) -> float:
     return min(1.0, max(0.0, q))
 
 
-def marcum_q_half_ddb(a: float, b: float) -> float:
-    """Derivative of marcum_q_half with respect to its second argument.
-
-    Identical to -sqrt(a b) e^{-(a^2+b^2)/2} I_{-1/2}(a b) but evaluated
-    in a log-stabilized form that cannot overflow:
-    -sqrt(2/pi) exp(-(a - b)^2 / 2 + log1p(e^{-2ab}) - ln 2).
-    """
-    if a < 0.0 or b < 0.0:
-        raise ValueError("marcum_q_half_ddb requires a >= 0 and b >= 0")
-    return -_SQRT_2_OVER_PI * math.exp(
-        -0.5 * (a - b) ** 2 + math.log1p(math.exp(-2.0 * a * b)) - LN2
-    )
-
-
 def _kahan_sum(first_term: float, next_ratio) -> float:
     """Kahan-compensated sum of term_0=first_term, term_{n+1}=term_n*ratio(n)."""
     total = first_term
@@ -87,37 +64,6 @@ def _kahan_sum(first_term: float, next_ratio) -> float:
     raise ConvergenceError(
         f"series did not reach rel_tol={SERIES_REL_TOL} within {SERIES_MAX_TERMS} terms"
     )
-
-
-def ln_hyp1f1(a: float, b: float, x: float) -> float:
-    """ln 1F1(a; b; x) for a > 0, b > 0 and x > 0.
-
-    Stays in the log domain so callers can combine it with large gamma
-    factors before a single exponentiation.
-    """
-    if a <= 0.0:
-        raise ValueError(f"ln_hyp1f1 requires a > 0, got {a}")
-    if b <= 0.0:
-        raise ValueError(f"ln_hyp1f1 requires b > 0, got {b}")
-    if x <= 0.0:
-        raise ValueError(f"ln_hyp1f1 requires x > 0, got {x}")
-    if x <= HYP1F1_ASYMPTOTIC_SWITCH:
-        return math.log(_kahan_sum(1.0, lambda n: (a + n) * x / ((b + n) * (n + 1.0))))
-    # Large-x asymptotic: 1F1(a;b;x) ~ Gamma(b)/Gamma(a) e^x x^(a-b) * S,
-    # S = sum_k (b-a)_k (1-a)_k / (k! x^k), truncated at its smallest term.
-    corr = 1.0
-    term = 1.0
-    for k in range(SERIES_MAX_TERMS):
-        nxt = term * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
-        if abs(nxt) >= abs(term):
-            break
-        corr += nxt
-        term = nxt
-        if abs(term) <= SERIES_REL_TOL * abs(corr):
-            break
-    if corr <= 0.0:
-        raise ConvergenceError("1F1 asymptotic correction lost positivity")
-    return math.lgamma(b) - math.lgamma(a) + x + (a - b) * math.log(x) + math.log(corr)
 
 
 def hyp3f3_unit(x: float) -> float:

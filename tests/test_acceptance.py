@@ -35,6 +35,7 @@ from irsec.channel import (
     siso_snr_dist,
 )
 from irsec.eccore import (
+    LN2,
     _fixed_rate,
     _on_off_kernel,
     ec_miso_csi,
@@ -46,13 +47,8 @@ from irsec.eccore import (
     on_off_probs,
 )
 from irsec.mcoracle import empirical_ec
-from irsec.rateopt import (
-    DescentSettings,
-    optimize_rate_miso_closed,
-    optimize_rate_siso,
-    solve_rate_miso_exact,
-)
-from irsec.specfun import LN2
+from irsec.paper import DescentSettings, optimize_rate_miso_closed, optimize_rate_siso
+from irsec.rateopt import solve_rate_miso_exact
 from irsec.sweeps import SweepSpec, auto_rate, run_sweep
 from reference_samplers import (
     block_ec,
@@ -239,7 +235,7 @@ def test_criterion_06_gradient_grid(capsys):
         p_on, p_off = on_off_probs(siso_snr_dist(cfg), rate, cfg.bandwidth)
         return p_off + p_on * math.exp(-alpha * rate * cfg.slot)
 
-    from irsec.rateopt import siso_ec_gradient
+    from irsec.paper import siso_ec_gradient
 
     worst = 0.0
     for n_elems in (16, 64, 100):

@@ -11,6 +11,10 @@ its own definition and the tests mention fails here.
 Importing the package and its command line loads no scipy module: numpy
 is the only run-time dependency, and scipy's import graph would triple
 the start-up time of every command.
+
+The paper's approximations (irsec.paper) are reported beside the
+library's answers, never used to compute them: only the command line
+imports that module.
 """
 
 import ast
@@ -26,7 +30,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_DIRS = ("src", "scripts", "bench")
-MODULES = ("specfun", "numerics", "channel", "eccore", "rateopt", "mcoracle", "sweeps")
+MODULES = ("specfun", "numerics", "channel", "eccore", "rateopt", "paper", "mcoracle",
+           "sweeps")
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,3 +78,24 @@ def test_package_and_cli_import_no_scipy():
                          check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                          timeout=60)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _imports_paper(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "irsec.paper" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            if package in ("irsec.paper", ".paper"):
+                return True
+            if package in ("irsec", ".") and any(a.name == "paper" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_cli_imports_the_paper_module():
+    package = ROOT / "src" / "irsec"
+    importers = sorted(path.name for path in package.rglob("*.py")
+                       if _imports_paper(ast.parse(path.read_text(encoding="utf-8"))))
+    assert importers == ["__init__.py", "cli.py"]

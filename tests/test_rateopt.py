@@ -26,17 +26,14 @@ from conftest import GRID_ALPHA, GRID_N, GRID_P_T, miso_cfg_for_kappa
 from irsec.channel import LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec import eccore, rateopt
 from irsec.eccore import LN2, _fixed_rate, get_scenario, mean_service, on_off_probs
-from irsec.rateopt import (
+from irsec.paper import (
     DescentSettings,
     NonConvergenceError,
-    RateSolution,
-    _rate_grid,
-    grid_argmax_rate,
     optimize_rate_miso_closed,
     optimize_rate_siso,
     siso_ec_gradient,
-    solve_rate_miso_exact,
 )
+from irsec.rateopt import RateSolution, _rate_grid, grid_argmax_rate, solve_rate_miso_exact
 from reference_samplers import grid_argmax_exhaustive, grid_argmax_reference
 
 CRIT = DescentSettings(r0=1.0, step=0.5, conv_tol=1e-3)

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from scipy.special import iv
 
 from irsec import specfun
+from irsec.paper import ln_hyp1f1, marcum_q_half_ddb
 from irsec.specfun import (
     ConvergenceError,
     expint_e1_scaled,
     gaussian_tail,
     hyp3f3_unit,
-    ln_hyp1f1,
     marcum_q_half,
-    marcum_q_half_ddb,
 )
 
 
