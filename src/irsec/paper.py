@@ -120,7 +120,7 @@ def siso_ec_gradient(
     if LN2 * rate / b > _EXP_TAIL:
         return 0.0
     growth = math.exp(LN2 * rate / b)
-    threshold = growth - 1.0
+    threshold = math.expm1(LN2 * rate / b)  # growth - 1 is 0 below rate ~1e-16 B
     xi = math.sqrt(threshold / dist.beta)
     root_lam = math.sqrt(dist.lam)
     dxi_drate = LN2 * growth / (2.0 * b * dist.beta * xi)

@@ -88,6 +88,12 @@ def test_gradient_tail_and_domain(cfg_siso):
         siso_ec_gradient(cfg_siso, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("rate", [1e-17, 1e-300])
+def test_gradient_is_finite_at_tiny_rates(cfg_siso, rate):
+    # 2^(r/B) - 1 rounds to 0 below r ~ 1e-16 B; its expm1 does not
+    assert math.isfinite(siso_ec_gradient(cfg_siso, 0.1, rate))
+
+
 def test_descent_reference_budget(cfg_siso):
     sol = optimize_rate_siso(cfg_siso, 0.1, CRIT)
     oracle = grid_argmax_reference(cfg_siso, 0.1, "siso_nocsi", 2.5, 1000)
