@@ -127,6 +127,8 @@ def siso_ec_gradient(
     dp_on = marcum_q_half_ddb(root_lam, xi) * dxi_drate
     p_on = specfun.marcum_q_half(root_lam, xi)
     decay = math.exp(-a * rate * cfg.slot)
+    if decay == 0.0:  # both decay terms vanish, also where a * slot is inf
+        return -dp_on
     return dp_on * decay - a * cfg.slot * p_on * decay - dp_on
 
 

@@ -192,6 +192,16 @@ def test_optimize_rate_reports_a_descent_that_does_not_converge(capsys):
         "NonConvergenceError: descent did not converge in 100000 iterations")
 
 
+def test_optimize_rate_descent_where_alpha_slot_overflows(capsys):
+    """alpha * slot = inf leaves the descent's decay terms at their limit
+    0, not a NaN iterate reported as a rate of 0."""
+    code, out, err = _run(capsys, ["optimize-rate", "--scenario", "siso_nocsi",
+                                   "--alpha", "1e200", "--slot", "1e200"])
+    assert code == 0 and err == ""
+    paper_lines = [line for line in out.splitlines() if line.startswith("paper.")]
+    assert paper_lines and not any("rate = 0" in line for line in paper_lines)
+
+
 def test_optimize_rate_reports_the_paper_closed_form(capsys):
     kv = _optimize_rate(capsys, ("miso_nocsi", "10", ()))
     assert kv["paper.method"] == "closed_form"

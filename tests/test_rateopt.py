@@ -94,6 +94,11 @@ def test_gradient_is_finite_at_tiny_rates(cfg_siso, rate):
     assert math.isfinite(siso_ec_gradient(cfg_siso, 0.1, rate))
 
 
+def test_gradient_is_finite_where_alpha_slot_overflows():
+    # inf * 0 in the decay terms would make the gradient NaN
+    assert math.isfinite(siso_ec_gradient(LinkConfig(slot=1e200), 1e200, 1.0))
+
+
 def test_descent_reference_budget(cfg_siso):
     sol = optimize_rate_siso(cfg_siso, 0.1, CRIT)
     oracle = grid_argmax_reference(cfg_siso, 0.1, "siso_nocsi", 2.5, 1000)
