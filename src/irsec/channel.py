@@ -1,11 +1,11 @@
-"""Physical layer: geometry pathloss, the analytical SNR laws, and the
-seeded Monte Carlo draws of the underlying fading model with their
-link-budget steps.
+"""Physical layer: the link configuration, geometry pathloss and the
+analytical SNR laws, on math alone.
 
 Amplitude convention: every scalar fading coefficient has E|h|^2 = 2
 (Rayleigh amplitude scale 1 per hop, complex Gaussian variance 2 on the
 first MISO hop). The closed-form law constants below are exact for this
-convention, which is what the fading draws implement.
+convention, which is what the oracle's fading draws (irsec.mcoracle)
+implement.
 """
 
 from __future__ import annotations
@@ -13,15 +13,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import sys
-import threading
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import NamedTuple, Union
-
-import numpy as np
 
 from irsec import specfun
 
@@ -30,60 +25,16 @@ __all__ = [
     "ScaledNoncentralChiSq",
     "Exponential",
     "SnrDistribution",
-    "SampleBatch",
     "pathloss",
     "siso_snr_dist",
     "miso_snr_dist",
-    "siso_fading",
-    "miso_fading",
-    "siso_snr_from_fading",
-    "miso_snr_from_fading",
-    "stream_rng",
     "load_link_config",
 ]
 
 PI2 = math.pi * math.pi
 
-# Frozen seed labels of the two fading streams, not function names:
-# changing either string changes every draw.
-_SISO_STREAM = "channel.sample_siso_snr"
-_MISO_STREAM = "channel.sample_miso_snr"
-
-# Element draws per single-antenna chunk. A chunk fixes only the stream
-# layout (all first-hop draws of its rows, then all second-hop draws),
-# so changing it changes every sample; memory is set by _BLOCK_ELEMS.
-_CHUNK_ELEMS = 4_000_000
-
-# Element draws per row block inside a chunk: two cache-sized buffers
-# reused for the whole call instead of fresh chunk-sized temporaries.
-# With several workers each gets 1/workers of a block, so the buffers
-# of all workers together stay at two blocks.
-_BLOCK_ELEMS = 32_768
-
-# Full row blocks of the first chunk per worker thread. Below about ten
-# blocks in all, two threads are no faster than one (N=100 on 2 vCPUs:
-# 1000-2000 slots 0.6-1.3x the one-thread time, 3000-5000 slots 0.6-0.9x).
-_MIN_RUN_BLOCKS = 5
-
 # The least mean beamformed SNR whose reciprocal is finite.
 _MIN_MEAN_SNR = 1.0 / sys.float_info.max
-
-# 64-bit outputs per Philox counter step.
-_PHILOX_BLOCK = 4
-
-
-def stream_rng(seed: int, stream: str) -> np.random.Generator:
-    """Counter-based generator for a named (module, purpose) stream.
-
-    Identical (seed, stream) pairs yield identical draws on any platform;
-    distinct stream labels decorrelate even under the same seed.
-    """
-    entropy = int(seed) % (1 << 64)
-    key = zlib.crc32(stream.encode("utf-8"))
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=entropy, spawn_key=(key,)))
-    )
-
 
 _INT_FIELDS = ("n_elems", "n_tx")
 _FLOAT_FIELDS = ("d1", "d2", "x_irs", "y_irs", "phi_inc", "g_t", "g_r",
@@ -128,19 +79,18 @@ class LinkConfig:
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(value))
-        # the equal-power weight; that vector's power is 1.0 exactly
-        w = complex(1.0 / math.sqrt(self.n_tx), 0.0)
-        if self.precoder is None:
-            object.__setattr__(self, "precoder", (w,) * self.n_tx)
+        # the equal-power vector, whose power is 1.0 exactly, recognised
+        # by one comparison before any weight is converted or checked
+        equal = (complex(1.0 / math.sqrt(self.n_tx), 0.0),) * self.n_tx
+        given = equal if self.precoder is None else tuple(self.precoder)
+        if given == equal:
+            object.__setattr__(self, "precoder", equal)
             power = 1.0
         else:
-            object.__setattr__(self, "precoder", tuple(complex(v) for v in self.precoder))
+            object.__setattr__(self, "precoder", tuple(map(complex, given)))
             if not all(map(cmath.isfinite, self.precoder)):
                 raise ValueError("precoder must be finite")
-            if all(v == w for v in self.precoder):
-                power = 1.0
-            else:
-                power = math.fsum(abs(v) ** 2 for v in self.precoder)
+            power = math.fsum(abs(v) ** 2 for v in self.precoder)
         if len(self.precoder) != self.n_tx:
             raise ValueError("precoder length must equal n_tx")
         if not power > 0.0:
@@ -580,34 +530,6 @@ class Exponential:
 SnrDistribution = Union[ScaledNoncentralChiSq, Exponential]
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Monte Carlo draws with their seed provenance.
-
-    kind "fading" holds a per-slot channel draw before the link budget:
-    siso_fading's sums are nonnegative, miso_fading's values
-    non-positive. "snr" holds the per-slot SNR and "service_bits" the
-    per-slot service, both nonnegative.
-    """
-
-    values: np.ndarray
-    seed: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fading", "snr", "service_bits"):
-            raise ValueError(f"unknown batch kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=float)
-        if v.size == 0:
-            raise ValueError("values must be nonempty")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if self.kind != "fading" and np.any(v < 0.0):
-            raise ValueError(f"{self.kind} values must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def pathloss(cfg: LinkConfig) -> float:
     """Two-hop power attenuation through the reflecting surface,
     g_t g_r / (4 pi)^2 * (x_irs y_irs / (d1 d2))^2 * cos(phi_inc)^2,
@@ -689,170 +611,6 @@ def miso_snr_dist(cfg: LinkConfig, mode: str = "exact") -> Exponential:
         kappa = 1.0 / _miso_mean_snr(cfg)
     law = cfg._miso_laws[mode] = Exponential(kappa=kappa)
     return law
-
-
-def _skipped(bitgen: np.random.Philox, k: int) -> np.random.Philox:
-    """A copy of bitgen positioned k 64-bit outputs further on."""
-    out = np.random.Philox()
-    out.state = bitgen.state
-    buffered = _PHILOX_BLOCK - out.state["buffer_pos"]
-    if k <= buffered:
-        out.random_raw(k)
-        return out
-    out.random_raw(buffered)
-    k -= buffered
-    out.advance(k // _PHILOX_BLOCK)
-    out.random_raw(k % _PHILOX_BLOCK)
-    return out
-
-
-def _rayleigh_inplace(rng: np.random.Generator, buf: np.ndarray) -> None:
-    # inverse-CDF transform of uniform draws, amplitude scale 1:
-    # sqrt(-2 log1p(-u)), rounded exactly as the out-of-place expression
-    rng.random(out=buf)
-    np.negative(buf, out=buf)
-    np.log1p(buf, out=buf)
-    buf *= -2.0
-    np.sqrt(buf, out=buf)
-
-
-def _workers() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _siso_rows(runs, n_el: int, rows: int) -> None:
-    """Fill each (first-hop rng, second-hop rng, out slice) run with the
-    per-slot sums s, in row blocks of `rows` and two block buffers of its
-    own.
-
-    Runs on the caller's thread and on worker threads: it calls nothing
-    in __all__, whose names a tracer may wrap, and only numpy fills and
-    ufuncs that drop the GIL.
-    """
-    buf_a = np.empty(rows * n_el)
-    buf_b = np.empty(rows * n_el)
-    for rng_a, rng_b, out in runs:
-        for start in range(0, out.size, rows):
-            o = out[start:start + rows]
-            r = o.size
-            a, b = buf_a[:r * n_el], buf_b[:r * n_el]
-            _rayleigh_inplace(rng_a, a)
-            _rayleigh_inplace(rng_b, b)
-            a *= b
-            np.sum(a.reshape(r, n_el), axis=1, out=o)
-
-
-def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
-    """n single-antenna rows of N elements each, filled by _siso_rows.
-
-    The stream holds, chunk after chunk, all first-hop draws of a chunk's
-    rows and then all its second-hop draws. Each chunk is cut into one
-    contiguous run of row blocks per worker; a run starting at row s0 of
-    an m-row chunk at slot pos reads its first-hop draws from stream
-    offset 2 pos N + s0 N and its second-hop draws from 2 pos N + (m + s0) N,
-    so the runs fill at the same time and give the same bits.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bitgen = stream_rng(seed, _SISO_STREAM).bit_generator
-    out = np.empty(n, dtype=float)
-    chunk = max(1, _CHUNK_ELEMS // n_el)
-    rows = min(n, chunk, max(1, _BLOCK_ELEMS // n_el))
-    # one worker per _MIN_RUN_BLOCKS full blocks of the first (largest)
-    # chunk, so every worker has a run; the workers share the rows of
-    # one block, so their buffers together hold two blocks at most
-    workers = max(1, min(_workers(), rows, min(n, chunk) // (rows * _MIN_RUN_BLOCKS)))
-    rows //= workers
-    # runs[k] holds worker k's run of every chunk, in stream order
-    runs = [[] for _ in range(workers)]
-    for pos in range(0, n, chunk):
-        m = min(chunk, n - pos)
-        blocks = -(-m // rows)
-        w = min(workers, blocks)
-        for k in range(w):
-            s0 = k * blocks // w * rows
-            s1 = min(m, (k + 1) * blocks // w * rows)
-            runs[k].append((
-                np.random.Generator(_skipped(bitgen, (2 * pos + s0) * n_el)),
-                np.random.Generator(_skipped(bitgen, (2 * pos + m + s0) * n_el)),
-                out[pos + s0:pos + s1]))
-    # the caller fills the first run and a thread each of the others,
-    # joined before any error (the first, in run order) is raised again
-    errors = [None] * workers
-
-    def fill(k):
-        try:
-            _siso_rows(runs[k], n_el, rows)
-        except BaseException as exc:
-            errors[k] = exc
-
-    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        _siso_rows(runs[0], n_el, rows)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
-
-
-def siso_fading(n_elems: int, seed: int, n: int) -> SampleBatch:
-    """Per-slot coherent sums s = sum_i a_i b_i of the single-antenna link.
-
-    Each slot sums N independent Rayleigh-amplitude products. The draw
-    depends only on (n_elems, seed, n), so links that differ in anything
-    else share it. Bit-reproducible per seed, at any number of worker
-    threads.
-    """
-    if int(n_elems) != n_elems or n_elems < 1:
-        raise ValueError("n_elems must be a positive integer")
-    return SampleBatch(values=_siso_fill(int(n_elems), seed, n),
-                       seed=seed, kind="fading")
-
-
-def siso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-    """SNR scale * s * s of a siso_fading batch under cfg's link budget,
-    in a new array: the fading batch may be shared."""
-    if cfg.n_tx != 1:
-        raise ValueError("the single-antenna link requires n_tx == 1")
-    if fading.kind != "fading":
-        raise ValueError("siso_snr_from_fading needs a fading batch")
-    snr = np.multiply(cfg.p_t * pathloss(cfg) / cfg.sigma2, fading.values)
-    snr *= fading.values
-    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
-
-
-def miso_fading(seed: int, n: int) -> SampleBatch:
-    """Per-slot log1p(-u), u uniform, of the beamformed link: minus a
-    unit-mean exponential gain, so every value is non-positive.
-
-    The surface inverts the second hop, so the received amplitude is a
-    complex Gaussian sum of precoded first-hop aggregates, and its
-    squared magnitude is drawn directly by inverse CDF on one uniform.
-    The draw does not depend on the link."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = stream_rng(seed, _MISO_STREAM).random(n)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    return SampleBatch(values=out, seed=seed, kind="fading")
-
-
-def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-    """SNR -mean * log1p(-u) of a miso_fading batch under cfg's link
-    budget, in a new array: the fading batch may be shared."""
-    if fading.kind != "fading":
-        raise ValueError("miso_snr_from_fading needs a fading batch")
-    snr = np.multiply(fading.values, -_miso_mean_snr(cfg))
-    return SampleBatch(values=snr, seed=fading.seed, kind="snr")
 
 
 def load_link_config(path) -> LinkConfig:

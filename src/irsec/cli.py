@@ -201,8 +201,8 @@ def _cmd_validate(args) -> int:
     print(f"mc_slots = {args.mc_slots}")
     analytic = {}
     for scenario in SCENARIOS:
-        # each branch is a one-row alpha sweep at seed; the CSI and no-CSI
-        # branches of one link share its fading draw (see run_sweep)
+        # each branch is a one-row alpha sweep at seed; the oracle draws
+        # once for the CSI and no-CSI branches of one link
         row, = run_sweep(SweepSpec(scenario, "alpha", (alpha,),
                                    _build_config(args, scenario),
                                    seed=seed, mc_slots=args.mc_slots))

@@ -24,14 +24,9 @@ from irsec.channel import (
     _GRID_MEMO_LINKS,
     MAX_MGF_U,
     LinkConfig,
-    SampleBatch,
     SnrDistribution,
-    miso_fading,
     miso_snr_dist,
-    miso_snr_from_fading,
-    siso_fading,
     siso_snr_dist,
-    siso_snr_from_fading,
 )
 
 __all__ = [
@@ -68,9 +63,9 @@ class Scenario:
     """One branch of the 2x2 design: the single-antenna or the beamformed
     link, with the rate adapted to the channel (CSI) or fixed (no CSI).
 
-    The methods call the module-level law, EC, fading and budget
-    functions by name at call time, so a caller that replaces one of
-    them (a tracer, a profiler) sees every call made through the table.
+    The methods call the module-level law and EC functions by name at
+    call time, so a caller that replaces one of them (a tracer, a
+    profiler) sees every call made through the table.
     """
 
     name: str
@@ -89,24 +84,6 @@ class Scenario:
         if self.beamformed:
             return miso_snr_dist(cfg, mode=kappa_mode)
         return siso_snr_dist(cfg)
-
-    def fading(self, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-        """The link's n seeded per-slot channel draws before the budget.
-
-        They depend on cfg only through n_elems, so links that differ
-        in power, geometry, gains, noise or antennas share them;
-        snr_from_fading applies each link's budget.
-        """
-        if self.beamformed:
-            return miso_fading(seed, n)
-        return siso_fading(cfg.n_elems, seed, n)
-
-    def snr_from_fading(self, fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
-        """The per-slot SNR of a fading(cfg, seed, n) draw under cfg's
-        link budget: the link's seeded SNR sample."""
-        if self.beamformed:
-            return miso_snr_from_fading(fading, cfg)
-        return siso_snr_from_fading(fading, cfg)
 
     def check_rate(self, rate: float | None) -> None:
         """ValueError unless a rate comes exactly with a fixed-rate branch."""

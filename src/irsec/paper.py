@@ -129,7 +129,8 @@ def siso_ec_gradient(
     decay = math.exp(-a * rate * cfg.slot)
     if decay == 0.0:  # both decay terms vanish, also where a * slot is inf
         return -dp_on
-    return dp_on * decay - a * cfg.slot * p_on * decay - dp_on
+    # dp_on (decay - 1) by expm1: the difference cancels to 0 at tiny rates
+    return dp_on * math.expm1(-a * rate * cfg.slot) - a * cfg.slot * p_on * decay
 
 
 def optimize_rate_siso(

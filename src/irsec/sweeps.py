@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from irsec.channel import LinkConfig, SampleBatch
-from irsec.eccore import LN2, SCENARIOS, Scenario, alpha_value, get_scenario
-from irsec.mcoracle import empirical_ec, on_off_estimate, service_from_snr
+from irsec.channel import LinkConfig
+from irsec.eccore import LN2, SCENARIOS, alpha_value, get_scenario
 from irsec.rateopt import RateSolution, grid_argmax_rate, solve_rate_miso_exact
 
 __all__ = [
@@ -148,62 +146,25 @@ def auto_rate(cfg: LinkConfig, scenario: str, alpha: float,
     return auto_rate_solution(cfg, scenario, alpha, kappa_mode).r_star
 
 
-# The last fading draw any sweep made, as ((beamformed, N, seed, slots),
-# batch). A draw depends only on that key and its values are read-only,
-# so consecutive sweeps of one link share it; a new key replaces it, so
-# at most one batch outlives a sweep.
-_last_fading: tuple[tuple, SampleBatch] | None = None
-
-
-def _fading(entry: Scenario, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
-    global _last_fading
-    key = (entry.beamformed, cfg.n_elems, seed, n)
-    last = _last_fading
-    if last is not None and last[0] == key:
-        return last[1]
-    _last_fading = last = None  # free the old batch before drawing the next
-    batch = entry.fading(cfg, seed, n)
-    _last_fading = (key, batch)
-    return batch
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep, one row per (value, alpha), never aborting.
 
     Fixed-rate scenarios optimize the rate per row unless the rate is
-    the sweep variable itself. The oracle uses one seed per sweep,
-    spec.seed, and common random numbers: rows with the same element
-    count share one fading draw, to which each link config applies its
-    own budget (Scenario.snr_from_fading), and rows with the same link
-    config share that SNR batch. An adaptive-rate row maps the batch to
-    per-slot service and takes empirical_ec at its exponent; a
-    fixed-rate row, whose slots serve rate*slot bits or none, counts
-    the slots that support its rate (on_off_estimate). A p_t, N_t,
-    alpha or rate sweep thus draws the channel once and an N sweep once
-    per value. The last draw is kept after the sweep returns, so the
-    next sweep of the same link kind, element count, seed and slot
-    count reuses it instead of drawing again: the CSI and no-CSI
-    branches of one link share one draw. Every row's oracle is the one
-    it would get from a fresh draw at spec.seed, bit for bit; irsec
-    validate runs each branch as such a one-row alpha sweep.
+    the sweep variable itself. With mc_slots, and only then, each row
+    also takes the oracle's estimate (mcoracle.oracle_ec) at one seed
+    per sweep, spec.seed: rows of one element count share one fading
+    draw and rows of one link config one SNR batch, so a p_t, N_t,
+    alpha or rate sweep draws the channel once and an N sweep once per
+    value. Every row's oracle is the one a fresh draw at spec.seed
+    gives, bit for bit; irsec validate runs each branch as such a
+    one-row alpha sweep.
     """
-    entry = SCENARIOS[spec.scenario]
-    # rows are value-major, so rows sharing a link config are consecutive
-    last_snr: tuple[LinkConfig, SampleBatch] | None = None
-
-    def draw(cfg: LinkConfig) -> SampleBatch:
-        nonlocal last_snr
-        if last_snr is None or last_snr[0] != cfg:
-            fading = _fading(entry, cfg, spec.seed, spec.mc_slots)
-            last_snr = (cfg, entry.snr_from_fading(fading, cfg))
-        return last_snr[1]
-
     rows: list[SweepRow] = []
     for value in spec.values:
         alphas = (value,) if spec.sweep_var == "alpha" else spec.alpha_list
         for alpha in alphas:
             try:
-                rows.append(_run_row(spec, value, alpha, draw))
+                rows.append(_run_row(spec, value, alpha))
             except Exception as exc:
                 rows.append(SweepRow(
                     sweep_var=spec.sweep_var, value=value, alpha=alpha,
@@ -211,8 +172,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _run_row(spec: SweepSpec, value: float, alpha: float,
-             draw: Callable[[LinkConfig], SampleBatch]) -> SweepRow:
+def _run_row(spec: SweepSpec, value: float, alpha: float) -> SweepRow:
     cfg = _apply_value(spec.fixed, spec.sweep_var, value)
     entry = SCENARIOS[spec.scenario]
     rate: float | None = None
@@ -221,11 +181,9 @@ def _run_row(spec: SweepSpec, value: float, alpha: float,
     ec = entry.ec(cfg, alpha, rate).ec_bits_per_slot
     ec_oracle = stderr = None
     if spec.mc_slots:
-        snr = draw(cfg)
-        if entry.adaptive:
-            estimate = empirical_ec(service_from_snr(snr, cfg), alpha)
-        else:
-            estimate = on_off_estimate(snr, cfg, rate, alpha)
+        from irsec import mcoracle  # numpy loads only where a sweep samples
+        estimate = mcoracle.oracle_ec(entry.beamformed, cfg, spec.seed, spec.mc_slots,
+                                      alpha, rate)
         ec_oracle, stderr = estimate.value, estimate.stderr
     return SweepRow(sweep_var=spec.sweep_var, value=value, alpha=alpha,
                     ec_analytical=ec, ec_oracle=ec_oracle,

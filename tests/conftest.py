@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from irsec import eccore, sweeps
+from irsec import mcoracle
 from irsec.channel import LinkConfig, pathloss
 
 # The benchmark's design grid: element counts, powers and QoS exponents.
@@ -45,19 +45,19 @@ def miso_cfg_for_kappa(kappa: float, n_tx: int = 10) -> LinkConfig:
 @pytest.fixture
 def fading_calls(monkeypatch):
     """The names of the fading draws the test makes, in call order,
-    starting from an empty sweep fading slot."""
+    starting from an empty oracle draw slot."""
     calls = []
 
     def counted(name):
-        draw = getattr(eccore, name)
+        draw = getattr(mcoracle, name)
 
         def fading(*args):
             calls.append(name)
             return draw(*args)
 
-        monkeypatch.setattr(eccore, name, fading)
+        monkeypatch.setattr(mcoracle, name, fading)
 
     counted("siso_fading")
     counted("miso_fading")
-    monkeypatch.setattr(sweeps, "_last_fading", None)
+    monkeypatch.setattr(mcoracle, "_last_draw", None)
     return calls

@@ -53,18 +53,7 @@ import mpmath
 import numpy as np
 from scipy.special import erfc
 
-from irsec.channel import (
-    Exponential,
-    LinkConfig,
-    SampleBatch,
-    ScaledNoncentralChiSq,
-    miso_fading,
-    miso_snr_from_fading,
-    pathloss,
-    siso_fading,
-    siso_snr_from_fading,
-    stream_rng,
-)
+from irsec.channel import Exponential, LinkConfig, ScaledNoncentralChiSq, pathloss
 from irsec.eccore import (
     _checked_on_off,
     _fixed_rate,
@@ -73,7 +62,16 @@ from irsec.eccore import (
     get_scenario,
     snr_threshold,
 )
-from irsec.mcoracle import EcEstimate, service_from_snr
+from irsec.mcoracle import (
+    EcEstimate,
+    SampleBatch,
+    miso_fading,
+    miso_snr_from_fading,
+    service_from_snr,
+    siso_fading,
+    siso_snr_from_fading,
+    stream_rng,
+)
 from irsec.numerics import minimize_bounded
 from irsec.rateopt import _GRID_XATOL, RateSolution, _rate_grid
 
@@ -141,9 +139,9 @@ def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
 
 
 def simulate_snr(cfg: LinkConfig, scenario: str, seed: int, slots: int) -> SampleBatch:
-    """Per-slot SNR of the scenario's seeded channel draw."""
-    entry = get_scenario(scenario)
-    return entry.snr_from_fading(entry.fading(cfg, seed, slots), cfg)
+    """Per-slot SNR of the scenario's seeded channel draw, drawn afresh."""
+    sample = sample_miso_snr if get_scenario(scenario).beamformed else sample_siso_snr
+    return sample(cfg, seed, slots)
 
 
 def on_off_service(snr: SampleBatch, cfg: LinkConfig, rate: float) -> SampleBatch:

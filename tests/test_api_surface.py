@@ -8,9 +8,10 @@ imported, in the source of src/, scripts/ or bench/. An assignment does
 not count, nor do strings, comments and the tests, so a name that only
 its own definition and the tests mention fails here.
 
-Importing the package and its command line loads no scipy module: numpy
-is the only run-time dependency, and scipy's import graph would triple
-the start-up time of every command.
+Importing the package and its command line loads no scipy module, and
+scipy's import graph would triple the start-up time of every command.
+Only irsec.mcoracle imports numpy, so the closed forms, `irsec ec` and
+`irsec optimize-rate` load no numpy module either.
 
 The paper's approximations (irsec.paper) are reported beside the
 library's answers, never used to compute them: only the command line
@@ -80,22 +81,48 @@ def test_package_and_cli_import_no_scipy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
-def _imports_paper(tree: ast.Module) -> bool:
+@pytest.mark.parametrize("argv", [
+    None,
+    ["ec", "--scenario", "siso_nocsi", "--alpha", "0.1"],
+    ["optimize-rate", "--scenario", "miso_nocsi", "--alpha", "1"],
+], ids=["import", "ec", "optimize-rate"])
+def test_analytic_path_loads_no_numpy(argv):
+    probe = "import sys, irsec, irsec.cli, irsec.eccore, irsec.rateopt, irsec.paper, irsec.sweeps\n"
+    if argv is not None:
+        probe += ("import contextlib, io\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    assert irsec.cli.main({argv!r}) == 0\n")
+    probe += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def _imported_modules(tree: ast.Module):
+    """Every module the tree's import statements name, a relative one
+    read inside the irsec package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "irsec.paper" for alias in node.names):
-                return True
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            package = "." * node.level + (node.module or "")
-            if package in ("irsec.paper", ".paper"):
-                return True
-            if package in ("irsec", ".") and any(a.name == "paper" for a in node.names):
-                return True
-    return False
+            base = node.module or ""
+            if node.level:
+                base = "irsec" + ("." + base if base else "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _importers(module: str) -> list:
+    """The package's files that import module or one of its submodules."""
+    return sorted(path.name for path in (ROOT / "src" / "irsec").rglob("*.py")
+                  if any(name == module or name.startswith(module + ".")
+                         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))))
+
+
+def test_only_the_oracle_imports_numpy():
+    assert _importers("numpy") == ["mcoracle.py"]
 
 
 def test_only_the_cli_imports_the_paper_module():
-    package = ROOT / "src" / "irsec"
-    importers = sorted(path.name for path in package.rglob("*.py")
-                       if _imports_paper(ast.parse(path.read_text(encoding="utf-8"))))
-    assert importers == ["__init__.py", "cli.py"]
+    assert _importers("irsec.paper") == ["cli.py"]

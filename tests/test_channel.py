@@ -21,19 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_ALPHA, GRID_N, GRID_P_T
-from irsec import channel, eccore
+from irsec import channel, eccore, mcoracle
 from irsec.channel import (
     Exponential,
     LinkConfig,
-    SampleBatch,
     ScaledNoncentralChiSq,
     load_link_config,
-    miso_fading,
     miso_snr_dist,
-    miso_snr_from_fading,
     pathloss,
-    siso_fading,
     siso_snr_dist,
+)
+from irsec.mcoracle import (
+    SampleBatch,
+    miso_fading,
+    miso_snr_from_fading,
+    siso_fading,
     siso_snr_from_fading,
     stream_rng,
 )
@@ -641,11 +643,11 @@ def test_siso_sampler_matches_reference_across_chunks(monkeypatch, chunk_elems, 
     """Many small chunks: chunk starts that fall inside a Philox output
     block, partial row blocks and single-row blocks, each chunk split
     over 1, 2 or 3 workers."""
-    monkeypatch.setattr(channel, "_CHUNK_ELEMS", chunk_elems)
-    monkeypatch.setattr(channel, "_BLOCK_ELEMS", block_elems)
-    monkeypatch.setattr(channel, "_MIN_RUN_BLOCKS", 1)
+    monkeypatch.setattr(mcoracle, "_CHUNK_ELEMS", chunk_elems)
+    monkeypatch.setattr(mcoracle, "_BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(mcoracle, "_MIN_RUN_BLOCKS", 1)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        monkeypatch.setattr(mcoracle, "_workers", lambda: workers)
         for n_elems in (1, 3, 16):
             cfg = LinkConfig(n_elems=n_elems)
             for seed in (5, 6):
@@ -660,7 +662,7 @@ def test_siso_sampler_independent_of_worker_count(monkeypatch):
     cfg = LinkConfig()
     want = siso_reference(cfg, 801, 200_000)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        monkeypatch.setattr(mcoracle, "_workers", lambda: workers)
         assert np.array_equal(sample_siso_snr(cfg, 801, 200_000).values, want), workers
 
 
@@ -675,7 +677,7 @@ def test_siso_split_matches_sampler(monkeypatch):
                 links = [LinkConfig(n_elems=n_elems, **fields) for fields in configs]
                 wants = [sample_siso_snr(cfg, seed, n).values for cfg in links]
                 for workers in (1, 2, 3):
-                    monkeypatch.setattr(channel, "_workers", lambda: workers)
+                    monkeypatch.setattr(mcoracle, "_workers", lambda: workers)
                     fading = siso_fading(n_elems, seed, n)
                     assert fading.kind == "fading" and fading.seed == seed
                     for fields, cfg, want in zip(configs, links, wants):
@@ -722,7 +724,7 @@ def test_split_budget_gates():
 
 
 def test_siso_sampler_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(channel, "_workers", lambda: 3)
+    monkeypatch.setattr(mcoracle, "_workers", lambda: 3)
     before = threading.active_count()
     sample_siso_snr(LinkConfig(), 1234, 10_000)
     assert threading.active_count() == before
@@ -731,15 +733,15 @@ def test_siso_sampler_leaves_no_thread(monkeypatch):
 def test_siso_sampler_worker_error_reaches_the_caller(monkeypatch):
     """An error raised on a worker thread is raised again in the caller,
     after every worker has been joined."""
-    monkeypatch.setattr(channel, "_workers", lambda: 3)
-    rows = channel._siso_rows
+    monkeypatch.setattr(mcoracle, "_workers", lambda: 3)
+    rows = mcoracle._siso_rows
 
     def failing(*args):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("worker failed")
         rows(*args)
 
-    monkeypatch.setattr(channel, "_siso_rows", failing)
+    monkeypatch.setattr(mcoracle, "_siso_rows", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
         sample_siso_snr(LinkConfig(), 1234, 10_000)
@@ -764,7 +766,7 @@ def test_siso_sampler_memory():
 
 def test_siso_sampler_memory_independent_of_workers(monkeypatch):
     """Eight workers share the two row blocks instead of holding two each."""
-    monkeypatch.setattr(channel, "_workers", lambda: 8)
+    monkeypatch.setattr(mcoracle, "_workers", lambda: 8)
     n = 100_000
     assert _sampler_peak_bytes(n) <= n * 8 + 2 * 2 ** 20
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import GRID_ALPHA, GRID_N, GRID_P_T, miso_cfg_for_kappa
-from irsec import channel, eccore, paper
+from irsec import channel, eccore, mcoracle, paper
 from irsec.channel import Exponential, LinkConfig, miso_snr_dist, siso_snr_dist
 from irsec.eccore import (
     SCENARIOS,
@@ -685,6 +685,39 @@ def test_mean_service_is_small_alpha_ec(cfg_siso, cfg_miso):
         mean_service(cfg_miso, "miso_nocsi", rate=1.0), rel=1e-3)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    log_n=st.floats(0.0, math.log10(2e4)),
+    log_p_t=st.floats(-9.0, 3.0),
+    log_alpha=st.floats(-6.0, 3.0),
+    log_step=st.floats(-9.0, 2.0),
+)
+def test_ec_is_nonincreasing_in_alpha(log_n, log_p_t, log_alpha, log_step):
+    """On every branch EC(alpha') <= EC(alpha) for alpha' > alpha, to a
+    1e-12 relative slack, since -ln E[exp(-alpha S)]/alpha is; each
+    fixed-rate branch keeps that through its max over the rate, at its
+    own auto_rate for each exponent. And EC -> mean service as
+    alpha -> 0: at alpha = 1e-9 it lies within 1e-8 relative below."""
+    n = round(10.0 ** log_n)
+    alpha = 10.0 ** log_alpha
+    for name, entry in SCENARIOS.items():
+        cfg = LinkConfig(n_elems=n, p_t=10.0 ** log_p_t,
+                         n_tx=10 if entry.beamformed else 1)
+
+        def ec(a):
+            rate = None if entry.adaptive else auto_rate(cfg, name, a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the clamp to 0
+                return entry.ec(cfg, a, rate).ec_bits_per_slot, rate
+
+        low, _ = ec(alpha)
+        high, _ = ec(alpha * (1.0 + 10.0 ** log_step))
+        assert high <= low * (1.0 + 1e-12), name
+        value, rate = ec(1e-9)
+        mean = mean_service(cfg, name, rate)
+        assert mean * (1.0 - 1e-8) <= value <= mean * (1.0 + 1e-12), name
+
+
 def test_mean_service_validation(cfg_siso):
     with pytest.raises(ValueError):
         mean_service(cfg_siso, "siso_nocsi")
@@ -698,7 +731,7 @@ def test_mean_service_validation(cfg_siso):
 def test_scenario_table_matches_named_branches(name):
     """Each table entry reproduces its named EC function bit for bit at
     the reference budget, and the oracle draws its service from the
-    entry's own sampler."""
+    link's own sampler pair."""
     entry = SCENARIOS[name]
     cfg = LinkConfig(n_tx=10) if entry.beamformed else LinkConfig()
     alpha = 0.1
@@ -715,7 +748,7 @@ def test_scenario_table_matches_named_branches(name):
     assert got.ec_bits_per_slot == want.ec_bits_per_slot
     assert got.diagnostics == want.diagnostics
 
-    snr = entry.snr_from_fading(entry.fading(cfg, 31, 2000), cfg).values
+    snr = mcoracle.link_snr(entry.beamformed, cfg, 31, 2000).values
     service = simulate_service(cfg, name, rate, 31, 2000).values
     if entry.adaptive:
         expect = cfg.slot * cfg.bandwidth * np.log1p(snr) / LN2

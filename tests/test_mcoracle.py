@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import miso_cfg_for_kappa
-from irsec.channel import Exponential, LinkConfig, SampleBatch, miso_snr_dist, stream_rng
+from irsec.channel import Exponential, LinkConfig, miso_snr_dist
 from irsec.eccore import (
     _on_off_kernel,
     mean_service,
@@ -28,9 +28,12 @@ from irsec.eccore import (
 )
 from irsec.mcoracle import (
     EcEstimate,
+    SampleBatch,
     empirical_ec,
+    link_snr,
     on_off_estimate,
     service_from_snr,
+    stream_rng,
 )
 from reference_samplers import (
     block_ec,
@@ -343,3 +346,16 @@ def test_ks_requires_snr_batch():
     batch = SampleBatch(values=np.ones(10), seed=1, kind="service_bits")
     with pytest.raises(ValueError):
         ks_distance(batch, Exponential(1.0))
+
+
+def test_link_snr_keeps_the_draw_and_the_last_snr(fading_calls):
+    """An equal config gets the kept SNR batch back; another budget at
+    the same element count, seed and slot count reuses the kept draw,
+    and its SNR is the one a fresh draw gives."""
+    cfg = LinkConfig()
+    snr = link_snr(False, cfg, 7, 1000)
+    assert link_snr(False, replace(cfg), 7, 1000) is snr
+    louder = replace(cfg, p_t=2e-3)
+    got = link_snr(False, louder, 7, 1000)
+    assert fading_calls == ["siso_fading"]
+    assert np.array_equal(got.values, sample_siso_snr(louder, 7, 1000).values)

@@ -94,6 +94,23 @@ def test_gradient_is_finite_at_tiny_rates(cfg_siso, rate):
     assert math.isfinite(siso_ec_gradient(cfg_siso, 0.1, rate))
 
 
+@pytest.mark.parametrize("rate", [1e-100, 1e-200])
+def test_gradient_keeps_its_limit_at_tiny_rates(cfg_siso, rate):
+    """As the rate falls to 0, p_on -> 1 and the gradient -> -alpha slot.
+    dp_on grows without bound there, so dp_on decay - dp_on cancelled to
+    0.0; dp_on expm1(-alpha rate slot) keeps the limit."""
+    assert siso_ec_gradient(cfg_siso, 0.1, rate) == pytest.approx(-0.1, rel=1e-12)
+
+
+def test_descent_climbs_from_a_tiny_start(cfg_siso):
+    """From r0 = 1e-300 the descent reaches the optimum of the default
+    start (in 515 steps here) instead of stopping where it began."""
+    sol = optimize_rate_siso(cfg_siso, 0.1, DescentSettings(r0=1e-300))
+    assert sol.iterations > 1
+    assert sol.r_star == pytest.approx(optimize_rate_siso(cfg_siso, 0.1).r_star, abs=1e-7)
+    assert sol.r_star == pytest.approx(1.27829, abs=1e-5)
+
+
 def test_gradient_is_finite_where_alpha_slot_overflows():
     # inf * 0 in the decay terms would make the gradient NaN
     assert math.isfinite(siso_ec_gradient(LinkConfig(slot=1e200), 1e200, 1.0))

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsec import eccore, sweeps
+from irsec import eccore, mcoracle
 from irsec.channel import LinkConfig, siso_snr_dist
 from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, get_scenario, mean_service
 from irsec.mcoracle import empirical_ec, on_off_estimate
@@ -184,7 +184,7 @@ def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
                         (elements_spec, ["siso_fading"] * 3),
                         (antennas_spec, ["miso_fading"])):
         # an earlier sweep's draw would satisfy this one
-        monkeypatch.setattr(sweeps, "_last_fading", None)
+        monkeypatch.setattr(mcoracle, "_last_draw", None)
         fading_calls.clear()
         rows = run_sweep(spec)
         assert fading_calls == draws, spec.sweep_var
@@ -216,13 +216,13 @@ def test_consecutive_sweeps_of_one_link_share_a_draw(monkeypatch, fading_calls):
     the one a fresh draw gives, bit for bit."""
     for kind, pair in (("siso_fading", ("siso_csi", "siso_nocsi")),
                        ("miso_fading", ("miso_csi", "miso_nocsi"))):
-        monkeypatch.setattr(sweeps, "_last_fading", None)
+        monkeypatch.setattr(mcoracle, "_last_draw", None)
         fading_calls.clear()
         specs = [_one_row(name, alpha) for name in pair for alpha in (0.1, 1.0)]
         rows = [run_sweep(spec) for spec in specs]
         assert fading_calls == [kind]
         for spec, row in zip(specs, rows):
-            monkeypatch.setattr(sweeps, "_last_fading", None)
+            monkeypatch.setattr(mcoracle, "_last_draw", None)
             assert run_sweep(spec) == row
         assert fading_calls == [kind] * 5
 
@@ -243,9 +243,10 @@ def test_a_new_link_seed_or_size_draws_again(fading_calls, scenario, change):
     row, = run_sweep(spec)
     beamformed = get_scenario(scenario).beamformed
     assert fading_calls == ["miso_fading" if beamformed else "siso_fading"]
-    key, batch = sweeps._last_fading
+    key, batch, cfg, _ = mcoracle._last_draw
     assert key == (beamformed, spec.fixed.n_elems, spec.seed, spec.mc_slots)
     assert batch.values.size == spec.mc_slots
+    assert cfg == spec.fixed
     want = _fresh_oracle(spec.fixed, scenario, row.r_star, 0.1,
                          spec.seed, spec.mc_slots)
     assert (row.ec_oracle, row.oracle_stderr) == want
@@ -263,7 +264,7 @@ def test_oracle_keeps_one_draw_at_a_time(monkeypatch):
                          fixed=fixed, alpha_list=(0.1,), mc_slots=slots)
         run_sweep(spec)  # warm caches and lazy imports outside the trace
         # the traced sweep draws its fading afresh, not from the warm-up's
-        monkeypatch.setattr(sweeps, "_last_fading", None)
+        monkeypatch.setattr(mcoracle, "_last_draw", None)
         tracemalloc.start()
         try:
             rows = run_sweep(spec)
