@@ -33,9 +33,10 @@ def build_specs(seed, mc_slots):
     rates = tuple(float(r) for r in np.linspace(0.015, 3.0, 200))
     # Sweeps of one link kind, element count, seed and slot count share
     # one fading draw (irsec.sweeps), so the order decides how often the
-    # channel is drawn: the N sweep runs first and ends on the reference
-    # N = 100, which every single-antenna sweep after it reuses, and the
-    # beamformed sweep, whose draw would replace it, runs last.
+    # channel is drawn: the N sweep runs first, draws once at its largest
+    # N, the reference N = 100, and ends on that draw, which every
+    # single-antenna sweep after it reuses; the beamformed sweep, whose
+    # draw would replace it, runs last.
     return {
         "ec_vs_elements": SweepSpec(
             scenario="siso_csi", sweep_var="N",

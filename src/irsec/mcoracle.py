@@ -20,6 +20,7 @@ import os
 import threading
 import warnings
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,30 +158,34 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _siso_rows(runs, n_el: int, rows: int) -> None:
-    """Fill each (first-hop rng, second-hop rng, out slice) run with the
-    per-slot sums s, in row blocks of `rows` and two block buffers of its
-    own.
+def _siso_rows(runs, counts: tuple[int, ...], rows: int) -> None:
+    """Fill each (first-hop rng, second-hop rng, out slices) run, in row
+    blocks of `rows` and two block buffers of its own: a row draws
+    counts[-1] element products, and the out slice of each count takes
+    the per-slot sums s of the row's first `count` of them.
 
     Runs on the caller's thread and on worker threads: it calls nothing
     in __all__, whose names a tracer may wrap, and only numpy fills and
     ufuncs that drop the GIL.
     """
+    n_el = counts[-1]
     buf_a = np.empty(rows * n_el)
     buf_b = np.empty(rows * n_el)
-    for rng_a, rng_b, out in runs:
-        for start in range(0, out.size, rows):
-            o = out[start:start + rows]
-            r = o.size
+    for rng_a, rng_b, outs in runs:
+        for start in range(0, outs[0].size, rows):
+            r = min(rows, outs[0].size - start)
             a, b = buf_a[:r * n_el], buf_b[:r * n_el]
             _rayleigh_inplace(rng_a, a)
             _rayleigh_inplace(rng_b, b)
             a *= b
-            np.sum(a.reshape(r, n_el), axis=1, out=o)
+            products = a.reshape(r, n_el)
+            for count, out in zip(counts, outs):
+                np.sum(products[:, :count], axis=1, out=out[start:start + r])
 
 
-def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
-    """n single-antenna rows of N elements each, filled by _siso_rows.
+def _siso_fill(counts: tuple[int, ...], seed: int, n: int) -> list[np.ndarray]:
+    """n single-antenna rows per element count, filled by _siso_rows from
+    one draw of N = counts[-1] elements a row; counts increase.
 
     The stream holds, chunk after chunk, all first-hop draws of a chunk's
     rows and then all its second-hop draws. Each chunk is cut into one
@@ -189,10 +194,10 @@ def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
     offset 2 pos N + s0 N and its second-hop draws from 2 pos N + (m + s0) N,
     so the runs fill at the same time and give the same bits.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n_el = counts[-1]
     bitgen = stream_rng(seed, _SISO_STREAM).bit_generator
-    out = np.empty(n, dtype=float)
+    # one array per count, so that each batch frees its own memory
+    outs = [np.empty(n, dtype=float) for _ in counts]
     chunk = max(1, _CHUNK_ELEMS // n_el)
     rows = min(n, chunk, max(1, _BLOCK_ELEMS // n_el))
     # one worker per _MIN_RUN_BLOCKS full blocks of the first (largest)
@@ -212,14 +217,14 @@ def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
             runs[k].append((
                 np.random.Generator(_skipped(bitgen, (2 * pos + s0) * n_el)),
                 np.random.Generator(_skipped(bitgen, (2 * pos + m + s0) * n_el)),
-                out[pos + s0:pos + s1]))
+                [out[pos + s0:pos + s1] for out in outs]))
     # the caller fills the first run and a thread each of the others,
     # joined before any error (the first, in run order) is raised again
     errors = [None] * workers
 
     def fill(k):
         try:
-            _siso_rows(runs[k], n_el, rows)
+            _siso_rows(runs[k], counts, rows)
         except BaseException as exc:
             errors[k] = exc
 
@@ -227,28 +232,53 @@ def _siso_fill(n_el: int, seed: int, n: int) -> np.ndarray:
     for thread in threads:
         thread.start()
     try:
-        _siso_rows(runs[0], n_el, rows)
+        _siso_rows(runs[0], counts, rows)
     finally:
         for thread in threads:
             thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return out
+    return outs
 
 
-def siso_fading(n_elems: int, seed: int, n: int) -> SampleBatch:
+def _count(value, name: str) -> int:
+    """value as a positive int: an integral float is its integer, and a
+    bool or a fractional, NaN or infinite value is refused by name."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a positive integer, not a bool")
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if count != value or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
+def siso_fading(n_elems, seed: int, n: int) -> SampleBatch | dict[int, SampleBatch]:
     """Per-slot coherent sums s = sum_i a_i b_i of the single-antenna link.
 
     Each slot sums N independent Rayleigh-amplitude products. The draw
     depends only on (n_elems, seed, n), so links that differ in anything
     else share it. Bit-reproducible per seed, at any number of worker
     threads.
+
+    n_elems may also be a collection of element counts, such as those of
+    an N sweep: then the channel is drawn once, at the largest count N,
+    and the result maps each count, in increasing order, to its batch of
+    the per-slot sums of the first `count` element products of that
+    draw (common random numbers across surface size). The largest
+    count's batch is siso_fading(N, seed, n), bit for bit.
     """
-    if int(n_elems) != n_elems or n_elems < 1:
-        raise ValueError("n_elems must be a positive integer")
-    return SampleBatch(values=_siso_fill(int(n_elems), seed, n),
-                       seed=seed, kind="fading")
+    n = _count(n, "n")
+    many = isinstance(n_elems, Iterable)
+    counts = tuple(sorted({_count(c, "n_elems") for c in (n_elems if many else (n_elems,))}))
+    if not counts:
+        raise ValueError("n_elems must hold at least one element count")
+    batches = {count: SampleBatch(values=values, seed=seed, kind="fading")
+               for count, values in zip(counts, _siso_fill(counts, seed, n))}
+    return batches if many else batches[counts[0]]
 
 
 def siso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
@@ -271,9 +301,7 @@ def miso_fading(seed: int, n: int) -> SampleBatch:
     complex Gaussian sum of precoded first-hop aggregates, and its
     squared magnitude is drawn directly by inverse CDF on one uniform.
     The draw does not depend on the link."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = stream_rng(seed, _MISO_STREAM).random(n)
+    out = stream_rng(seed, _MISO_STREAM).random(_count(n, "n"))
     np.negative(out, out=out)
     np.log1p(out, out=out)
     return SampleBatch(values=out, seed=seed, kind="fading")
@@ -289,25 +317,28 @@ def miso_snr_from_fading(fading: SampleBatch, cfg: LinkConfig) -> SampleBatch:
 
 
 # The sampler pair of each link, single-antenna (False) or beamformed
-# (True): its n seeded per-slot fading draws, and the budget step that
-# maps them to a config's SNR. Each calls its sampler by module name at
-# call time, so a caller that replaces one (a tracer, a counting test)
-# sees every draw.
+# (True): its n seeded per-slot fading draws for each of a tuple of
+# element counts, and the budget step that maps a draw to a config's
+# SNR. Each calls its sampler by module name at call time, so a caller
+# that replaces one (a tracer, a counting test) sees every draw.
 _SAMPLERS = {
-    False: (lambda cfg, seed, n: siso_fading(cfg.n_elems, seed, n),
+    False: (lambda counts, seed, n: siso_fading(counts, seed, n),
             lambda fading, cfg: siso_snr_from_fading(fading, cfg)),
-    True: (lambda cfg, seed, n: miso_fading(seed, n),
+    # the beamformed draw does not depend on the element count
+    True: (lambda counts, seed, n: dict.fromkeys(counts, miso_fading(seed, n)),
            lambda fading, cfg: miso_snr_from_fading(fading, cfg)),
 }
 
-# The last draw link_snr made, as ((beamformed, N, seed, slots), fading
-# batch, link config, SNR batch). A draw depends only on that key and
-# its SNR batch on the config too, and both are read-only, so
-# consecutive calls share them; at most one of each outlives a sweep.
+# The last draw link_snr made, as ((beamformed, N, seed, slots),
+# {element count: fading batch}, link config, SNR batch), N the largest
+# count drawn. A count's batch depends only on that key and the SNR
+# batch on the config too, and all are read-only, so consecutive calls
+# share them; outside an N sweep one of each outlives a sweep.
 _last_draw: tuple | None = None
 
 
-def link_snr(beamformed: bool, cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
+def link_snr(beamformed: bool, cfg: LinkConfig, seed: int, n: int,
+             sweep_counts: tuple[int, ...] = ()) -> SampleBatch:
     """n seeded per-slot SNRs of cfg's single-antenna or beamformed link.
 
     The fading draw depends on cfg only through n_elems, so links that
@@ -316,27 +347,41 @@ def link_snr(beamformed: bool, cfg: LinkConfig, seed: int, n: int) -> SampleBatc
     kept: the next call at the same link kind, element count, seed and
     slot count reuses the draw, and one at the same config its SNR too,
     so the CSI and no-CSI branches of one link draw once between them.
-    Every batch is the one a fresh draw at seed gives, bit for bit.
+
+    sweep_counts, when given, are the element counts of the N sweep that
+    cfg's row belongs to, cfg.n_elems among them. The first row to call
+    draws the fading once for them all, at the largest count (see
+    siso_fading), and the slot holds every count's batch while the sweep
+    runs. A sweep's rows come in increasing N, so each call drops the
+    batches of smaller counts, and after the sweep the slot holds only
+    the largest count's batch. Every batch is the one a fresh draw at
+    seed (and for a sweep, at its counts) gives, bit for bit.
     """
     global _last_draw
     fading_of, snr_of = _SAMPLERS[beamformed]
-    key = (beamformed, cfg.n_elems, seed, n)
-    if _last_draw is None or _last_draw[0] != key:
+    counts = tuple(sweep_counts) or (cfg.n_elems,)
+    if cfg.n_elems not in counts:
+        raise ValueError(f"sweep_counts {counts!r} must hold cfg.n_elems = {cfg.n_elems}")
+    key = (beamformed, max(counts), seed, n)
+    if _last_draw is None or _last_draw[0] != key or cfg.n_elems not in _last_draw[1]:
         _last_draw = None  # free the old batches before drawing the next
-        _last_draw = (key, fading_of(cfg, seed, n), None, None)
+        _last_draw = (key, fading_of(counts, seed, n), None, None)
     if _last_draw[2] != cfg:
-        fading = _last_draw[1]
-        _last_draw = (key, fading, None, None)  # free the old SNR batch too
-        _last_draw = (key, fading, cfg, snr_of(fading, cfg))
+        # free the old SNR batch, and the batches of counts already served
+        fadings = {k: v for k, v in _last_draw[1].items() if k >= cfg.n_elems}
+        _last_draw = (key, fadings, None, None)
+        _last_draw = (key, fadings, cfg, snr_of(fadings[cfg.n_elems], cfg))
     return _last_draw[3]
 
 
 def oracle_ec(beamformed: bool, cfg: LinkConfig, seed: int, n: int, alpha: float,
-              rate: float | None = None) -> EcEstimate:
+              rate: float | None = None,
+              sweep_counts: tuple[int, ...] = ()) -> EcEstimate:
     """The oracle's EC of cfg's link over the n slots link_snr draws at
-    seed: empirical_ec of the per-slot service where the rate adapts
-    (rate None), on_off_estimate at a fixed rate."""
-    snr = link_snr(beamformed, cfg, seed, n)
+    seed (within the N sweep of sweep_counts, if given): empirical_ec of
+    the per-slot service where the rate adapts (rate None),
+    on_off_estimate at a fixed rate."""
+    snr = link_snr(beamformed, cfg, seed, n, sweep_counts)
     if rate is None:
         return empirical_ec(service_from_snr(snr, cfg), alpha)
     return on_off_estimate(snr, cfg, rate, alpha)

@@ -154,17 +154,25 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     also takes the oracle's estimate (mcoracle.oracle_ec) at one seed
     per sweep, spec.seed: rows of one element count share one fading
     draw and rows of one link config one SNR batch, so a p_t, N_t,
-    alpha or rate sweep draws the channel once and an N sweep once per
-    value. Every row's oracle is the one a fresh draw at spec.seed
-    gives, bit for bit; irsec validate runs each branch as such a
+    alpha or rate sweep draws the channel once. An N sweep draws it
+    once too, at its largest element count, and each row reads the
+    first N elements of that draw (common random numbers across surface
+    size, mcoracle.link_snr). Every row's oracle is the one a fresh
+    draw at spec.seed gives, bit for bit, and at the largest N it is
+    the plain draw at that N; irsec validate runs each branch as such a
     one-row alpha sweep.
     """
+    # an N sweep's element counts whose config builds (LinkConfig refuses
+    # only N < 1), so a refused row leaves the other rows' draw as it is
+    counts = ()
+    if spec.sweep_var == "N" and spec.mc_slots:
+        counts = tuple(int(v) for v in spec.values if v >= 1)
     rows: list[SweepRow] = []
     for value in spec.values:
         alphas = (value,) if spec.sweep_var == "alpha" else spec.alpha_list
         for alpha in alphas:
             try:
-                rows.append(_run_row(spec, value, alpha))
+                rows.append(_run_row(spec, value, alpha, counts))
             except Exception as exc:
                 rows.append(SweepRow(
                     sweep_var=spec.sweep_var, value=value, alpha=alpha,
@@ -172,7 +180,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _run_row(spec: SweepSpec, value: float, alpha: float) -> SweepRow:
+def _run_row(spec: SweepSpec, value: float, alpha: float,
+             counts: tuple[int, ...]) -> SweepRow:
     cfg = _apply_value(spec.fixed, spec.sweep_var, value)
     entry = SCENARIOS[spec.scenario]
     rate: float | None = None
@@ -183,7 +192,7 @@ def _run_row(spec: SweepSpec, value: float, alpha: float) -> SweepRow:
     if spec.mc_slots:
         from irsec import mcoracle  # numpy loads only where a sweep samples
         estimate = mcoracle.oracle_ec(entry.beamformed, cfg, spec.seed, spec.mc_slots,
-                                      alpha, rate)
+                                      alpha, rate, counts)
         ec_oracle, stderr = estimate.value, estimate.stderr
     return SweepRow(sweep_var=spec.sweep_var, value=value, alpha=alpha,
                     ec_analytical=ec, ec_oracle=ec_oracle,

@@ -2,7 +2,9 @@
 
 `siso_reference` is the single-antenna sampler as it drew with fresh
 chunk-sized temporaries; the library's blocked version must reproduce
-it bit for bit. `miso_reference` draws the beamformed SNR the long way,
+it bit for bit. `siso_nested_reference` is the same draw at an N
+sweep's largest element count, summed over the first N elements for
+each count: the sums the library's nested draw must give, bit for bit. `miso_reference` draws the beamformed SNR the long way,
 as the squared magnitude of a sum of N complex Gaussians, so the
 library's one-draw-per-slot reduction stays checked against it.
 
@@ -20,8 +22,8 @@ independent route to the library's scalar on/off formula
 `eccore._on_off_kernel`. `write_link_config` writes the
 config-file format that `load_link_config` reads.
 
-`sample_siso_snr`, `sample_miso_snr`, `simulate_snr` and
-`simulate_service` compose the library's steps into the draw a sweep
+`sample_siso_snr`, `sample_siso_nested_snr`, `sample_miso_snr`,
+`simulate_snr` and `simulate_service` compose the library's steps into the draw a sweep
 row makes: the seeded fading, the link budget and, for service,
 `service_from_snr` on an adaptive-rate link or `on_off_service` on a
 fixed-rate one. They are what a one-row sweep at that seed samples,
@@ -95,21 +97,34 @@ def _standard_complex(rng, shape):
     return r * np.cos(ang) + 1j * (r * np.sin(ang))
 
 
-def siso_reference(cfg: LinkConfig, seed: int, n: int,
-                   chunk_elems: int = CHUNK_ELEMS) -> np.ndarray:
+def siso_nested_reference(counts, seed: int, n: int,
+                          chunk_elems: int = CHUNK_ELEMS) -> dict[int, np.ndarray]:
+    """Per-slot sums s of each count's first element products, from one
+    single-antenna draw of max(counts) elements a slot: each chunk's
+    (m, N_max) first-hop and second-hop matrices drawn whole, as
+    siso_reference draws them, and the first N columns of their product
+    summed for each N of counts."""
+    n_max = max(counts)
     rng = stream_rng(seed, "channel.sample_siso_snr")
-    scale = cfg.p_t * pathloss(cfg) / cfg.sigma2
-    out = np.empty(n, dtype=float)
-    chunk = max(1, chunk_elems // cfg.n_elems)
+    out = {count: np.empty(n, dtype=float) for count in sorted(set(counts))}
+    chunk = max(1, chunk_elems // n_max)
     pos = 0
     while pos < n:
         m = min(chunk, n - pos)
-        a = _rayleigh(rng, (m, cfg.n_elems))
-        b = _rayleigh(rng, (m, cfg.n_elems))
-        s = np.sum(a * b, axis=1)
-        out[pos:pos + m] = scale * s * s
+        a = _rayleigh(rng, (m, n_max))
+        b = _rayleigh(rng, (m, n_max))
+        products = a * b
+        for count, s in out.items():
+            s[pos:pos + m] = np.sum(products[:, :count], axis=1)
         pos += m
     return out
+
+
+def siso_reference(cfg: LinkConfig, seed: int, n: int,
+                   chunk_elems: int = CHUNK_ELEMS) -> np.ndarray:
+    scale = cfg.p_t * pathloss(cfg) / cfg.sigma2
+    s = siso_nested_reference((cfg.n_elems,), seed, n, chunk_elems)[cfg.n_elems]
+    return scale * s * s
 
 
 def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
@@ -131,6 +146,13 @@ def miso_reference(cfg: LinkConfig, seed: int, n: int) -> np.ndarray:
 def sample_siso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:
     """Per-slot single-antenna SNR: the fading draw under cfg's budget."""
     return siso_snr_from_fading(siso_fading(cfg.n_elems, seed, n), cfg)
+
+
+def sample_siso_nested_snr(cfg: LinkConfig, counts, seed: int, n: int) -> SampleBatch:
+    """Per-slot single-antenna SNR of cfg's row in an N sweep over counts:
+    the nested draw's first cfg.n_elems elements under cfg's budget."""
+    sums = siso_nested_reference(counts, seed, n)[cfg.n_elems]
+    return siso_snr_from_fading(SampleBatch(values=sums, seed=seed, kind="fading"), cfg)
 
 
 def sample_miso_snr(cfg: LinkConfig, seed: int, n: int) -> SampleBatch:

@@ -45,6 +45,7 @@ from reference_samplers import (
     miso_reference,
     sample_miso_snr,
     sample_siso_snr,
+    siso_nested_reference,
     siso_reference,
     write_link_config,
 )
@@ -685,6 +686,54 @@ def test_siso_split_matches_sampler(monkeypatch):
                         case = (n_elems, n, seed, workers, fields)
                         assert got.kind == "snr" and got.seed == seed, case
                         assert np.array_equal(got.values, want), case
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       n=st.integers(1, 3000), seed=st.integers(0, 2 ** 64 - 1),
+       chunk_elems=st.sampled_from([mcoracle._CHUNK_ELEMS, 20_000, 999]))
+def test_nested_siso_draw(counts, n, seed, chunk_elems):
+    """One draw for a set of element counts: the largest count's batch is
+    the plain draw at that count, each count's batch is the nested
+    reference's first N elements, the per-slot sums never fall as N
+    grows, and 1 or 2 workers give the same bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcoracle, "_CHUNK_ELEMS", chunk_elems)
+        # blocks small enough that two workers share the rows of a chunk
+        mp.setattr(mcoracle, "_BLOCK_ELEMS", 2048)
+        mp.setattr(mcoracle, "_MIN_RUN_BLOCKS", 1)
+        want = siso_nested_reference(counts, seed, n, chunk_elems=chunk_elems)
+        for workers in (1, 2):
+            mp.setattr(mcoracle, "_workers", lambda: workers)
+            got = siso_fading(counts, seed, n)
+            assert list(got) == sorted(set(counts))
+            for count, batch in got.items():
+                assert batch.kind == "fading" and batch.seed == seed
+                assert np.array_equal(batch.values, want[count]), (workers, count)
+            n_max = max(counts)
+            assert np.array_equal(got[n_max].values, siso_fading(n_max, seed, n).values)
+            sums = [batch.values for batch in got.values()]
+            assert all(np.all(a <= b) for a, b in zip(sums, sums[1:]))
+
+
+def test_fading_count_gates():
+    """A slot count or element count is a positive integer: an integral
+    float is taken as that integer, and a bool, NaN, infinite or
+    fractional one is refused by name."""
+    assert np.array_equal(siso_fading(16, 1, 10.0).values, siso_fading(16, 1, 10).values)
+    assert np.array_equal(miso_fading(1, 2.0).values, miso_fading(1, 2).values)
+    for bad in (10.5, True, math.nan, math.inf, 0, "10"):
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            siso_fading(16, 1, bad)
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            miso_fading(1, bad)
+    for bad in (16.5, True, math.nan, -3, None):
+        with pytest.raises(ValueError, match="^n_elems must be a positive integer"):
+            siso_fading(bad, 1, 10)
+        with pytest.raises(ValueError, match="^n_elems must be a positive integer"):
+            siso_fading((16, bad), 1, 10)
+    with pytest.raises(ValueError, match="^n_elems must hold"):
+        siso_fading((), 1, 10)
 
 
 def test_miso_split_matches_sampler():

@@ -4,11 +4,14 @@ output snapshot."""
 import csv
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from irsec.mcoracle import empirical_ec, service_from_snr
 from irsec.sweeps import CSV_HEADER, run_sweep
+from reference_samplers import sample_siso_nested_snr
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
 
@@ -41,13 +44,21 @@ def test_main_writes_every_figure(figure_script, tmp_path, capsys):
 
 
 def test_figure_set_draws_each_element_count_once(figure_script, fading_calls):
-    """In build_specs' order the N sweep ends on the reference N = 100,
-    whose draw every later single-antenna sweep reuses, and the
-    beamformed sweep comes last: seven single-antenna draws, one per
-    element count, then one beamformed draw."""
-    for spec in figure_script.build_specs(12345, mc_slots=200).values():
-        run_sweep(spec)
-    assert fading_calls == ["siso_fading"] * 7 + ["miso_fading"]
+    """In build_specs' order the N sweep draws once, at the reference
+    N = 100, and ends on that draw, which every later single-antenna
+    sweep reuses; the beamformed sweep comes last: one single-antenna
+    draw, then one beamformed draw. Each N sweep row reads the first N
+    elements of the nested draw, bit for bit."""
+    specs = figure_script.build_specs(12345, mc_slots=200)
+    tables = {name: run_sweep(spec) for name, spec in specs.items()}
+    assert fading_calls == ["siso_fading", "miso_fading"]
+    spec = specs["ec_vs_elements"]
+    counts = [int(v) for v in spec.values]
+    for row in tables["ec_vs_elements"]:
+        cfg = replace(spec.fixed, n_elems=int(row.value))
+        snr = sample_siso_nested_snr(cfg, counts, spec.seed, spec.mc_slots)
+        want = empirical_ec(service_from_snr(snr, cfg), row.alpha)
+        assert (row.ec_oracle, row.oracle_stderr) == (want.value, want.stderr), row
 
 
 def test_snapshot_writes_every_output(tmp_path, monkeypatch, capsys):

@@ -359,3 +359,19 @@ def test_link_snr_keeps_the_draw_and_the_last_snr(fading_calls):
     got = link_snr(False, louder, 7, 1000)
     assert fading_calls == ["siso_fading"]
     assert np.array_equal(got.values, sample_siso_snr(louder, 7, 1000).values)
+
+
+def test_link_snr_serves_an_n_sweep_from_one_draw(fading_calls):
+    """The rows of an N sweep read one nested draw: a row at the largest
+    count reads the plain draw at that count, a later plain call at that
+    count reuses it, and a count outside the sweep's is refused."""
+    counts = (16, 64)
+    small = link_snr(False, LinkConfig(n_elems=16), 7, 1000, counts)
+    large = link_snr(False, LinkConfig(n_elems=64), 7, 1000, counts)
+    assert fading_calls == ["siso_fading"]
+    assert not np.array_equal(small.values, sample_siso_snr(LinkConfig(n_elems=16), 7, 1000).values)
+    assert np.array_equal(large.values, sample_siso_snr(LinkConfig(n_elems=64), 7, 1000).values)
+    assert link_snr(False, LinkConfig(n_elems=64), 7, 1000) is large
+    assert fading_calls == ["siso_fading"]
+    with pytest.raises(ValueError, match="must hold cfg.n_elems = 32"):
+        link_snr(False, LinkConfig(n_elems=32), 7, 1000, counts)

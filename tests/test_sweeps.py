@@ -13,7 +13,7 @@ import pytest
 from irsec import eccore, mcoracle
 from irsec.channel import LinkConfig, siso_snr_dist
 from irsec.eccore import LN2, ec_miso_csi, ec_siso_nocsi, get_scenario, mean_service
-from irsec.mcoracle import empirical_ec, on_off_estimate
+from irsec.mcoracle import empirical_ec, on_off_estimate, service_from_snr
 from irsec.sweeps import (
     CSV_HEADER,
     SweepSpec,
@@ -23,18 +23,36 @@ from irsec.sweeps import (
     run_sweep,
     write_csv,
 )
-from reference_samplers import grid_argmax_reference, simulate_service, simulate_snr
+from reference_samplers import grid_argmax_reference, sample_siso_nested_snr, simulate_snr
 
 
-def _fresh_oracle(cfg, scenario, rate, alpha, seed, slots):
-    """(value, stderr) of one row's oracle on a fresh draw at seed: an
+def _row_config(spec, value):
+    """The link config of a row at value, as run_sweep builds it."""
+    if spec.sweep_var == "p_t":
+        return replace(spec.fixed, p_t=value)
+    if spec.sweep_var == "N":
+        return replace(spec.fixed, n_elems=int(value))
+    if spec.sweep_var == "N_t":
+        return replace(spec.fixed, n_tx=int(value), precoder=None)
+    return spec.fixed
+
+
+def _fresh_oracle(spec, row):
+    """(value, stderr) of a row's oracle on a fresh draw at spec.seed: an
     adaptive row's empirical_ec of its service, a fixed-rate row's count
-    of on slots."""
-    if get_scenario(scenario).adaptive:
-        est = empirical_ec(simulate_service(cfg, scenario, None, seed, slots), alpha)
+    of on slots. A single-antenna N sweep's rows read the nested draw at
+    the sweep's element counts (siso_nested_reference)."""
+    cfg = _row_config(spec, row.value)
+    entry = get_scenario(spec.scenario)
+    if spec.sweep_var == "N" and not entry.beamformed:
+        counts = [int(v) for v in spec.values if v >= 1]
+        snr = sample_siso_nested_snr(cfg, counts, spec.seed, spec.mc_slots)
     else:
-        snr = simulate_snr(cfg, scenario, seed, slots)
-        est = on_off_estimate(snr, cfg, rate, alpha)
+        snr = simulate_snr(cfg, spec.scenario, spec.seed, spec.mc_slots)
+    if entry.adaptive:
+        est = empirical_ec(service_from_snr(snr, cfg), row.alpha)
+    else:
+        est = on_off_estimate(snr, cfg, row.r_star, row.alpha)
     return est.value, est.stderr
 
 
@@ -164,10 +182,12 @@ def test_oracle_rows_reproducible():
 
 def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
     """Rows with the same element count share one fading draw at
-    spec.seed: a rate, p_t or N_t sweep draws once, an N sweep once per
-    value, and every row's oracle equals the one a fresh draw at that
-    seed gives: empirical_ec of its service for an adaptive row, the
-    count of on slots for a fixed-rate row."""
+    spec.seed, and an N sweep draws once, at its largest count: a rate,
+    p_t, N_t or N sweep draws once. Every row's oracle equals the one a
+    fresh draw at that seed gives: empirical_ec of its service for an
+    adaptive row, the count of on slots for a fixed-rate row, and for a
+    single-antenna N sweep's row the nested reference's first N
+    elements, bit for bit."""
     common = dict(alpha_list=(0.1, 1.0), seed=7, mc_slots=2000)
     rate_spec = _rate_spec(values=(1.0, 1.3, 1.6), **common)
     power_spec = SweepSpec(scenario="siso_csi", sweep_var="p_t",
@@ -176,30 +196,25 @@ def test_oracle_draws_once_per_config(monkeypatch, fading_calls):
     elements_spec = SweepSpec(scenario="siso_nocsi", sweep_var="N",
                               values=(4.0, 16.0, 64.0), fixed=LinkConfig(),
                               **common)
+    beamformed_elements_spec = SweepSpec(scenario="miso_nocsi", sweep_var="N",
+                                         values=(4.0, 16.0, 64.0),
+                                         fixed=LinkConfig(n_tx=10), **common)
     antennas_spec = SweepSpec(scenario="miso_csi", sweep_var="N_t",
                               values=(1.0, 4.0, 10.0),
                               fixed=LinkConfig(n_tx=1), **common)
     for spec, draws in ((rate_spec, ["siso_fading"]),
                         (power_spec, ["siso_fading"]),
-                        (elements_spec, ["siso_fading"] * 3),
+                        (elements_spec, ["siso_fading"]),
+                        (beamformed_elements_spec, ["miso_fading"]),
                         (antennas_spec, ["miso_fading"])):
         # an earlier sweep's draw would satisfy this one
         monkeypatch.setattr(mcoracle, "_last_draw", None)
         fading_calls.clear()
         rows = run_sweep(spec)
-        assert fading_calls == draws, spec.sweep_var
+        assert fading_calls == draws, (spec.scenario, spec.sweep_var)
         for row in rows:
             assert row.error is None
-            cfg = spec.fixed
-            if spec.sweep_var == "p_t":
-                cfg = replace(cfg, p_t=row.value)
-            elif spec.sweep_var == "N":
-                cfg = replace(cfg, n_elems=int(row.value))
-            elif spec.sweep_var == "N_t":
-                cfg = LinkConfig(n_tx=int(row.value))
-            want = _fresh_oracle(cfg, spec.scenario, row.r_star, row.alpha,
-                                 spec.seed, spec.mc_slots)
-            assert (row.ec_oracle, row.oracle_stderr) == want
+            assert (row.ec_oracle, row.oracle_stderr) == _fresh_oracle(spec, row)
 
 
 def _one_row(scenario, alpha=0.1, seed=7, mc_slots=2000, n_elems=100):
@@ -230,26 +245,28 @@ def test_consecutive_sweeps_of_one_link_share_a_draw(monkeypatch, fading_calls):
 @pytest.mark.parametrize("scenario, change", [
     ("siso_csi", dict(seed=8)),
     ("siso_csi", dict(mc_slots=2001)),
-    ("siso_csi", dict(n_elems=64)),
+    ("siso_csi", dict(sweep_var="N", values=(16.0, 64.0))),
     ("miso_nocsi", {}),
 ], ids=["seed", "slots", "N", "link kind"])
 def test_a_new_link_seed_or_size_draws_again(fading_calls, scenario, change):
     """A sweep that differs from the last one in seed, slot count, element
-    count or link kind draws its own fading, the slot then holds that
-    draw alone, and the row is the one a fresh draw gives."""
+    count or link kind draws its own fading, once, the slot then holds
+    the last row's draw alone, and each row is the one a fresh draw gives
+    (for an N sweep, the nested draw at its largest element count)."""
     run_sweep(_one_row("siso_nocsi"))
     fading_calls.clear()
-    spec = _one_row(scenario, **change)
-    row, = run_sweep(spec)
+    spec = replace(_one_row(scenario), **change)
+    rows = run_sweep(spec)
     beamformed = get_scenario(scenario).beamformed
     assert fading_calls == ["miso_fading" if beamformed else "siso_fading"]
-    key, batch, cfg, _ = mcoracle._last_draw
-    assert key == (beamformed, spec.fixed.n_elems, spec.seed, spec.mc_slots)
+    last = _row_config(spec, rows[-1].value)
+    key, fadings, cfg, _ = mcoracle._last_draw
+    assert key == (beamformed, last.n_elems, spec.seed, spec.mc_slots)
+    batch, = fadings.values()
     assert batch.values.size == spec.mc_slots
-    assert cfg == spec.fixed
-    want = _fresh_oracle(spec.fixed, scenario, row.r_star, 0.1,
-                         spec.seed, spec.mc_slots)
-    assert (row.ec_oracle, row.oracle_stderr) == want
+    assert cfg == last
+    for row in rows:
+        assert (row.ec_oracle, row.oracle_stderr) == _fresh_oracle(spec, row)
 
 
 def test_oracle_keeps_one_draw_at_a_time(monkeypatch):
@@ -273,6 +290,48 @@ def test_oracle_keeps_one_draw_at_a_time(monkeypatch):
             tracemalloc.stop()
         assert all(r.error is None for r in rows), scenario
         assert peak < 5 * slots * 8 + 1_000_000, (scenario, peak)
+
+
+def test_n_sweep_holds_its_draws_until_they_are_read(monkeypatch):
+    """An N sweep of K element counts draws once and holds one batch per
+    count until its rows have read it: the traced peak stays within K + 4
+    batches, and after the sweep the slot holds only the largest
+    count's batch, which is the plain draw at that count."""
+    slots = 20_000
+    values = (16.0, 25.0, 36.0, 49.0, 64.0, 81.0, 100.0)
+    spec = SweepSpec(scenario="siso_csi", sweep_var="N", values=values,
+                     fixed=LinkConfig(), alpha_list=(0.1, 1.0), mc_slots=slots)
+    run_sweep(spec)  # warm caches and lazy imports outside the trace
+    monkeypatch.setattr(mcoracle, "_last_draw", None)
+    tracemalloc.start()
+    try:
+        rows = run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in rows)
+    assert peak < (len(values) + 4) * slots * 8 + 1_000_000, peak
+    key, fadings, cfg, _ = mcoracle._last_draw
+    assert key == (False, 100, spec.seed, slots) and list(fadings) == [100]
+    assert cfg == LinkConfig(n_elems=100)
+    assert np.array_equal(fadings[100].values,
+                          mcoracle.siso_fading(100, spec.seed, slots).values)
+
+
+def test_refused_n_sweep_row_leaves_the_other_draws(fading_calls):
+    """A row whose element count no config takes keeps its error, and the
+    other rows read the draw they read without it."""
+    common = dict(scenario="siso_nocsi", sweep_var="N", fixed=LinkConfig(),
+                  alpha_list=(0.1,), seed=7, mc_slots=2000)
+    rows = run_sweep(SweepSpec(values=(-4.0, 0.0, 16.0, 64.0), **common))
+    for row in rows[:2]:
+        assert row.error == "ValueError: n_elems must be a positive integer"
+        assert row.ec_oracle is None
+    assert fading_calls == ["siso_fading"]
+    spec = SweepSpec(values=(16.0, 64.0), **common)
+    assert rows[2:] == run_sweep(spec)
+    for row in rows[2:]:
+        assert (row.ec_oracle, row.oracle_stderr) == _fresh_oracle(spec, row)
 
 
 def test_rate_zero_oracle_is_positive_zero():
